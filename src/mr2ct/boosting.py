@@ -325,7 +325,6 @@ def train_rusboost(
                 labels[idx],
                 weights=w,
                 config=tree_config,
-                seed=derive_seed(seed, j, attempt, 1),
                 n_labels=n_labels,
             )
             conf = tree.confidence_matrix(x)

@@ -10,6 +10,16 @@ ties broken to the lowest feature index, then the lowest threshold.
 The split budget max_splits is global and spent best-first: the pending
 split with the largest weighted impurity decrease is applied next, so a
 small budget still buys the most useful structure.
+
+Each feature is sorted once per tree (SLIQ; the exact-greedy column blocks
+of XGBoost): a stable argsort per feature fills a (features, rows) int32
+array, and a node owns one column segment of it.  A split partitions that
+segment stably, so every node's per-feature lists stay in sorted order with
+ties in ascending row order, as a stable sort of the node's own rows would
+give.  The scan then scores all thresholds of _BLOCK features at once with
+one cumulative sum per label.  Cumulative sums, node totals and thresholds
+are therefore bitwise equal to those of a per-node sort, and so is the
+tree: the same data, weights and config give the same model bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +33,9 @@ import numpy as np
 from .errors import DataError, ModelError
 
 LEAF = -1
+# Features scored together: bounds split-search scratch to a few
+# (_BLOCK, rows) arrays rather than one (labels, features, rows) tensor.
+_BLOCK = 8
 
 
 def gini(proportions: Sequence[float]) -> float:
@@ -72,6 +85,35 @@ class DecisionTree:
     confidence: np.ndarray # (nodes, n_labels) float64
     n_features: int
     n_labels: int
+
+    def __post_init__(self):
+        """Reject a malformed tree, which could otherwise route in a cycle.
+
+        Child ids above the parent's make every path end within n_nodes
+        steps; a tree read from a bundle is checked here like a trained one.
+        """
+        n = self.feature.size
+        if (
+            n == 0
+            or self.feature.shape != (n,)
+            or any(a.shape != (n,) for a in (self.threshold, self.left, self.right))
+            or self.confidence.shape != (n, self.n_labels)
+        ):
+            raise ModelError("tree arrays must hold one entry per node")
+        internal = self.feature != LEAF
+        ids = np.flatnonzero(internal)
+        if np.any(self.feature[internal] < 0) or np.any(self.feature >= self.n_features):
+            raise ModelError(f"split features must lie in [0, {self.n_features})")
+        if np.any(np.isnan(self.threshold[internal])):
+            raise ModelError("split nodes must have a threshold")
+        for child in (self.left, self.right):
+            if np.any(child[~internal] != LEAF):
+                raise ModelError(f"leaf children must be {LEAF}")
+            if np.any(child[internal] <= ids) or np.any(child[internal] >= n):
+                raise ModelError("child ids must exceed their parent's and lie below n_nodes")
+        conf = self.confidence
+        if not (np.all((conf >= 0) & (conf <= 1)) and np.all(np.abs(conf.sum(axis=1) - 1) <= 1e-9)):
+            raise ModelError("node confidences must lie in [0, 1] and sum to 1")
 
     @property
     def n_nodes(self) -> int:
@@ -150,60 +192,78 @@ def _node_confidence(class_weights: np.ndarray) -> np.ndarray:
     return class_weights / total
 
 
+def _label_sum(parts: list[np.ndarray]) -> np.ndarray:
+    """parts[0] + parts[1] + ..., added in the order a row sum over labels uses."""
+    return sum(parts[1:], parts[0])
+
+
+def _quantile_candidates(xv: np.ndarray, cand: np.ndarray, config: TreeConfig) -> None:
+    """Thin cand (B, m-1) in place to the quantile cut points of each feature
+    with more than quantile_cutoff distinct values; xv is (B, m) sorted."""
+    probs = np.linspace(0, 1, config.quantile_bins + 1)[1:-1]
+    for i in np.flatnonzero(cand.sum(axis=1) + 1 > config.quantile_cutoff):
+        pos = np.searchsorted(xv[i], np.quantile(xv[i], probs), side="right") - 1
+        keep = np.zeros(cand.shape[1], dtype=bool)
+        keep[pos[pos < cand.shape[1]]] = True
+        cand[i] &= keep
+
+
 def _best_split(
-    x: np.ndarray, cw: np.ndarray, config: TreeConfig
+    x_t: np.ndarray,
+    cw_t: np.ndarray,
+    sorted_rows: np.ndarray,
+    totals: np.ndarray,
+    config: TreeConfig,
 ) -> tuple[float, int, float] | None:
     """Best (impurity decrease, feature, threshold) over all features, or None.
 
-    The decrease is the unnormalized weighted form
+    x_t is (features, n) and cw_t (labels, n); sorted_rows (features, m)
+    holds the node's rows per feature in stable sorted order and totals the
+    node's class weights.  The decrease is the unnormalized weighted form
     W*G(node) - W_L*G(L) - W_R*G(R), which equals
     sum_t cwL_t^2/W_L + sum_t cwR_t^2/W_R - sum_t cw_t^2/W.
     """
-    m = x.shape[0]
-    totals = cw.sum(axis=0)
+    n_features, m = sorted_rows.shape
     w_total = totals.sum()
     parent_term = float(np.sum(totals**2) / w_total)
+    # Position p cuts between sorted rows p and p+1; min_leaf bounds it.
+    lo, hi = config.min_leaf - 1, m - config.min_leaf
+    # np.take gathers faster than fancy indexing; offsets index a block of x_t.
+    offsets = np.arange(0, _BLOCK * x_t.shape[1], x_t.shape[1])[:, None]
     best: tuple[float, int, float] | None = None
-    for f in range(x.shape[1]):
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        xv = col[order]
-        boundary = np.flatnonzero(xv[:-1] < xv[1:])
-        if boundary.size == 0:
+    for f0 in range(0, n_features, _BLOCK):
+        block = sorted_rows[f0:f0 + _BLOCK]
+        xv = np.take(x_t[f0:f0 + _BLOCK], block + offsets[:block.shape[0]])
+        cand = xv[:, :-1] < xv[:, 1:]
+        if config.threshold_strategy == "quantile":
+            _quantile_candidates(xv, cand, config)
+        cand = cand[:, lo:hi]
+        if not cand.any():
             continue
-        if (
-            config.threshold_strategy == "quantile"
-            and boundary.size + 1 > config.quantile_cutoff
-        ):
-            qs = np.quantile(xv, np.linspace(0, 1, config.quantile_bins + 1)[1:-1])
-            pos = np.searchsorted(xv, qs, side="right") - 1
-            boundary = np.unique(pos[np.isin(pos, boundary)])
-            if boundary.size == 0:
-                continue
-        counts_left = boundary + 1
-        counts_right = m - counts_left
-        valid = (counts_left >= config.min_leaf) & (counts_right >= config.min_leaf)
-        if not valid.any():
-            continue
-        boundary = boundary[valid]
-        cum = np.cumsum(cw[order], axis=0)
-        cw_left = cum[boundary]
-        cw_right = totals - cw_left
-        w_left = cw_left.sum(axis=1)
-        w_right = cw_right.sum(axis=1)
+        # One (block, positions) array per label, added label by label, so
+        # every sum matches a row sum over the label axis bit for bit.
+        cw_left = [np.cumsum(np.take(c, block[:, :hi]), axis=1)[:, lo:] for c in cw_t]
+        cw_right = [t - c for t, c in zip(totals, cw_left)]
+        w_left, w_right = _label_sum(cw_left), _label_sum(cw_right)
+        sq_left = _label_sum([c**2 for c in cw_left])
+        sq_right = _label_sum([c**2 for c in cw_right])
         with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(w_left > 0, np.sum(cw_left**2, axis=1) / w_left, 0.0)
-            term += np.where(w_right > 0, np.sum(cw_right**2, axis=1) / w_right, 0.0)
-        k = int(np.argmax(term))
-        decrease = float(term[k]) - parent_term
-        if decrease <= 1e-12 * w_total:
-            continue  # no real impurity decrease at any admissible threshold
-        lo, hi = xv[boundary[k]], xv[boundary[k] + 1]
-        thr = 0.5 * (lo + hi)
-        if not (lo < thr < hi):
-            thr = float(lo)  # adjacent floats: keep the partition exact
-        if best is None or decrease > best[0]:
-            best = (decrease, f, float(thr))
+            term = np.where(w_left > 0, sq_left / w_left, 0.0)
+            term += np.where(w_right > 0, sq_right / w_right, 0.0)
+        term[~cand] = -np.inf
+        k = np.argmax(term, axis=1)  # first max: lowest threshold
+        decrease = term[np.arange(k.size), k] - parent_term
+        # Ties across features go to the lowest index, here and across blocks.
+        decrease[decrease <= 1e-12 * w_total] = -np.inf
+        j = int(np.argmax(decrease))
+        if decrease[j] == -np.inf or (best is not None and not decrease[j] > best[0]):
+            continue
+        p = lo + int(k[j])
+        below, above = xv[j, p], xv[j, p + 1]
+        thr = 0.5 * (below + above)
+        if not (below < thr < above):
+            thr = below  # adjacent floats: keep the partition exact
+        best = (float(decrease[j]), f0 + j, float(thr))
     return best
 
 
@@ -212,30 +272,28 @@ def train_tree(
     labels: np.ndarray,
     weights: np.ndarray | None = None,
     config: TreeConfig = TreeConfig(),
-    seed: int = 0,
     n_labels: int | None = None,
 ) -> DecisionTree:
     """Grow a tree greedily under the global best-first split budget.
 
     Branch growth stops on purity, on min_leaf (children must keep at least
-    min_leaf rows), or when the budget is exhausted.  ``seed`` is accepted
-    for interface symmetry with the other trainers; the algorithm itself is
-    deterministic.
+    min_leaf rows), or when the budget is exhausted.
     """
-    del seed
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n = x.shape[0]
+    n, n_features = x.shape
     if n == 0:
         raise DataError("cannot train a tree on zero samples")
     if labels.shape[0] != n:
         raise DataError("labels length does not match sample count")
+    if not np.all(np.isfinite(x)):
+        raise DataError("features must be finite")
     if weights is None:
         weights = np.ones(n, dtype=np.float64)
     else:
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if weights.shape[0] != n or np.any(weights < 0):
-            raise DataError("weights must be non-negative, one per sample")
+        if weights.shape[0] != n or not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise DataError("weights must be finite and non-negative, one per sample")
     if weights.sum() <= 0:
         raise DataError("total sample weight must be positive")
     if n_labels is None:
@@ -244,59 +302,67 @@ def train_tree(
         raise DataError(f"labels must lie in [0, {n_labels})")
 
     cw_all = _class_weight_matrix(labels, weights, n_labels)
+    cw_t = np.ascontiguousarray(cw_all.T)
+    x_t = np.ascontiguousarray(x.T)
+    # Every node owns one column segment [start, start + rows) of order, in
+    # which each feature's row lists are stably sorted by that feature.
+    order = np.empty((n_features, n), dtype=np.int32)
+    for f in range(n_features):
+        order[f] = np.argsort(x_t[f], kind="stable")
+    goes_left = np.zeros(n, dtype=bool)
 
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     confidence: list[np.ndarray] = []
-    node_rows: dict[int, np.ndarray] = {}
+    heap: list[tuple[float, int, int, float]] = []
+    pending: dict[int, tuple[np.ndarray, int]] = {}  # heap node -> (rows, start)
 
-    def new_node(rows: np.ndarray) -> int:
+    def new_node(rows: np.ndarray, start: int) -> int:
+        """Append a leaf for rows (ascending) and queue its best split."""
         node_id = len(feature)
         feature.append(LEAF)
         threshold.append(np.nan)
         left.append(LEAF)
         right.append(LEAF)
-        confidence.append(_node_confidence(cw_all[rows].sum(axis=0)))
-        node_rows[node_id] = rows
+        # Summed in row order: a sum in sorted order can differ in the last bit.
+        totals = cw_all[rows].sum(axis=0)
+        confidence.append(_node_confidence(totals))
+        if rows.size < 2 * config.min_leaf or np.count_nonzero(totals > 0) <= 1:
+            return node_id  # too small to split, or pure
+        found = _best_split(x_t, cw_t, order[:, start:start + rows.size], totals, config)
+        if found is not None:
+            decrease, f, thr = found
+            # Equal decreases split the older node first: ids grow with time.
+            heapq.heappush(heap, (-decrease, node_id, f, thr))
+            pending[node_id] = (rows, start)
         return node_id
 
-    heap: list[tuple[float, int, int, int, float]] = []
-    push_seq = 0
-
-    def consider(node_id: int) -> None:
-        nonlocal push_seq
-        rows = node_rows[node_id]
-        if rows.size < 2 * config.min_leaf or rows.size < 2:
-            return
-        class_present = cw_all[rows].sum(axis=0) > 0
-        if class_present.sum() <= 1:
-            return  # pure node
-        found = _best_split(x[rows], cw_all[rows], config)
-        if found is None:
-            return
-        decrease, f, thr = found
-        heapq.heappush(heap, (-decrease, push_seq, node_id, f, thr))
-        push_seq += 1
-
-    root_rows = np.arange(n, dtype=np.int64)
-    consider(new_node(root_rows))
+    new_node(np.arange(n, dtype=np.int64), 0)
 
     splits_done = 0
     while heap and splits_done < config.max_splits:
-        _, _, node_id, f, thr = heapq.heappop(heap)
-        rows = node_rows[node_id]
-        go_left = x[rows, f] <= thr
-        left_id = new_node(rows[go_left])
-        right_id = new_node(rows[~go_left])
+        _, node_id, f, thr = heapq.heappop(heap)
+        rows, start = pending.pop(node_id)
+        go_left = x_t[f, rows] <= thr
+        rows_left = rows[go_left]
+        n_left = rows_left.size
+        # Stable partition of every feature's list: left rows first.
+        segment = order[:, start:start + rows.size]
+        goes_left[rows_left] = True
+        sel = goes_left[segment]
+        goes_left[rows_left] = False
+        segment[...] = np.concatenate(
+            (segment[sel].reshape(n_features, n_left),
+             segment[~sel].reshape(n_features, rows.size - n_left)),
+            axis=1,
+        )
         feature[node_id] = f
         threshold[node_id] = thr
-        left[node_id] = left_id
-        right[node_id] = right_id
+        left[node_id] = new_node(rows_left, start)
+        right[node_id] = new_node(rows[~go_left], start + n_left)
         splits_done += 1
-        consider(left_id)
-        consider(right_id)
 
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -304,6 +370,6 @@ def train_tree(
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
         confidence=np.vstack(confidence),
-        n_features=x.shape[1],
+        n_features=n_features,
         n_labels=n_labels,
     )

@@ -7,6 +7,7 @@ import pytest
 from mr2ct.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_FIT,
     EXIT_LAYOUT,
     EXIT_OK,
     EXIT_USAGE,
@@ -138,6 +139,18 @@ class TestPredict:
             "--patient", str(stripped), "--out", str(tmp_path / "out"),
         ])
         assert rc == EXIT_LAYOUT
+
+    @pytest.mark.parametrize("child, value", [("left", 0), ("right", 10**6)])
+    def test_malformed_tree_exit_code(self, tmp_path, cohort_dir, model_dir, child, value):
+        # left[0] = 0 would make routing cycle forever if loading accepted it.
+        bundle = json.loads((model_dir / "model.json").read_text())
+        bundle["classifier"]["learners"][0]["tree"][child][0] = value
+        (tmp_path / "model.json").write_text(json.dumps(bundle))
+        rc = main([
+            "predict", "--model", str(tmp_path / "model.json"),
+            "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == EXIT_FIT
 
 
 class TestEvaluate:

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mr2ct import DataError, TreeConfig, gini, train_tree, tree_confidence
 from mr2ct.errors import ModelError
+from mr2ct.tree import DecisionTree
+
+from util import naive_train_tree
 
 
 class TestGini:
@@ -149,8 +154,53 @@ class TestTrainTree:
         cfg = TreeConfig(max_splits=4, min_leaf=1, threshold_strategy="quantile",
                          quantile_bins=16, quantile_cutoff=8)
         tree = train_tree(x, labels, config=cfg)
+        exhaustive = train_tree(x, labels, config=TreeConfig(max_splits=4, min_leaf=1))
         assert tree.n_splits >= 1
         assert weighted_error(tree, x, labels, np.ones(500)) < 0.1
+        # Only quantile cut points are candidates, so the root moves off the
+        # exhaustive optimum (0.0974) to the nearest cut point (0.1099).
+        assert tree.threshold[0] != exhaustive.threshold[0]
+        assert tree.to_dict() == naive_train_tree(x, labels, config=cfg).to_dict()
+
+    def test_non_finite_input_rejected(self):
+        x = np.array([[0.0], [1.0], [np.nan], [3.0]])
+        labels = np.array([0, 0, 1, 1])
+        with pytest.raises(DataError, match="finite"):
+            train_tree(x, labels, config=TreeConfig(min_leaf=1))
+        with pytest.raises(DataError, match="finite"):
+            train_tree(np.arange(4.0)[:, None], labels, weights=np.array([1, np.nan, 1, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    n_features=st.integers(1, 5),
+    copies=st.integers(1, 3),
+    n_labels=st.sampled_from([2, 3]),
+    tied=st.booleans(),
+    duplicated=st.booleans(),
+    weighted=st.booleans(),
+    min_leaf=st.integers(1, 8),
+    max_splits=st.integers(1, 40),
+    strategy=st.sampled_from(["exhaustive", "quantile"]),
+)
+def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tied, duplicated,
+                                      weighted, min_leaf, max_splits, strategy):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n_features))
+    if tied:
+        x = np.round(2 * x) / 2  # many equal values per column
+    x[:, 0] = 1.5  # one constant column
+    x = np.tile(x, copies)  # equal columns tie, also across feature blocks
+    labels = rng.integers(0, n_labels, size=n)
+    if duplicated:
+        x, labels = np.vstack([x, x[::2]]), np.concatenate([labels, labels[::2]])
+    weights = rng.uniform(0.1, 3.0, size=labels.size) if weighted else None
+    config = TreeConfig(max_splits=max_splits, min_leaf=min_leaf, threshold_strategy=strategy,
+                        quantile_bins=4, quantile_cutoff=6)
+    expected = naive_train_tree(x, labels, weights, config, n_labels=n_labels)
+    assert train_tree(x, labels, weights, config, n_labels=n_labels).to_dict() == expected.to_dict()
 
 
 class TestRouting:
@@ -186,8 +236,6 @@ class TestSerialization:
         x = rng.normal(size=(100, 2))
         labels = (x[:, 0] > 0).astype(int)
         tree = train_tree(x, labels, config=TreeConfig(max_splits=10, min_leaf=2))
-        from mr2ct.tree import DecisionTree
-
         back = DecisionTree.from_dict(tree.to_dict())
         np.testing.assert_array_equal(back.feature, tree.feature)
         np.testing.assert_array_equal(
@@ -199,3 +247,18 @@ class TestSerialization:
         np.testing.assert_array_equal(
             back.confidence_matrix(probes), tree.confidence_matrix(probes)
         )
+
+    @pytest.mark.parametrize("key, node, value", [
+        ("left", 0, 0),                # a cycle back to the root
+        ("right", 0, 99),              # a child beyond the last node
+        ("left", -1, 0),               # a leaf with a child
+        ("feature", 0, 2),             # a feature the tree does not have
+        ("confidence", 0, [0.7, 0.7]), # proportions that do not sum to 1
+    ])
+    def test_malformed_tree_rejected(self, key, node, value):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(60, 2))
+        d = train_tree(x, (x[:, 0] > 0).astype(int), config=TreeConfig(max_splits=3)).to_dict()
+        d[key][node] = value
+        with pytest.raises(ModelError):
+            DecisionTree.from_dict(d)

@@ -1,12 +1,17 @@
 """Shared generators and independent oracles for the test suite.
 
 The samplers and density evaluations here deliberately avoid the package's
-own mixture code paths so they can serve as independent checks.
+own mixture code paths, and naive_train_tree its presorted split search, so
+they can serve as independent checks.
 """
+
+import heapq
+import itertools
 
 import numpy as np
 
-from mr2ct import MixtureModel
+from mr2ct import MixtureModel, TreeConfig
+from mr2ct.tree import DecisionTree
 
 
 def random_spd(dim, rng, scale=1.0):
@@ -81,3 +86,122 @@ def match_components(est_means, true_means):
         pick = est.pop(int(np.argmin(dists)))
         order.append(pick)
     return order
+
+
+def _naive_best_split(x, cw, config):
+    """Best (decrease, feature, threshold) by sorting every feature afresh."""
+    m = x.shape[0]
+    totals = cw.sum(axis=0)
+    w_total = totals.sum()
+    parent_term = float(np.sum(totals**2) / w_total)
+    best = None
+    for f in range(x.shape[1]):
+        col = x[:, f]
+        order = np.argsort(col, kind="stable")
+        xv = col[order]
+        boundary = np.flatnonzero(xv[:-1] < xv[1:])
+        if boundary.size == 0:
+            continue
+        if (
+            config.threshold_strategy == "quantile"
+            and boundary.size + 1 > config.quantile_cutoff
+        ):
+            qs = np.quantile(xv, np.linspace(0, 1, config.quantile_bins + 1)[1:-1])
+            pos = np.searchsorted(xv, qs, side="right") - 1
+            boundary = np.unique(pos[np.isin(pos, boundary)])
+            if boundary.size == 0:
+                continue
+        counts_left = boundary + 1
+        counts_right = m - counts_left
+        valid = (counts_left >= config.min_leaf) & (counts_right >= config.min_leaf)
+        if not valid.any():
+            continue
+        boundary = boundary[valid]
+        cum = np.cumsum(cw[order], axis=0)
+        cw_left = cum[boundary]
+        cw_right = totals - cw_left
+        w_left = cw_left.sum(axis=1)
+        w_right = cw_right.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(w_left > 0, np.sum(cw_left**2, axis=1) / w_left, 0.0)
+            term += np.where(w_right > 0, np.sum(cw_right**2, axis=1) / w_right, 0.0)
+        k = int(np.argmax(term))
+        decrease = float(term[k]) - parent_term
+        if decrease <= 1e-12 * w_total:
+            continue
+        lo, hi = xv[boundary[k]], xv[boundary[k] + 1]
+        thr = 0.5 * (lo + hi)
+        if not (lo < thr < hi):
+            thr = float(lo)
+        if best is None or decrease > best[0]:
+            best = (decrease, f, float(thr))
+    return best
+
+
+def naive_train_tree(x, labels, weights=None, config=TreeConfig(), n_labels=None):
+    """Best-first tree growth that argsorts every feature at every node.
+
+    The reference for train_tree: same splits, same tie-breaks, same floats.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    n = x.shape[0]
+    if weights is None:
+        weights = np.ones(n)
+    weights = np.asarray(weights, dtype=np.float64)
+    if n_labels is None:
+        n_labels = int(labels.max()) + 1
+    cw_all = np.zeros((n, n_labels))
+    cw_all[np.arange(n), labels] = weights
+
+    feature, threshold, left, right, confidence, node_rows = [], [], [], [], [], {}
+
+    def new_node(rows):
+        node_id = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        totals = cw_all[rows].sum(axis=0)
+        total = totals.sum()
+        confidence.append(totals / total if total > 0 else np.full(n_labels, 1.0 / n_labels))
+        node_rows[node_id] = rows
+        return node_id
+
+    heap = []
+    push_seq = itertools.count()
+
+    def consider(node_id):
+        rows = node_rows[node_id]
+        if rows.size < 2 * config.min_leaf or rows.size < 2:
+            return
+        if (cw_all[rows].sum(axis=0) > 0).sum() <= 1:
+            return
+        found = _naive_best_split(x[rows], cw_all[rows], config)
+        if found is not None:
+            decrease, f, thr = found
+            heapq.heappush(heap, (-decrease, next(push_seq), node_id, f, thr))
+
+    consider(new_node(np.arange(n)))
+    splits_done = 0
+    while heap and splits_done < config.max_splits:
+        _, _, node_id, f, thr = heapq.heappop(heap)
+        rows = node_rows[node_id]
+        go_left = x[rows, f] <= thr
+        left_id = new_node(rows[go_left])
+        right_id = new_node(rows[~go_left])
+        feature[node_id], threshold[node_id] = f, thr
+        left[node_id], right[node_id] = left_id, right_id
+        splits_done += 1
+        consider(left_id)
+        consider(right_id)
+
+    return DecisionTree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        confidence=np.vstack(confidence),
+        n_features=x.shape[1],
+        n_labels=n_labels,
+    )
