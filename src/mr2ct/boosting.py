@@ -9,8 +9,8 @@ and reweight the mislabel distribution.
 The pseudo-loss here carries a 1/2 normalization so that a random guesser
 scores exactly 0.5: eps = 1/2 * sum W(i,t) * [1 - h(x_i, t_i) + h(x_i, t)].
 Both the raw and the halved values are recorded per round.  Learners with
-eps >= 0.5 are retried with a fresh resample and skipped once the retry
-budget runs out; eps == 0 is clamped to eps_min so the vote weight
+eps >= 0.5 are retried with a fresh resample and skipped after
+_RETRY_BUDGET retries; eps == 0 is clamped to _EPS_MIN so the vote weight
 log(1/alpha) stays finite.
 """
 
@@ -22,10 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoostingError, ModelError
+from .labeling import minority_label
 from .seeding import derive_seed
 from .tree import DecisionTree, TreeConfig, train_tree
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_RETRY_BUDGET = 3
+_EPS_MIN = 1e-10
 
 
 def init_mislabel(labels: np.ndarray, n_labels: int) -> np.ndarray:
@@ -91,15 +94,6 @@ def update_mislabel(
     return updated / total, False
 
 
-def _minority_label(labels: np.ndarray) -> int:
-    values, counts = np.unique(labels, return_counts=True)
-    if values.size < 2:
-        raise BoostingError("undersampling needs at least two classes present")
-    smallest = counts.min()
-    # prefer the larger label on ties; label 1 is the designated minority
-    return int(values[counts == smallest].max())
-
-
 def rus_resample(
     labels: np.ndarray,
     selection_weights: np.ndarray,
@@ -117,7 +111,9 @@ def rus_resample(
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if target_ratio <= 0:
         raise BoostingError(f"target_ratio must be > 0, got {target_ratio!r}")
-    minority = _minority_label(labels)
+    if np.unique(labels).size < 2:
+        raise BoostingError("undersampling needs at least two classes present")
+    minority = minority_label(labels)
     weights = np.asarray(selection_weights, dtype=np.float64).reshape(-1)
     if weights.shape != labels.shape or np.any(weights < 0) or weights.sum() <= 0:
         raise BoostingError("selection weights must be non-negative with positive sum")
@@ -146,18 +142,12 @@ def rus_resample(
 class BoostConfig:
     n_learners: int = 150
     target_ratio: float = 1.0
-    retry_budget: int = 3
-    eps_min: float = 1e-10
 
     def __post_init__(self):
         if self.n_learners < 1:
             raise ValueError("n_learners must be >= 1")
         if self.target_ratio <= 0:
             raise ValueError("target_ratio must be > 0")
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget must be >= 0")
-        if not (0 < self.eps_min < 0.5):
-            raise ValueError("eps_min must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -312,7 +302,7 @@ def train_rusboost(
         chosen: tuple[DecisionTree, np.ndarray, float, float] | None = None
         retries = 0
         resample_size = 0
-        for attempt in range(boost_config.retry_budget + 1):
+        for attempt in range(_RETRY_BUDGET + 1):
             idx, w = rus_resample(
                 labels,
                 selection,
@@ -343,7 +333,7 @@ def train_rusboost(
             )
             continue
         tree, conf, eps, eps_raw = chosen
-        eps = max(eps, boost_config.eps_min)
+        eps = max(eps, _EPS_MIN)
         alpha = eps / (1.0 - eps)
         mislabel, underflow = update_mislabel(mislabel, conf, labels, alpha)
         learners.append(Learner(tree=tree, eps=eps, eps_raw=eps_raw, alpha=alpha))

@@ -15,12 +15,13 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .boosting import BoostingError, train_rusboost
+from .boosting import BoostingError
 from .config import RunConfig, load_run_config
 from .errors import (
     ConfigError,
@@ -33,9 +34,14 @@ from .errors import (
 )
 from .evaluation import kfold_cv, loo_patient_eval, write_regression_report
 from .features import assemble
-from .labeling import N_CLASSES
 from .phantom import PhantomSpec, default_class_models, generate_phantom
-from .pipeline import load_model, predict_ct, save_model, train_pipeline
+from .pipeline import (
+    load_model,
+    predict_ct,
+    save_model,
+    train_classifier_fold,
+    train_pipeline,
+)
 from .volume import PatientDataset, load_patient, read_volume, write_volume
 
 EXIT_OK = 0
@@ -174,12 +180,9 @@ def _cmd_predict(args, cfg: RunConfig) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(args.model)
-    patient_dir = Path(args.patient)
-    mr_paths = sorted(patient_dir.glob(f"{MR_PREFIX}*.hdr"))
-    if not mr_paths:
-        raise DataError(f"{patient_dir}: no {MR_PREFIX}*.hdr channel headers found")
+    mr_paths, _, mask_path = _patient_dir_paths(Path(args.patient))
     channels = tuple(read_volume(p) for p in mr_paths)
-    mask = read_volume(patient_dir / MASK_NAME)
+    mask = read_volume(mask_path)
     result = predict_ct(model, channels, mask)
     write_volume(out_dir / "ct_estimate.hdr", result.ct)
     write_volume(out_dir / "labels.hdr", result.labels)
@@ -227,17 +230,9 @@ def _cmd_cv_classifier(args, cfg: RunConfig) -> int:
     patients = _load_cohort(Path(args.cohort))
     pcfg = cfg.pipeline_config()
     table = assemble(patients, order=pcfg.neighborhood_order, threshold=pcfg.threshold_hu)
-    combined = table.combined()
-
-    def train_fn(xf: np.ndarray, tf: np.ndarray, fold_seed: int):
-        ens = train_rusboost(
-            xf, tf, tree_config=pcfg.tree, boost_config=pcfg.boost,
-            seed=fold_seed, n_labels=N_CLASSES,
-        )
-        return ens.predict
-
     metrics, folds = kfold_cv(
-        combined, table.t.astype(np.int64), train_fn, k=cfg.cv_folds, seed=cfg.seed
+        table.combined(), table.t.astype(np.int64),
+        partial(train_classifier_fold, config=pcfg), k=cfg.cv_folds, seed=cfg.seed,
     )
     out = out_dir / "cv_metrics.json"
     out.write_text(
@@ -291,7 +286,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--classifier-cv-folds", type=int, default=None, dest="classifier_cv_folds"
     )
     parser.add_argument("--cv-folds", type=int, default=None, dest="cv_folds")
-    parser.add_argument("--workers", type=int, default=None)
 
 
 def _collect_overrides(args) -> dict:
@@ -299,7 +293,7 @@ def _collect_overrides(args) -> dict:
         "seed", "threshold_hu", "order", "trees", "max_splits", "min_leaf",
         "rus_ratio", "em_restarts", "em_max_iter", "em_tol",
         "selection_criterion", "window_hu", "fill_hu", "gmm_max_rows",
-        "classifier_cv_folds", "cv_folds", "workers",
+        "classifier_cv_folds", "cv_folds",
     )
     overrides = {k: getattr(args, k, None) for k in keys}
     for key in ("j_candidates", "j_candidates_0", "j_candidates_1"):

@@ -42,7 +42,6 @@ class RunConfig:
     classifier_cv_folds: int = 0
     cv_folds: int = 10
     seed: int = 0
-    workers: int = 1
 
     def pipeline_config(self) -> PipelineConfig:
         grid0 = self.j_candidates_0 or self.j_candidates
@@ -63,7 +62,6 @@ class RunConfig:
                 fill_hu=self.fill_hu,
                 gmm_max_rows=self.gmm_max_rows,
                 classifier_cv_folds=self.classifier_cv_folds,
-                workers=self.workers,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -112,7 +110,6 @@ _KEY_KINDS = {
     "classifier_cv_folds": "int",
     "cv_folds": "int",
     "seed": "int",
-    "workers": "int",
 }
 
 

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError
+from .labeling import minority_label
 from .pipeline import PipelineConfig, predict_ct, train_pipeline
 from .seeding import derive_seed, rng_for
 from .volume import PatientDataset
@@ -87,11 +88,6 @@ def confusion_counts(
     fn = int(np.sum(true_pos & ~pred_pos))
     tn = int(np.sum(~true_pos & ~pred_pos))
     return tp, fp, fn, tn
-
-
-def minority_label(labels: np.ndarray) -> int:
-    values, counts = np.unique(labels, return_counts=True)
-    return int(values[counts == counts.min()].max())
 
 
 @dataclass

@@ -27,3 +27,10 @@ def label_tissue_many(y: np.ndarray, threshold: float = DEFAULT_THRESHOLD_HU) ->
     if not np.all(np.isfinite(y)):
         raise ValueError("CT intensities must all be finite")
     return (y > threshold).astype(np.int8)
+
+
+def minority_label(labels: np.ndarray) -> int:
+    """The least frequent label present; ties go to the larger label, since
+    label 1 (bone) is the designated minority."""
+    values, counts = np.unique(labels, return_counts=True)
+    return int(values[counts == counts.min()].max())

@@ -8,15 +8,17 @@ conditional regression E[y | x] used for prediction:
     beta_j(x) = pi_j N(x; mu_j_x, S_j_xx) / sum_l pi_l N(x; mu_l_x, S_l_xx)
     E[y | x]  = sum_j beta_j(x) * (mu_j_y + S_j_yx S_j_xx^-1 (x - mu_j_x))
 
-All component posteriors are computed with log-sum-exp.  Covariances are
-regularized by adding ridge eps = ridge_scale * trace(S) / dim to the
-diagonal whenever the smallest eigenvalue falls below eps.
+All component posteriors are computed with log-sum-exp, and every Gaussian
+log-density comes from one kernel, _log_gaussians, over Cholesky factors.
+EM regularizes covariances by adding ridge eps = _RIDGE_SCALE * trace(S) / dim
+to the diagonal whenever the smallest eigenvalue falls below eps, and drops
+components whose weight falls below _DROP_WEIGHT.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,8 @@ from .errors import FitError, ModelError, SelectionError
 from .seeding import derive_seed
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_RIDGE_SCALE = 1e-6
+_DROP_WEIGHT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,12 +37,14 @@ class MixtureModel:
     """One tissue class's mixture: weights (J,), means (J, dim), covariances (J, dim, dim).
 
     Weights are non-negative and sum to one; covariances are symmetric and
-    positive definite (checked at construction).
+    positive definite (checked at construction, which keeps their lower
+    Cholesky factors in chols).
     """
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
+    chols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
@@ -64,14 +70,15 @@ class MixtureModel:
             raise ModelError("covariances must be symmetric")
         cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
         try:
-            np.linalg.cholesky(cov)
+            chols = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise ModelError("covariances must be positive definite") from exc
-        for arr in (w, mu, cov):
+        for arr in (w, mu, cov, chols):
             arr.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
+        object.__setattr__(self, "chols", chols)
 
     @property
     def n_components(self) -> int:
@@ -96,8 +103,7 @@ class MixtureModel:
         """n joint draws; component per draw chosen by the weights."""
         comp = rng.choice(self.n_components, size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
-        chols = np.linalg.cholesky(self.covariances)
-        return self.means[comp] + np.einsum("nab,nb->na", chols[comp], z)
+        return self.means[comp] + np.einsum("nab,nb->na", self.chols[comp], z)
 
     def permuted(self, order: Sequence[int]) -> "MixtureModel":
         order = list(order)
@@ -108,17 +114,13 @@ class MixtureModel:
         )
 
 
-def _component_log_densities(model: MixtureModel, v: np.ndarray) -> np.ndarray:
-    """(n, J) matrix of log N(v_i; mu_j, S_j)."""
+def _log_gaussians(v: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
+    """(n, J) matrix of log N(v_i; mu_j, L_j L_j^T) for rows v (n, dim),
+    means (J, dim) and lower Cholesky factors chols (J, dim, dim)."""
     n, dim = v.shape
-    out = np.empty((n, model.n_components), dtype=np.float64)
-    for j in range(model.n_components):
-        try:
-            chol = np.linalg.cholesky(model.covariances[j])
-        except np.linalg.LinAlgError as exc:
-            raise ModelError(f"component {j}: covariance not positive definite") from exc
-        diff = v - model.means[j]
-        sol = solve_triangular(chol, diff.T, lower=True)
+    out = np.empty((n, means.shape[0]), dtype=np.float64)
+    for j, chol in enumerate(chols):
+        sol = solve_triangular(chol, (v - means[j]).T, lower=True)
         logdet = 2.0 * np.log(np.diag(chol)).sum()
         out[:, j] = -0.5 * (dim * _LOG_2PI + logdet + np.einsum("dn,dn->n", sol, sol))
     return out
@@ -141,42 +143,9 @@ def log_density(model: MixtureModel, v: np.ndarray) -> float | np.ndarray:
     v = np.atleast_2d(v)
     if v.shape[1] != model.dim:
         raise ModelError(f"vector length {v.shape[1]} does not match model dim {model.dim}")
-    logp = _component_log_densities(model, v) + np.log(model.weights)
+    logp = _log_gaussians(v, model.means, model.chols) + np.log(model.weights)
     out = _logsumexp(logp, axis=1)
     return float(out[0]) if single else out
-
-
-@dataclass(frozen=True)
-class _ConditionalCache:
-    """Per-component pieces of the y-given-x conditional, precomputed once."""
-
-    chol_xx: np.ndarray   # (J, d, d) Cholesky factors of S_xx
-    logdet_xx: np.ndarray
-    slope: np.ndarray     # (J, d) rows of S_yx S_xx^-1
-    intercept: np.ndarray # (J,) mu_y - slope . mu_x
-
-
-def _conditional_cache(model: MixtureModel) -> _ConditionalCache:
-    if model.dim < 2:
-        raise ModelError("conditional regression needs dim >= 2 (a target and features)")
-    j, d = model.n_components, model.dim - 1
-    chol_xx = np.empty((j, d, d))
-    logdet = np.empty(j)
-    slope = np.empty((j, d))
-    intercept = np.empty(j)
-    for i in range(j):
-        s_xx = model.covariances[i][1:, 1:]
-        s_yx = model.covariances[i][0, 1:]
-        try:
-            chol = np.linalg.cholesky(s_xx)
-        except np.linalg.LinAlgError as exc:
-            raise ModelError(f"component {i}: feature covariance singular") from exc
-        chol_xx[i] = chol
-        logdet[i] = 2.0 * np.log(np.diag(chol)).sum()
-        half = solve_triangular(chol, s_yx, lower=True)
-        slope[i] = solve_triangular(chol.T, half, lower=False)
-        intercept[i] = model.means[i, 0] - slope[i] @ model.means[i, 1:]
-    return _ConditionalCache(chol_xx, logdet, slope, intercept)
 
 
 def conditional_expectation_many(
@@ -184,24 +153,27 @@ def conditional_expectation_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(y_hat, betas) for a matrix of feature vectors x with shape (n, d)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    d = model.dim - 1
+    if model.dim < 2:
+        raise ModelError("conditional regression needs dim >= 2 (a target and features)")
+    j, d = model.n_components, model.dim - 1
     if x.shape[1] != d:
         raise ModelError(f"feature length {x.shape[1]} does not match model ({d})")
     if not np.all(np.isfinite(x)):
         raise ModelError("feature vectors must be finite")
-    cache = _conditional_cache(model)
-    n, j = x.shape[0], model.n_components
-    logw = np.empty((n, j))
+    try:
+        chol_xx = np.linalg.cholesky(model.covariances[:, 1:, 1:])
+    except np.linalg.LinAlgError as exc:
+        raise ModelError("feature covariance S_xx singular") from exc
+    slope = np.empty((j, d))     # rows of S_yx S_xx^-1
+    intercept = np.empty(j)      # mu_y - slope . mu_x
     for i in range(j):
-        diff = x - model.means[i, 1:]
-        sol = solve_triangular(cache.chol_xx[i], diff.T, lower=True)
-        logw[:, i] = (
-            np.log(model.weights[i])
-            - 0.5 * (d * _LOG_2PI + cache.logdet_xx[i] + np.einsum("dn,dn->n", sol, sol))
-        )
+        half = solve_triangular(chol_xx[i], model.covariances[i, 0, 1:], lower=True)
+        slope[i] = solve_triangular(chol_xx[i].T, half, lower=False)
+        intercept[i] = model.means[i, 0] - slope[i] @ model.means[i, 1:]
+    logw = _log_gaussians(x, model.means[:, 1:], chol_xx) + np.log(model.weights)
     logw -= _logsumexp(logw, axis=1)[:, None]
     betas = np.exp(logw)
-    comp_means = x @ cache.slope.T + cache.intercept
+    comp_means = x @ slope.T + intercept
     y_hat = np.einsum("nj,nj->n", betas, comp_means)
     return y_hat, betas
 
@@ -224,14 +196,12 @@ class EmConfig:
     max_iter: int = 500
     rel_tol: float = 1e-6
     n_restarts: int = 5
-    ridge_scale: float = 1e-6
-    drop_weight: float = 1e-8
 
     def __post_init__(self):
         if self.max_iter < 1 or self.n_restarts < 1:
             raise ValueError("max_iter and n_restarts must be >= 1")
-        if self.rel_tol <= 0 or self.ridge_scale < 0:
-            raise ValueError("rel_tol must be > 0 and ridge_scale >= 0")
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol must be > 0")
 
 
 @dataclass
@@ -272,11 +242,11 @@ def _kmeanspp_means(v: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return v[chosen].copy()
 
 
-def _regularize(cov: np.ndarray, ridge_scale: float) -> np.ndarray | None:
+def _regularize(cov: np.ndarray) -> np.ndarray | None:
     """Symmetrize and ridge a covariance; None if it stays singular."""
     cov = 0.5 * (cov + cov.T)
     dim = cov.shape[0]
-    eps = ridge_scale * np.trace(cov) / dim
+    eps = _RIDGE_SCALE * np.trace(cov) / dim
     if eps > 0:
         smallest = np.linalg.eigvalsh(cov)[0]
         if smallest < eps:
@@ -294,7 +264,7 @@ def _em_once(
     n, dim = v.shape
     means = _kmeanspp_means(v, n_components, rng)
     pooled = np.cov(v, rowvar=False, bias=True).reshape(dim, dim)
-    pooled = _regularize(pooled, max(config.ridge_scale, 1e-9))
+    pooled = _regularize(pooled)
     if pooled is None:
         raise FitError("samples are degenerate: pooled covariance is singular")
     covs = np.repeat(pooled[None, :, :], n_components, axis=0)
@@ -305,11 +275,7 @@ def _em_once(
     converged = False
     prev_ll = -np.inf
     for _ in range(config.max_iter):
-        model_like = MixtureModel.__new__(MixtureModel)
-        object.__setattr__(model_like, "weights", weights)
-        object.__setattr__(model_like, "means", means)
-        object.__setattr__(model_like, "covariances", covs)
-        logp = _component_log_densities(model_like, v) + np.log(weights)
+        logp = _log_gaussians(v, means, np.linalg.cholesky(covs)) + np.log(weights)
         lse = _logsumexp(logp, axis=1)
         ll = float(lse.sum())
         history.append(ll)
@@ -325,12 +291,12 @@ def _em_once(
         keep: list[int] = []
         new_covs = np.empty_like(covs[: len(bulk)])
         for j in range(len(bulk)):
-            if new_weights[j] < config.drop_weight:
+            if new_weights[j] < _DROP_WEIGHT:
                 degenerate = True
                 continue
             diff = v - new_means[j]
             cov = (resp[:, j][:, None] * diff).T @ diff / bulk[j]
-            cov = _regularize(cov, config.ridge_scale)
+            cov = _regularize(cov)
             if cov is None:
                 degenerate = True
                 continue

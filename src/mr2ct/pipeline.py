@@ -8,16 +8,16 @@ features; unmasked voxels receive the configured fill value.
 
 The regressors intentionally see only the raw channel intensities: the
 joint mixtures are defined over (y, x) while spatial context belongs to the
-classifier.  A config flag can widen the regressors to the combined features
-for experiments.
+classifier.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .seeding import derive_seed, rng_for
 from .tree import TreeConfig
 from .volume import PatientDataset, Volume, volume_like
 
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 BUNDLE_KIND = "mr2ct-model-bundle"
 
 _SALT_VAL_PATIENT = 101
@@ -58,9 +58,6 @@ class PipelineConfig:
     fill_hu: float = -1000.0
     gmm_max_rows: int = 0            # 0 = no cap; otherwise seeded subsample per class
     classifier_cv_folds: int = 0     # 0 = skip CV inside the training report
-    combined_regressors: bool = False  # experiment flag: regressors on x^c
-    soft_label_mixing: bool = False    # experiment flag: mix classes by vote share
-    workers: int = 1                   # accepted for config parity; execution is vectorized
 
     def __post_init__(self):
         if not np.isfinite(self.threshold_hu):
@@ -73,8 +70,6 @@ class PipelineConfig:
             raise ValueError("selection_criterion must be 'mse' or 'mae'")
         if self.gmm_max_rows < 0 or self.classifier_cv_folds < 0:
             raise ValueError("row caps and fold counts must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -88,9 +83,6 @@ class PipelineConfig:
             "fill_hu": self.fill_hu,
             "gmm_max_rows": self.gmm_max_rows,
             "classifier_cv_folds": self.classifier_cv_folds,
-            "combined_regressors": self.combined_regressors,
-            "soft_label_mixing": self.soft_label_mixing,
-            "workers": self.workers,
         }
 
     @classmethod
@@ -106,9 +98,6 @@ class PipelineConfig:
             fill_hu=float(d["fill_hu"]),
             gmm_max_rows=int(d["gmm_max_rows"]),
             classifier_cv_folds=int(d["classifier_cv_folds"]),
-            combined_regressors=bool(d["combined_regressors"]),
-            soft_label_mixing=bool(d["soft_label_mixing"]),
-            workers=int(d["workers"]),
         )
 
 
@@ -155,6 +144,18 @@ def _subsample(rows: np.ndarray, cap: int, seed: int) -> np.ndarray:
     return rows[np.sort(keep)]
 
 
+def train_classifier_fold(
+    x: np.ndarray, labels: np.ndarray, fold_seed: int, config: PipelineConfig
+) -> Callable[[np.ndarray], np.ndarray]:
+    """kfold_cv trainer: fit the configured classifier on one fold's rows and
+    return its predict.  Bind config with functools.partial."""
+    ensemble = train_rusboost(
+        x, labels, tree_config=config.tree, boost_config=config.boost,
+        seed=fold_seed, n_labels=N_CLASSES,
+    )
+    return ensemble.predict
+
+
 def train_pipeline(
     patients: Sequence[PatientDataset],
     config: PipelineConfig = PipelineConfig(),
@@ -185,8 +186,7 @@ def train_pipeline(
     val_id = ordered[val_pick].patient_id
     is_val = table.patient_ids == val_id
 
-    reg_features = table.combined() if config.combined_regressors else table.x
-    joint = np.column_stack([table.y, reg_features])
+    joint = np.column_stack([table.y, table.x])
 
     regressors: list = []
     selection_reports: list[SelectionReport] = []
@@ -234,17 +234,10 @@ def train_pipeline(
     if config.classifier_cv_folds >= 2:
         from .evaluation import kfold_cv  # local import to avoid a module cycle
 
-        def train_fn(xf: np.ndarray, tf: np.ndarray, fold_seed: int):
-            ens = train_rusboost(
-                xf, tf, tree_config=config.tree, boost_config=config.boost,
-                seed=fold_seed, n_labels=N_CLASSES,
-            )
-            return ens.predict
-
         metrics, _ = kfold_cv(
             combined,
             table.t.astype(np.int64),
-            train_fn,
+            partial(train_classifier_fold, config=config),
             k=config.classifier_cv_folds,
             seed=derive_seed(seed, _SALT_CV),
         )
@@ -314,25 +307,12 @@ def predict_ct(
                 f"feature layout mismatch: input yields {combined.shape[1]} columns, "
                 f"classifier expects {model.classifier.n_features}"
             )
-        reg_features = combined if model.config.combined_regressors else x_raw
-        if model.config.soft_label_mixing:
-            scores = model.classifier.scores(combined)
-            share = scores / scores.sum(axis=1, keepdims=True)
-            y_mix = np.zeros(flat_idx.shape[0])
-            for k in range(N_CLASSES):
-                y_k, _ = conditional_expectation_many(model.regressors[k], reg_features)
-                y_mix += share[:, k] * y_k
-            ct_out[flat_idx] = y_mix
-            hard = np.argmax(scores, axis=1)
-        else:
-            hard = model.classifier.predict(combined)
-            for k in range(N_CLASSES):
-                rows = np.flatnonzero(hard == k)
-                if rows.size:
-                    y_hat, _ = conditional_expectation_many(
-                        model.regressors[k], reg_features[rows]
-                    )
-                    ct_out[flat_idx[rows]] = y_hat
+        hard = model.classifier.predict(combined)
+        for k in range(N_CLASSES):
+            rows = np.flatnonzero(hard == k)
+            if rows.size:
+                y_hat, _ = conditional_expectation_many(model.regressors[k], x_raw[rows])
+                ct_out[flat_idx[rows]] = y_hat
         label_out[flat_idx] = hard
         for k in range(N_CLASSES):
             class_counts[k] = int(np.sum(hard == k))
@@ -359,19 +339,25 @@ def model_to_dict(model: PipelineModel) -> dict:
 
 
 def model_from_dict(d: dict) -> PipelineModel:
-    if d.get("kind") != BUNDLE_KIND or int(d.get("format_version", -1)) != BUNDLE_FORMAT_VERSION:
-        raise ModelError(
-            f"not a model bundle of format version {BUNDLE_FORMAT_VERSION}: "
-            f"kind={d.get('kind')!r} version={d.get('format_version')!r}"
+    """Rebuild a model from its bundle dict; a missing key, a value of the
+    wrong type or shape, or an unknown config key raises ModelError."""
+    try:
+        version = int(d.get("format_version", -1))
+        if d.get("kind") != BUNDLE_KIND or version != BUNDLE_FORMAT_VERSION:
+            raise ModelError(
+                f"not a model bundle of format version {BUNDLE_FORMAT_VERSION}: "
+                f"kind={d.get('kind')!r} version={d.get('format_version')!r}"
+            )
+        return PipelineModel(
+            classifier=BoostedEnsemble.from_dict(d["classifier"]),
+            regressors=TissueGMM.from_dict(d["regressors"]),
+            config=PipelineConfig.from_dict(d["config"]),
+            layout=FeatureLayout.from_dict(d["layout"]),
+            seed=int(d["seed"]),
+            selected_j=tuple(int(j) for j in d["selected_j"]),
         )
-    return PipelineModel(
-        classifier=BoostedEnsemble.from_dict(d["classifier"]),
-        regressors=TissueGMM.from_dict(d["regressors"]),
-        config=PipelineConfig.from_dict(d["config"]),
-        layout=FeatureLayout.from_dict(d["layout"]),
-        seed=int(d["seed"]),
-        selected_j=tuple(int(j) for j in d["selected_j"]),
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"malformed model bundle: {type(exc).__name__}: {exc}") from exc
 
 
 def save_model(model: PipelineModel, path: str | Path) -> None:
@@ -381,4 +367,8 @@ def save_model(model: PipelineModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PipelineModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # also undecodable UTF-8
+        raise ModelError(f"{path}: not a JSON model bundle: {exc}") from exc
+    return model_from_dict(d)

@@ -53,19 +53,12 @@ def gini(proportions: Sequence[float]) -> float:
 class TreeConfig:
     max_splits: int = 400
     min_leaf: int = 5
-    threshold_strategy: str = "exhaustive"  # or "quantile"
-    quantile_bins: int = 256
-    quantile_cutoff: int = 1 << 14
 
     def __post_init__(self):
         if self.max_splits < 1:
             raise ValueError("max_splits must be >= 1")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
-        if self.threshold_strategy not in ("exhaustive", "quantile"):
-            raise ValueError(f"unknown threshold strategy {self.threshold_strategy!r}")
-        if self.quantile_bins < 2:
-            raise ValueError("quantile_bins must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -197,17 +190,6 @@ def _label_sum(parts: list[np.ndarray]) -> np.ndarray:
     return sum(parts[1:], parts[0])
 
 
-def _quantile_candidates(xv: np.ndarray, cand: np.ndarray, config: TreeConfig) -> None:
-    """Thin cand (B, m-1) in place to the quantile cut points of each feature
-    with more than quantile_cutoff distinct values; xv is (B, m) sorted."""
-    probs = np.linspace(0, 1, config.quantile_bins + 1)[1:-1]
-    for i in np.flatnonzero(cand.sum(axis=1) + 1 > config.quantile_cutoff):
-        pos = np.searchsorted(xv[i], np.quantile(xv[i], probs), side="right") - 1
-        keep = np.zeros(cand.shape[1], dtype=bool)
-        keep[pos[pos < cand.shape[1]]] = True
-        cand[i] &= keep
-
-
 def _best_split(
     x_t: np.ndarray,
     cw_t: np.ndarray,
@@ -234,10 +216,7 @@ def _best_split(
     for f0 in range(0, n_features, _BLOCK):
         block = sorted_rows[f0:f0 + _BLOCK]
         xv = np.take(x_t[f0:f0 + _BLOCK], block + offsets[:block.shape[0]])
-        cand = xv[:, :-1] < xv[:, 1:]
-        if config.threshold_strategy == "quantile":
-            _quantile_candidates(xv, cand, config)
-        cand = cand[:, lo:hi]
+        cand = xv[:, lo:hi] < xv[:, lo + 1:hi + 1]
         if not cand.any():
             continue
         # One (block, positions) array per label, added label by label, so

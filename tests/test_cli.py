@@ -26,6 +26,15 @@ FAST = [
 ]
 
 
+def _edited(edit):
+    """Bundle-text corruption that applies edit to the parsed bundle dict."""
+    def corrupt(text):
+        bundle = json.loads(text)
+        edit(bundle)
+        return json.dumps(bundle)
+    return corrupt
+
+
 @pytest.fixture(scope="module")
 def cohort_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cohort")
@@ -151,6 +160,25 @@ class TestPredict:
             "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out"),
         ])
         assert rc == EXIT_FIT
+
+    @pytest.mark.parametrize("corrupt", [
+        _edited(lambda b: b.pop("classifier")),
+        _edited(lambda b: b["config"]["tree"].update(threshold_strategy="exhaustive")),
+        _edited(lambda b: b.update(seed="seven")),
+        _edited(lambda b: b.update(classifier=[])),
+        _edited(lambda b: b.update(format_version=1)),
+        lambda text: text[: len(text) // 2],
+    ], ids=["no-classifier", "unknown-tree-key", "non-integer-seed", "classifier-not-object",
+            "format-version-1", "truncated"])
+    def test_malformed_bundle_exit_code(self, tmp_path, cohort_dir, model_dir, corrupt, capsys):
+        text = (model_dir / "model.json").read_text()
+        (tmp_path / "model.json").write_text(corrupt(text))
+        rc = main([
+            "predict", "--model", str(tmp_path / "model.json"),
+            "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == EXIT_FIT
+        assert "estimation error" in capsys.readouterr().err
 
 
 class TestEvaluate:

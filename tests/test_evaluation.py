@@ -12,9 +12,9 @@ from mr2ct import (
 from mr2ct.evaluation import (
     confusion_counts,
     masked_mae,
-    minority_label,
     write_regression_report,
 )
+from mr2ct.labeling import minority_label
 
 from conftest import fast_config
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mr2ct import (
     EmConfig,
@@ -17,6 +19,7 @@ from mr2ct import (
 from util import (
     match_components,
     mc_conditional_mean,
+    naive_conditional_expectation,
     naive_mixture_density,
     random_mixture,
     sample_joint,
@@ -141,6 +144,28 @@ class TestConditionalExpectation:
             model = MixtureModel(weights=[1.0], means=np.zeros((1, 3)),
                                  covariances=cov[None])
             conditional_expectation(model, np.zeros(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 5),
+    n_components=st.integers(1, 4),
+    n=st.integers(1, 20),
+)
+def test_conditional_matches_naive_oracle(seed, dim, n_components, n):
+    rng = np.random.default_rng(seed)
+    model = random_mixture(n_components, dim, rng)
+    x = model.sample(n, rng)[:, 1:]
+    y_hat, betas = conditional_expectation_many(model, x)
+    y_ref, betas_ref, comp = naive_conditional_expectation(
+        model.weights, model.means, model.covariances, x)
+    np.testing.assert_allclose(y_hat, y_ref, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(betas, betas_ref, rtol=1e-9, atol=1e-12)
+    # A convex combination stays within the component conditional means.
+    slack = 1e-9 * (1.0 + np.abs(comp).max(axis=1))
+    assert np.all(y_hat >= comp.min(axis=1) - slack)
+    assert np.all(y_hat <= comp.max(axis=1) + slack)
 
 
 class TestEmFit:

@@ -214,26 +214,6 @@ class TestPredict:
         assert np.mean(gaps) <= 0.0
 
 
-class TestFlags:
-    def test_combined_regressors(self, small_datasets):
-        cfg = fast_config(combined_regressors=True, j_candidates=((1,), (1,)))
-        model, _ = train_pipeline(small_datasets[:2], cfg, seed=0)
-        held = small_datasets[2]
-        expected_dim = 1 + model.layout.n_combined
-        assert model.regressors.dim == expected_dim
-        result = predict_ct(model, held.mr_channels, held.mask)
-        mae = np.abs(result.ct.data - held.ct.data).mean()
-        assert mae < 120.0
-
-    def test_soft_label_mixing(self, small_datasets):
-        cfg = fast_config(soft_label_mixing=True)
-        model, _ = train_pipeline(small_datasets[:2], cfg, seed=0)
-        held = small_datasets[2]
-        result = predict_ct(model, held.mr_channels, held.mask)
-        mae = np.abs(result.ct.data - held.ct.data).mean()
-        assert mae < 120.0
-
-
 class TestBundle:
     def test_roundtrip_predictions(self, small_datasets, tmp_path):
         model, _ = train_pipeline(small_datasets[:2], fast_config(), seed=0)

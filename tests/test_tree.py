@@ -147,21 +147,6 @@ class TestTrainTree:
         e_tree = weighted_error(tree, x, labels, w)
         assert e_tree <= e_stump + 1e-12 <= e_leaf + 1e-12
 
-    def test_quantile_strategy(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(500, 1))
-        labels = (x[:, 0] > 0.1).astype(int)
-        cfg = TreeConfig(max_splits=4, min_leaf=1, threshold_strategy="quantile",
-                         quantile_bins=16, quantile_cutoff=8)
-        tree = train_tree(x, labels, config=cfg)
-        exhaustive = train_tree(x, labels, config=TreeConfig(max_splits=4, min_leaf=1))
-        assert tree.n_splits >= 1
-        assert weighted_error(tree, x, labels, np.ones(500)) < 0.1
-        # Only quantile cut points are candidates, so the root moves off the
-        # exhaustive optimum (0.0974) to the nearest cut point (0.1099).
-        assert tree.threshold[0] != exhaustive.threshold[0]
-        assert tree.to_dict() == naive_train_tree(x, labels, config=cfg).to_dict()
-
     def test_non_finite_input_rejected(self):
         x = np.array([[0.0], [1.0], [np.nan], [3.0]])
         labels = np.array([0, 0, 1, 1])
@@ -183,10 +168,9 @@ class TestTrainTree:
     weighted=st.booleans(),
     min_leaf=st.integers(1, 8),
     max_splits=st.integers(1, 40),
-    strategy=st.sampled_from(["exhaustive", "quantile"]),
 )
 def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tied, duplicated,
-                                      weighted, min_leaf, max_splits, strategy):
+                                      weighted, min_leaf, max_splits):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, n_features))
     if tied:
@@ -197,8 +181,7 @@ def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tie
     if duplicated:
         x, labels = np.vstack([x, x[::2]]), np.concatenate([labels, labels[::2]])
     weights = rng.uniform(0.1, 3.0, size=labels.size) if weighted else None
-    config = TreeConfig(max_splits=max_splits, min_leaf=min_leaf, threshold_strategy=strategy,
-                        quantile_bins=4, quantile_cutoff=6)
+    config = TreeConfig(max_splits=max_splits, min_leaf=min_leaf)
     expected = naive_train_tree(x, labels, weights, config, n_labels=n_labels)
     assert train_tree(x, labels, weights, config, n_labels=n_labels).to_dict() == expected.to_dict()
 

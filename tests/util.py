@@ -49,6 +49,26 @@ def naive_mixture_density(weights, means, covs, v):
     return total
 
 
+def naive_conditional_expectation(weights, means, covs, x):
+    """E[y | x] by explicit inverses, determinants and normal pdfs.
+
+    Returns (y_hat (n,), betas (n, J), component conditional means (n, J)).
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    d = x.shape[1]
+    dens, comp = [], []
+    for w, mu, cov in zip(weights, means, covs):
+        inv_xx = np.linalg.inv(cov[1:, 1:])
+        diff = x - mu[1:]
+        quad = np.einsum("na,ab,nb->n", diff, inv_xx, diff)
+        norm = np.sqrt((2 * np.pi) ** d * np.linalg.det(cov[1:, 1:]))
+        dens.append(w * np.exp(-0.5 * quad) / norm)
+        comp.append(mu[0] + diff @ inv_xx @ cov[1:, 0])
+    dens, comp = np.column_stack(dens), np.column_stack(comp)
+    betas = dens / dens.sum(axis=1, keepdims=True)
+    return np.sum(betas * comp, axis=1), betas, comp
+
+
 def mc_conditional_mean(weights, means, covs, x_probe, n_draws, rng, half_width):
     """Rejection estimate of E[y | x ~= x_probe] from joint draws.
 
@@ -102,15 +122,6 @@ def _naive_best_split(x, cw, config):
         boundary = np.flatnonzero(xv[:-1] < xv[1:])
         if boundary.size == 0:
             continue
-        if (
-            config.threshold_strategy == "quantile"
-            and boundary.size + 1 > config.quantile_cutoff
-        ):
-            qs = np.quantile(xv, np.linspace(0, 1, config.quantile_bins + 1)[1:-1])
-            pos = np.searchsorted(xv, qs, side="right") - 1
-            boundary = np.unique(pos[np.isin(pos, boundary)])
-            if boundary.size == 0:
-                continue
         counts_left = boundary + 1
         counts_right = m - counts_left
         valid = (counts_left >= config.min_leaf) & (counts_right >= config.min_leaf)
