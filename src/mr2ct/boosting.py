@@ -202,7 +202,8 @@ class BoostedEnsemble:
         n_learners restricts the vote to the first learners, which is how
         training curves over ensemble size are evaluated.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        # Column-major once here, not once per tree in leaf_index.
+        x = np.asfortranarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         if x.shape[1] != self.n_features:
             raise ModelError(
                 f"feature vector length {x.shape[1]} does not match ensemble "
@@ -287,7 +288,8 @@ def train_rusboost(
     layout: dict | None = None,
 ) -> BoostedEnsemble:
     """Run the full boosting loop and return the retained learners."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    # Column-major once, so scoring each round's tree on x copies nothing.
+    x = np.asfortranarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if n_labels is None:
         n_labels = int(labels.max()) + 1
@@ -310,8 +312,11 @@ def train_rusboost(
                 seed=derive_seed(seed, j, attempt),
             )
             resample_size = idx.shape[0]
+            # Gathered along x.T's contiguous rows, the resample comes out
+            # column-major, which is what train_tree transposes to anyway;
+            # x[idx] on a column-major x is several times slower.
             tree = train_tree(
-                x[idx],
+                np.take(x.T, idx, axis=1).T,
                 labels[idx],
                 weights=w,
                 config=tree_config,

@@ -9,7 +9,9 @@ Neighbor offsets are (dz, dy, dx) triples enumerated in ascending
 lexicographic order, which fixes the column layout across runs.  x_s is
 channel-major: all offsets of channel 0, then all offsets of channel 1, and
 so on.  Out-of-bounds neighbors replicate the nearest in-bounds voxel along
-each clamped axis.
+each clamped axis; extraction implements that clamp by padding every channel
+with one voxel of edge replication and reading shifted windows of the pad.
+The extracted x and x_s matrices are column-major (Fortran order).
 """
 
 from __future__ import annotations
@@ -155,19 +157,13 @@ def _neighbor_matrix(
     order: str,
 ) -> np.ndarray:
     nx, ny, nz = dims
-    ix = flat_idx % nx
-    iy = (flat_idx // nx) % ny
-    iz = flat_idx // (nx * ny)
     offsets = neighbor_offsets(order)
-    n, d = flat_idx.size, len(channels)
-    out = np.empty((n, d * len(offsets)), dtype=np.float64)
-    for k, (dz, dy, dx) in enumerate(offsets):
-        jx = np.clip(ix + dx, 0, nx - 1)
-        jy = np.clip(iy + dy, 0, ny - 1)
-        jz = np.clip(iz + dz, 0, nz - 1)
-        jflat = jx + nx * (jy + ny * jz)
-        for c, vol in enumerate(channels):
-            out[:, c * len(offsets) + k] = vol.data[jflat]
+    out = np.empty((flat_idx.size, len(channels) * len(offsets)), dtype=np.float64, order="F")
+    for c, vol in enumerate(channels):
+        padded = np.pad(vol.grid(), 1, mode="edge")
+        for k, (dz, dy, dx) in enumerate(offsets):
+            shifted = padded[1 + dz:1 + dz + nz, 1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
+            out[:, c * len(offsets) + k] = shifted.reshape(-1)[flat_idx]
     return out
 
 
@@ -179,12 +175,14 @@ def extract_feature_matrix(
     """(voxel_index, raw, neighbor) feature arrays for masked voxels.
 
     Used by both training extraction (which also has a CT volume) and
-    prediction (which does not).
+    prediction (which does not).  raw and neighbor are column-major, so each
+    feature column is contiguous for tree routing, and np.hstack of the two
+    stays column-major.
     """
     flat_idx = np.flatnonzero(mask.data == 1.0).astype(np.int64)
     dims = mask.dims
     d = len(channels)
-    x = np.empty((flat_idx.size, d), dtype=np.float64)
+    x = np.empty((flat_idx.size, d), dtype=np.float64, order="F")
     for c, vol in enumerate(channels):
         x[:, c] = vol.data[flat_idx]
     xs = _neighbor_matrix(channels, flat_idx, dims, order)

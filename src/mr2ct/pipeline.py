@@ -110,6 +110,19 @@ class PipelineModel:
     seed: int
     selected_j: tuple[int, ...]
 
+    def __post_init__(self):
+        """Reject parts that could not have been trained together."""
+        if self.layout.n_combined != self.classifier.n_features:
+            raise ModelError(
+                f"layout yields {self.layout.n_combined} features, "
+                f"classifier expects {self.classifier.n_features}"
+            )
+        if self.regressors.dim != self.layout.n_raw + 1:
+            raise ModelError(
+                f"regressors have dim {self.regressors.dim}, layout needs "
+                f"{self.layout.n_raw + 1} (CT plus {self.layout.n_raw} channels)"
+            )
+
 
 @dataclass
 class TrainReport:
@@ -301,13 +314,9 @@ def predict_ct(
         flat_idx, x_raw, x_nei = extract_feature_matrix(
             channels, mask, model.layout.order
         )
-        combined = np.hstack([x_raw, x_nei])
-        if combined.shape[1] != model.classifier.n_features:
-            raise FeatureLayoutError(
-                f"feature layout mismatch: input yields {combined.shape[1]} columns, "
-                f"classifier expects {model.classifier.n_features}"
-            )
-        hard = model.classifier.predict(combined)
+        # The channel count matches the layout and PipelineModel matches the
+        # layout to the classifier, so the columns are the classifier's.
+        hard = model.classifier.predict(np.hstack([x_raw, x_nei]))
         for k in range(N_CLASSES):
             rows = np.flatnonzero(hard == k)
             if rows.size:
@@ -367,8 +376,11 @@ def save_model(model: PipelineModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PipelineModel:
+    """Read a bundle; an unreadable file raises DataError, bad content ModelError."""
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read model bundle {path}: {exc}") from exc
     except ValueError as exc:  # also undecodable UTF-8
         raise ModelError(f"{path}: not a JSON model bundle: {exc}") from exc
     return model_from_dict(d)

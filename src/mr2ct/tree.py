@@ -20,6 +20,11 @@ give.  The scan then scores all thresholds of _BLOCK features at once with
 one cumulative sum per label.  Cumulative sums, node totals and thresholds
 are therefore bitwise equal to those of a per-node sort, and so is the
 tree: the same data, weights and config give the same model bytes.
+
+Routing walks the tree node by node with a stack of (node, rows): a split
+compares one contiguous column of a column-major copy of x, gathered at the
+node's rows, against its threshold and hands each child its share of the
+rows, so every node reads its feature once for exactly the rows that reach it.
 """
 
 from __future__ import annotations
@@ -126,15 +131,20 @@ class DecisionTree:
             raise ModelError(
                 f"feature vector length {x.shape[1]} does not match tree ({self.n_features})"
             )
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            pending = np.flatnonzero(feat >= 0)
-            if pending.size == 0:
-                return node
-            cur = node[pending]
-            go_left = x[pending, feat[pending]] <= self.threshold[cur]
-            node[pending] = np.where(go_left, self.left[cur], self.right[cur])
+        cols = np.asfortranarray(x)
+        out = np.empty(x.shape[0], dtype=np.int64)
+        stack = [(0, np.arange(x.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            f = self.feature[node]
+            if f == LEAF:
+                out[rows] = node
+            elif rows.size:
+                # NaN compares False, so it goes right.
+                go_left = cols[:, f].take(rows) <= self.threshold[node]
+                stack.append((self.left[node], rows[go_left]))
+                stack.append((self.right[node], rows[~go_left]))
+        return out
 
     def confidence_matrix(self, x: np.ndarray) -> np.ndarray:
         """(n, n_labels) leaf confidence vectors for the rows of x."""

@@ -12,8 +12,9 @@ Header example::
     byteorder: little-endian
     data: ct.raw
 
-The ``data`` entry is the payload filename, resolved relative to the header's
-directory.
+The ``data`` entry is the payload filename, a bare name resolved relative to
+the header's directory.  Reading rejects a ``data`` entry that names another
+directory and a payload holding a NaN or infinite value.
 """
 
 from __future__ import annotations
@@ -186,7 +187,12 @@ def read_volume(header_path: str | Path) -> Volume:
         raise VolumeFormatError(
             f"{header_path}: unsupported byteorder {entries['byteorder']!r}"
         )
-    raw_path = header_path.parent / entries["data"]
+    name = entries["data"]
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise VolumeFormatError(
+            f"{header_path}: data entry {name!r} must name a file in the header's directory"
+        )
+    raw_path = header_path.parent / name
     try:
         payload = raw_path.read_bytes()
     except OSError as exc:
@@ -198,6 +204,9 @@ def read_volume(header_path: str | Path) -> Volume:
             f"for dims {dims}"
         )
     data = np.frombuffer(payload, dtype="<f4")
+    bad = int(np.count_nonzero(~np.isfinite(data)))
+    if bad:
+        raise VolumeFormatError(f"{raw_path}: {bad} non-finite voxel values")
     try:
         return Volume(dims=dims, spacing=spacing, data=data)
     except DataError as exc:

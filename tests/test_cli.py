@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -24,6 +25,19 @@ FAST = [
     "--em-max-iter", "100",
     "--j-candidates", "1,2",
 ]
+
+
+def _drop_last_regressor_channel(bundle):
+    """Regressors one dimension short of the layout, still valid mixtures."""
+    regs = bundle["regressors"]
+    dim = regs["dim"]
+    for entry in regs["classes"]:
+        entry["means"] = [m[:-1] for m in entry["means"]]
+        entry["covariances_row_major"] = [
+            np.asarray(c).reshape(dim, dim)[:-1, :-1].ravel().tolist()
+            for c in entry["covariances_row_major"]
+        ]
+    regs["dim"] = dim - 1
 
 
 def _edited(edit):
@@ -168,8 +182,11 @@ class TestPredict:
         _edited(lambda b: b.update(classifier=[])),
         _edited(lambda b: b.update(format_version=1)),
         lambda text: text[: len(text) // 2],
+        _edited(lambda b: b["layout"].update(order="second", offsets_zyx=[])),
+        _edited(_drop_last_regressor_channel),
     ], ids=["no-classifier", "unknown-tree-key", "non-integer-seed", "classifier-not-object",
-            "format-version-1", "truncated"])
+            "format-version-1", "truncated", "layout-not-classifier-width",
+            "regressor-dim-not-layout"])
     def test_malformed_bundle_exit_code(self, tmp_path, cohort_dir, model_dir, corrupt, capsys):
         text = (model_dir / "model.json").read_text()
         (tmp_path / "model.json").write_text(corrupt(text))
@@ -179,6 +196,48 @@ class TestPredict:
         ])
         assert rc == EXIT_FIT
         assert "estimation error" in capsys.readouterr().err
+
+    def test_missing_model_exit_code(self, tmp_path, cohort_dir, capsys):
+        rc = main([
+            "predict", "--model", str(tmp_path / "missing.json"),
+            "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+    def test_nan_neighbor_voxel_exit_code(self, tmp_path, cohort_dir, model_dir, capsys):
+        patient = shutil.copytree(cohort_dir / "phantom002", tmp_path / "patient")
+        # Unmask voxel 0 and put a NaN there: only the neighbor features of
+        # the masked voxel 1 read it.
+        mask = np.fromfile(patient / "mask.raw", dtype="<f4")
+        assert mask[1] == 1.0
+        mask[0] = 0.0
+        mask.tofile(patient / "mask.raw")
+        mr = np.fromfile(patient / "mr0.raw", dtype="<f4")
+        mr[0] = np.nan
+        mr.tofile(patient / "mr0.raw")
+        rc = main([
+            "predict", "--model", str(model_dir / "model.json"),
+            "--patient", str(patient), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_data_entry_outside_patient_exit_code(self, tmp_path, cohort_dir, model_dir,
+                                                  capsys):
+        patient = shutil.copytree(cohort_dir / "phantom002", tmp_path / "patient")
+        shutil.copy(patient / "mr0.raw", tmp_path / "x.raw")
+        header = patient / "mr0.hdr"
+        text = header.read_text()
+        assert "data: mr0.raw" in text
+        header.write_text(text.replace("data: mr0.raw", "data: ../x.raw"))
+        rc = main([
+            "predict", "--model", str(model_dir / "model.json"),
+            "--patient", str(patient), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == EXIT_DATA
+        assert "data entry" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mr2ct import DataError, Volume, assemble, export_csv, neighbor_offsets
-from mr2ct.features import FeatureLayout, extract_features
+from mr2ct.features import FeatureLayout, extract_feature_matrix, extract_features
 from mr2ct.volume import PatientDataset
+
+from util import naive_neighbor_matrix
 
 # Hand enumeration for the corner voxel (0,0,0) of a 3x3x3 volume whose value
 # at (x,y,z) is x + 3y + 9z, offsets in lexicographic (dz,dy,dx) order with
@@ -130,6 +134,34 @@ class TestExtraction:
                 jz = min(max(iz + dz, 0), nz - 1)
                 expected = patient.mr_channels[0].value_at(jx, jy, jz)
                 assert table.xs[row, k] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    n_channels=st.integers(1, 3),
+    order=st.sampled_from(["first", "second"]),
+    density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+def test_extraction_matches_clamp_oracle(seed, dims, n_channels, order, density):
+    rng = np.random.default_rng(seed)
+    n = dims[0] * dims[1] * dims[2]
+    channels = tuple(
+        Volume(dims=dims, spacing=(1, 1, 1), data=rng.normal(size=n)) for _ in range(n_channels)
+    )
+    mask = Volume(dims=dims, spacing=(1, 1, 1), data=(rng.random(n) < density).astype(float))
+    flat_idx, x, xs = extract_feature_matrix(channels, mask, order)
+    np.testing.assert_array_equal(flat_idx, np.flatnonzero(mask.data == 1.0))
+    expected_x = np.column_stack([vol.data[flat_idx] for vol in channels]).astype(np.float64)
+    expected_xs = naive_neighbor_matrix(channels, flat_idx, dims, order)
+    assert x.shape == expected_x.shape and xs.shape == expected_xs.shape
+    assert np.ascontiguousarray(x).tobytes() == expected_x.tobytes()
+    assert np.ascontiguousarray(xs).tobytes() == expected_xs.tobytes()
+    # Routing reads one contiguous column per split; a row-major matrix
+    # would cost a full copy per prediction.
+    assert x.flags.f_contiguous and xs.flags.f_contiguous
+    assert np.hstack([x, xs]).flags.f_contiguous
 
 
 class TestAssemble:

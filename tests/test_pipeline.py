@@ -16,6 +16,7 @@ from mr2ct import (
     save_model,
     train_pipeline,
 )
+from mr2ct.boosting import BoostedEnsemble
 from mr2ct.mixture import conditional_expectation_many
 from mr2ct.pipeline import PipelineModel, model_from_dict, model_to_dict
 
@@ -113,6 +114,21 @@ class TestPredict:
         assert result.n_predicted == 0
         assert np.all(result.ct.data == trained.config.fill_hu)
         assert np.all(result.labels.data == 0.0)
+
+    def test_classifier_gets_column_major_features(self, trained, small_datasets,
+                                                   monkeypatch):
+        """Routing speed rests on one contiguous column per split feature."""
+        seen = []
+        scores = BoostedEnsemble.scores
+
+        def spy(self, x, n_learners=None):
+            seen.append(x.flags.f_contiguous and not x.flags.c_contiguous)
+            return scores(self, x, n_learners)
+
+        monkeypatch.setattr(BoostedEnsemble, "scores", spy)
+        held = small_datasets[2]
+        predict_ct(trained, held.mr_channels, held.mask)
+        assert seen == [True]
 
     def test_channel_count_mismatch(self, trained, small_datasets):
         held = small_datasets[2]

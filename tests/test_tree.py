@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from mr2ct import DataError, TreeConfig, gini, train_tree, tree_confidence
 from mr2ct.errors import ModelError
-from mr2ct.tree import DecisionTree
+from mr2ct.tree import LEAF, DecisionTree
 
-from util import naive_train_tree
+from util import naive_leaf_index, naive_train_tree
 
 
 class TestGini:
@@ -184,6 +184,49 @@ def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tie
     config = TreeConfig(max_splits=max_splits, min_leaf=min_leaf)
     expected = naive_train_tree(x, labels, weights, config, n_labels=n_labels)
     assert train_tree(x, labels, weights, config, n_labels=n_labels).to_dict() == expected.to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    n_features=st.integers(1, 4),
+    duplicated=st.booleans(),
+    min_leaf=st.integers(1, 4),
+    max_splits=st.integers(1, 20),
+)
+def test_routing_matches_level_synchronous_oracle(seed, n, n_features, duplicated, min_leaf,
+                                                  max_splits):
+    rng = np.random.default_rng(seed)
+    x = np.round(2 * rng.normal(size=(n, n_features))) / 2  # many tied values
+    labels = rng.integers(0, 2, size=n)
+    if duplicated:
+        x, labels = np.vstack([x, x[::2]]), np.concatenate([labels, labels[::2]])
+    tree = train_tree(x, labels, config=TreeConfig(max_splits=max_splits, min_leaf=min_leaf),
+                      n_labels=2)
+    # Every training row with each split feature set exactly to the split's
+    # threshold, to its float neighbors and to NaN, plus scattered NaNs.
+    probes = [x, np.where(rng.random(x.shape) < 0.3, np.nan, x)]
+    for f, thr in zip(tree.feature, tree.threshold):
+        if f != LEAF:
+            for value in (np.nextafter(thr, -np.inf), thr, np.nextafter(thr, np.inf), np.nan):
+                probe = x.copy()
+                probe[:, f] = value
+                probes.append(probe)
+    probes = np.vstack(probes)
+    expected = naive_leaf_index(tree, probes)
+    views = [
+        probes,
+        np.asfortranarray(probes),
+        np.repeat(probes, 2, axis=0)[::2],                     # strided rows
+        np.repeat(probes, 2, axis=1)[:, 1::2],                 # strided columns
+        np.asfortranarray(np.repeat(probes, 2, axis=0))[::2],  # strided column-major
+    ]
+    for view in views:
+        for rows in (view, view[:0], view[:1]):
+            got = tree.leaf_index(rows)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected[:rows.shape[0]])
 
 
 class TestRouting:

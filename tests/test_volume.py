@@ -77,6 +77,23 @@ class TestFileFormat:
         with pytest.raises(VolumeFormatError, match="dtype"):
             read_volume(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, tmp_path, value):
+        write_volume(tmp_path / "vol.hdr", make_volume(dims=(2, 2, 2)))
+        data = np.arange(8, dtype="<f4")
+        data[5] = value
+        data.tofile(tmp_path / "vol.raw")
+        with pytest.raises(VolumeFormatError, match="non-finite"):
+            read_volume(tmp_path / "vol.hdr")
+
+    @pytest.mark.parametrize("name", ["../vol.raw", "sub/vol.raw", "/abs/vol.raw", "..", ""])
+    def test_data_entry_must_be_a_bare_name(self, tmp_path, name):
+        write_volume(tmp_path / "vol.hdr", make_volume(dims=(2, 2, 2)))
+        header = tmp_path / "vol.hdr"
+        header.write_text(header.read_text().replace("data: vol.raw", f"data: {name}"))
+        with pytest.raises(VolumeFormatError, match="data entry"):
+            read_volume(header)
+
 
 def write_patient(tmp_path, dims=(16, 16, 16), d=4, mask_value=1.0, mr_dims=None):
     rng = np.random.default_rng(0)

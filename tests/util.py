@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
 The samplers and density evaluations here deliberately avoid the package's
-own mixture code paths, and naive_train_tree its presorted split search, so
-they can serve as independent checks.
+own mixture code paths, naive_train_tree its presorted split search,
+naive_leaf_index its per-node routing and naive_neighbor_matrix its
+edge-padded extraction, so they can serve as independent checks.
 """
 
 import heapq
@@ -11,6 +12,7 @@ import itertools
 import numpy as np
 
 from mr2ct import MixtureModel, TreeConfig
+from mr2ct.features import neighbor_offsets
 from mr2ct.tree import DecisionTree
 
 
@@ -216,3 +218,36 @@ def naive_train_tree(x, labels, weights=None, config=TreeConfig(), n_labels=None
         n_features=x.shape[1],
         n_labels=n_labels,
     )
+
+
+def naive_leaf_index(tree, x):
+    """Level-synchronous routing: every pending row descends one level per pass."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        pending = np.flatnonzero(feat >= 0)
+        if pending.size == 0:
+            return node
+        cur = node[pending]
+        go_left = x[pending, feat[pending]] <= tree.threshold[cur]
+        node[pending] = np.where(go_left, tree.left[cur], tree.right[cur])
+
+
+def naive_neighbor_matrix(channels, flat_idx, dims, order):
+    """Neighbor features by clamping each neighbor's coordinates per axis."""
+    nx, ny, nz = dims
+    ix = flat_idx % nx
+    iy = (flat_idx // nx) % ny
+    iz = flat_idx // (nx * ny)
+    offsets = neighbor_offsets(order)
+    n, d = flat_idx.size, len(channels)
+    out = np.empty((n, d * len(offsets)), dtype=np.float64)
+    for k, (dz, dy, dx) in enumerate(offsets):
+        jx = np.clip(ix + dx, 0, nx - 1)
+        jy = np.clip(iy + dy, 0, ny - 1)
+        jz = np.clip(iz + dz, 0, nz - 1)
+        jflat = jx + nx * (jy + ny * jz)
+        for c, vol in enumerate(channels):
+            out[:, c * len(offsets) + k] = vol.data[jflat]
+    return out
