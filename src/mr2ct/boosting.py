@@ -16,7 +16,6 @@ log(1/alpha) stays finite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,13 +263,6 @@ class BoostedEnsemble:
             rounds=rounds,
             layout=d.get("layout"),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BoostedEnsemble":
-        return cls.from_dict(json.loads(text))
 
 
 def predict_label(ensemble: BoostedEnsemble, x: np.ndarray) -> int:

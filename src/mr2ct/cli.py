@@ -231,7 +231,7 @@ def _cmd_cv_classifier(args, cfg: RunConfig) -> int:
     pcfg = cfg.pipeline_config()
     table = assemble(patients, order=pcfg.neighborhood_order, threshold=pcfg.threshold_hu)
     metrics, folds = kfold_cv(
-        table.combined(), table.t.astype(np.int64),
+        table.features, table.t.astype(np.int64),
         partial(train_classifier_fold, config=pcfg), k=cfg.cv_folds, seed=cfg.seed,
     )
     out = out_dir / "cv_metrics.json"

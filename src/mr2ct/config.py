@@ -154,10 +154,6 @@ def load_run_config(
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.order not in ("first", "second"):
-        raise ConfigError(f"order must be 'first' or 'second', got {cfg.order!r}")
-    if cfg.selection_criterion not in ("mse", "mae"):
-        raise ConfigError("selection_criterion must be 'mse' or 'mae'")
     if cfg.cv_folds < 2:
         raise ConfigError("cv_folds must be >= 2")
     if cfg.window_hu <= 0:

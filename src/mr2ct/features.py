@@ -11,7 +11,11 @@ channel-major: all offsets of channel 0, then all offsets of channel 1, and
 so on.  Out-of-bounds neighbors replicate the nearest in-bounds voxel along
 each clamped axis; extraction implements that clamp by padding every channel
 with one voxel of edge replication and reading shifted windows of the pad.
-The extracted x and x_s matrices are column-major (Fortran order).
+
+Extraction fills one column-major (Fortran order) feature matrix per call:
+the d raw channel columns first, then the channel-major neighbor columns.
+That is the classifier's column order and export_csv's; x is the view of
+its first d columns, which is all the mixture regression reads.
 """
 
 from __future__ import annotations
@@ -117,8 +121,7 @@ class SampleTable:
     layout: FeatureLayout
     patient_ids: np.ndarray  # (n,) str
     voxel_index: np.ndarray  # (n,) int64 flat index, x-fastest
-    x: np.ndarray            # (n, d) raw intensities
-    xs: np.ndarray           # (n, d * n_offsets) neighbor intensities
+    features: np.ndarray     # (n, d + d * n_offsets) raw then neighbor intensities
     y: np.ndarray            # (n,) CT intensity in HU
     t: np.ndarray            # (n,) int8 class label
 
@@ -127,8 +130,7 @@ class SampleTable:
         shapes_ok = (
             self.patient_ids.shape == (n,)
             and self.voxel_index.shape == (n,)
-            and self.x.shape == (n, self.layout.n_raw)
-            and self.xs.shape == (n, self.layout.n_neighbor)
+            and self.features.shape == (n, self.layout.n_combined)
             and self.t.shape == (n,)
         )
         if not shapes_ok:
@@ -137,9 +139,15 @@ class SampleTable:
     def __len__(self) -> int:
         return self.y.shape[0]
 
-    def combined(self) -> np.ndarray:
-        """(n, d + d*n_offsets) matrix of raw then neighbor features."""
-        return np.hstack([self.x, self.xs])
+    @property
+    def x(self) -> np.ndarray:
+        """(n, d) raw intensities, a view of features."""
+        return self.features[:, : self.layout.n_raw]
+
+    @property
+    def xs(self) -> np.ndarray:
+        """(n, d * n_offsets) neighbor intensities, a view of features."""
+        return self.features[:, self.layout.n_raw :]
 
     def column_names(self) -> list[str]:
         return (
@@ -150,43 +158,30 @@ class SampleTable:
         )
 
 
-def _neighbor_matrix(
-    channels: Sequence[Volume],
-    flat_idx: np.ndarray,
-    dims: tuple[int, int, int],
-    order: str,
-) -> np.ndarray:
-    nx, ny, nz = dims
-    offsets = neighbor_offsets(order)
-    out = np.empty((flat_idx.size, len(channels) * len(offsets)), dtype=np.float64, order="F")
-    for c, vol in enumerate(channels):
-        padded = np.pad(vol.grid(), 1, mode="edge")
-        for k, (dz, dy, dx) in enumerate(offsets):
-            shifted = padded[1 + dz:1 + dz + nz, 1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
-            out[:, c * len(offsets) + k] = shifted.reshape(-1)[flat_idx]
-    return out
-
-
 def extract_feature_matrix(
     channels: Sequence[Volume],
     mask: Volume,
     order: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(voxel_index, raw, neighbor) feature arrays for masked voxels.
+    """(voxel_index, raw, features) for masked voxels.
 
     Used by both training extraction (which also has a CT volume) and
-    prediction (which does not).  raw and neighbor are column-major, so each
-    feature column is contiguous for tree routing, and np.hstack of the two
-    stays column-major.
+    prediction (which does not).  features is one column-major matrix of
+    raw then neighbor columns, so each feature column is contiguous for
+    tree routing; raw is the view of its first len(channels) columns.
     """
     flat_idx = np.flatnonzero(mask.data == 1.0).astype(np.int64)
-    dims = mask.dims
+    nx, ny, nz = mask.dims
+    offsets = neighbor_offsets(order)
     d = len(channels)
-    x = np.empty((flat_idx.size, d), dtype=np.float64, order="F")
+    features = np.empty((flat_idx.size, d * (1 + len(offsets))), dtype=np.float64, order="F")
     for c, vol in enumerate(channels):
-        x[:, c] = vol.data[flat_idx]
-    xs = _neighbor_matrix(channels, flat_idx, dims, order)
-    return flat_idx, x, xs
+        features[:, c] = vol.data[flat_idx]
+        padded = np.pad(vol.grid(), 1, mode="edge")
+        for k, (dz, dy, dx) in enumerate(offsets):
+            shifted = padded[1 + dz:1 + dz + nz, 1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
+            features[:, d + c * len(offsets) + k] = shifted.reshape(-1)[flat_idx]
+    return flat_idx, features[:, :d], features
 
 
 def extract_features(
@@ -199,7 +194,7 @@ def extract_features(
     Raises DataError when the mask selects no voxels: silently returning an
     empty table would hide upstream masking bugs.
     """
-    flat_idx, x, xs = extract_feature_matrix(patient.mr_channels, patient.mask, order)
+    flat_idx, _, features = extract_feature_matrix(patient.mr_channels, patient.mask, order)
     if flat_idx.size == 0:
         raise DataError(f"patient {patient.patient_id!r}: mask selects no voxels")
     y = patient.ct.data[flat_idx].astype(np.float64)
@@ -207,7 +202,7 @@ def extract_features(
     layout = FeatureLayout(n_channels=patient.n_channels, order=order)
     pid = np.full(flat_idx.size, patient.patient_id, dtype=object)
     return SampleTable(
-        layout=layout, patient_ids=pid, voxel_index=flat_idx, x=x, xs=xs, y=y, t=t
+        layout=layout, patient_ids=pid, voxel_index=flat_idx, features=features, y=y, t=t
     )
 
 
@@ -231,8 +226,7 @@ def assemble(
         layout=tables[0].layout,
         patient_ids=np.concatenate([t.patient_ids for t in tables]),
         voxel_index=np.concatenate([t.voxel_index for t in tables]),
-        x=np.vstack([t.x for t in tables]),
-        xs=np.vstack([t.xs for t in tables]),
+        features=np.concatenate([t.features for t in tables]),
         y=np.concatenate([t.y for t in tables]),
         t=np.concatenate([t.t for t in tables]),
     )
@@ -247,8 +241,7 @@ def export_csv(table: SampleTable, path: str | Path) -> None:
         for i in range(len(table)):
             row = (
                 [table.patient_ids[i], int(table.voxel_index[i])]
-                + [repr(v) for v in table.x[i].tolist()]
-                + [repr(v) for v in table.xs[i].tolist()]
+                + [repr(v) for v in table.features[i].tolist()]
                 + [repr(float(table.y[i])), int(table.t[i])]
             )
             writer.writerow(row)

@@ -17,7 +17,6 @@ components whose weight falls below _DROP_WEIGHT.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -515,11 +514,3 @@ class TissueGMM:
                 )
             )
         return cls(models=tuple(models))
-
-    def to_text(self) -> str:
-        """Self-describing text serialization; floats keep full precision."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_text(cls, text: str) -> "TissueGMM":
-        return cls.from_dict(json.loads(text))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .boosting import BoostConfig, BoostedEnsemble, train_rusboost
 from .errors import DataError, FeatureLayoutError, ModelError
-from .features import FeatureLayout, assemble, extract_feature_matrix
+from .features import FeatureLayout, assemble, extract_feature_matrix, neighbor_offsets
 from .labeling import DEFAULT_THRESHOLD_HU, N_CLASSES
 from .mixture import (
     EmConfig,
@@ -62,6 +62,10 @@ class PipelineConfig:
     def __post_init__(self):
         if not np.isfinite(self.threshold_hu):
             raise ValueError("threshold must be finite")
+        # The fill value lands in a float32 output volume, which must be finite.
+        if not abs(self.fill_hu) <= np.finfo(np.float32).max:
+            raise ValueError(f"fill_hu must be finite in float32, got {self.fill_hu!r}")
+        neighbor_offsets(self.neighborhood_order)  # validates the order
         if len(self.j_candidates) != N_CLASSES or any(
             len(c) == 0 for c in self.j_candidates
         ):
@@ -231,9 +235,8 @@ def train_pipeline(
         selected_j.append(j_star)
 
     layout = table.layout
-    combined = table.combined()
     ensemble = train_rusboost(
-        combined,
+        table.features,
         table.t.astype(np.int64),
         tree_config=config.tree,
         boost_config=config.boost,
@@ -241,14 +244,14 @@ def train_pipeline(
         n_labels=N_CLASSES,
         layout=layout.to_dict(),
     )
-    train_err = float(np.mean(ensemble.predict(combined) != table.t))
+    train_err = float(np.mean(ensemble.predict(table.features) != table.t))
 
     cv_summary = None
     if config.classifier_cv_folds >= 2:
         from .evaluation import kfold_cv  # local import to avoid a module cycle
 
         metrics, _ = kfold_cv(
-            combined,
+            table.features,
             table.t.astype(np.int64),
             partial(train_classifier_fold, config=config),
             k=config.classifier_cv_folds,
@@ -311,12 +314,12 @@ def predict_ct(
     idx = np.flatnonzero(mask.data == 1.0)
     class_counts = [0] * N_CLASSES
     if idx.size:
-        flat_idx, x_raw, x_nei = extract_feature_matrix(
+        flat_idx, x_raw, features = extract_feature_matrix(
             channels, mask, model.layout.order
         )
         # The channel count matches the layout and PipelineModel matches the
         # layout to the classifier, so the columns are the classifier's.
-        hard = model.classifier.predict(np.hstack([x_raw, x_nei]))
+        hard = model.classifier.predict(features)
         for k in range(N_CLASSES):
             rows = np.flatnonzero(hard == k)
             if rows.size:

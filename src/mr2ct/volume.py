@@ -14,7 +14,7 @@ Header example::
 
 The ``data`` entry is the payload filename, a bare name resolved relative to
 the header's directory.  Reading rejects a ``data`` entry that names another
-directory and a payload holding a NaN or infinite value.
+directory and, as every Volume does, a NaN or infinite value.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ class Volume:
     """Dense 3-D scalar grid with voxel spacing.
 
     data is a flat float32 array of length nx*ny*nz in x-fastest order.
+    Every value must be finite, because a NaN would go right at every tree
+    split without a trace.
     """
 
     dims: tuple[int, int, int]
@@ -56,6 +58,9 @@ class Volume:
                 f"data length {data.size} does not match dims {dims} "
                 f"({dims[0] * dims[1] * dims[2]} voxels)"
             )
+        bad = int(np.count_nonzero(~np.isfinite(data)))
+        if bad:
+            raise DataError(f"{bad} non-finite voxel values")
         data.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
@@ -203,12 +208,8 @@ def read_volume(header_path: str | Path) -> Volume:
             f"{raw_path}: payload is {len(payload)} bytes, expected {expected} "
             f"for dims {dims}"
         )
-    data = np.frombuffer(payload, dtype="<f4")
-    bad = int(np.count_nonzero(~np.isfinite(data)))
-    if bad:
-        raise VolumeFormatError(f"{raw_path}: {bad} non-finite voxel values")
     try:
-        return Volume(dims=dims, spacing=spacing, data=data)
+        return Volume(dims=dims, spacing=spacing, data=np.frombuffer(payload, dtype="<f4"))
     except DataError as exc:
         raise VolumeFormatError(f"{header_path}: {exc}") from exc
 

@@ -317,3 +317,9 @@ class TestConfigHandling:
         cfg.write_text("warp_speed = 9\n")
         rc = main(["phantom", "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert rc == EXIT_CONFIG
+
+    def test_unknown_order_in_config_file(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("order = third\n")
+        rc = main(["phantom", "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert rc == EXIT_CONFIG

@@ -151,17 +151,20 @@ def test_extraction_matches_clamp_oracle(seed, dims, n_channels, order, density)
         Volume(dims=dims, spacing=(1, 1, 1), data=rng.normal(size=n)) for _ in range(n_channels)
     )
     mask = Volume(dims=dims, spacing=(1, 1, 1), data=(rng.random(n) < density).astype(float))
-    flat_idx, x, xs = extract_feature_matrix(channels, mask, order)
+    flat_idx, raw, features = extract_feature_matrix(channels, mask, order)
     np.testing.assert_array_equal(flat_idx, np.flatnonzero(mask.data == 1.0))
+    d = n_channels
     expected_x = np.column_stack([vol.data[flat_idx] for vol in channels]).astype(np.float64)
     expected_xs = naive_neighbor_matrix(channels, flat_idx, dims, order)
-    assert x.shape == expected_x.shape and xs.shape == expected_xs.shape
-    assert np.ascontiguousarray(x).tobytes() == expected_x.tobytes()
-    assert np.ascontiguousarray(xs).tobytes() == expected_xs.tobytes()
+    assert features.shape == (flat_idx.size, d + expected_xs.shape[1])
+    assert np.ascontiguousarray(features[:, :d]).tobytes() == expected_x.tobytes()
+    assert np.ascontiguousarray(features[:, d:]).tobytes() == expected_xs.tobytes()
     # Routing reads one contiguous column per split; a row-major matrix
     # would cost a full copy per prediction.
-    assert x.flags.f_contiguous and xs.flags.f_contiguous
-    assert np.hstack([x, xs]).flags.f_contiguous
+    assert features.flags.f_contiguous
+    # raw is a view of the raw columns, not a second copy of them.
+    assert raw.shape == (flat_idx.size, d) and raw.base is features
+    np.testing.assert_array_equal(raw, features[:, :d])
 
 
 class TestAssemble:
@@ -211,8 +214,9 @@ class TestAssemble:
         both = assemble([a, b], order="first")
         separate = [extract_features(p, order="first") for p in (a, b)]
         np.testing.assert_array_equal(
-            both.xs, np.vstack([t.xs for t in separate])
+            both.features, np.concatenate([t.features for t in separate])
         )
+        assert both.features.flags.f_contiguous
         np.testing.assert_array_equal(
             both.y, np.concatenate([t.y for t in separate])
         )

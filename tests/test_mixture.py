@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,7 +278,7 @@ class TestSerialization:
     def test_roundtrip_lossless(self):
         rng = np.random.default_rng(19)
         gmm = TissueGMM(models=(random_mixture(2, 3, rng), random_mixture(3, 3, rng)))
-        back = TissueGMM.from_text(gmm.to_text())
+        back = TissueGMM.from_dict(json.loads(json.dumps(gmm.to_dict(), sort_keys=True)))
         assert back.n_classes == 2
         for a, b in zip(gmm.models, back.models):
             assert np.array_equal(a.weights, b.weights)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mr2ct.pipeline as pipeline_module
 from mr2ct import (
     DataError,
     FeatureLayoutError,
@@ -39,6 +40,15 @@ class TestConfig:
             PipelineConfig(j_candidates=((), (1,)))
         with pytest.raises(ValueError):
             PipelineConfig(selection_criterion="rmse")
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1e39])
+    def test_fill_must_be_finite_in_float32(self, fill):
+        with pytest.raises(ValueError, match="fill_hu"):
+            PipelineConfig(fill_hu=fill)
+
+    def test_order_checked_on_construction(self):
+        with pytest.raises(ValueError, match="order"):
+            PipelineConfig(neighborhood_order="third")
 
 
 class TestTrain:
@@ -117,18 +127,28 @@ class TestPredict:
 
     def test_classifier_gets_column_major_features(self, trained, small_datasets,
                                                    monkeypatch):
-        """Routing speed rests on one contiguous column per split feature."""
-        seen = []
+        """Routing speed rests on one contiguous column per split feature,
+        and the classifier reads the extracted matrix itself, not a copy."""
+        extracted, seen = [], []
+        extract = pipeline_module.extract_feature_matrix
         scores = BoostedEnsemble.scores
 
-        def spy(self, x, n_learners=None):
-            seen.append(x.flags.f_contiguous and not x.flags.c_contiguous)
+        def extract_spy(*args):
+            result = extract(*args)
+            extracted.append(result[2])
+            return result
+
+        def scores_spy(self, x, n_learners=None):
+            seen.append(x)
             return scores(self, x, n_learners)
 
-        monkeypatch.setattr(BoostedEnsemble, "scores", spy)
+        monkeypatch.setattr(pipeline_module, "extract_feature_matrix", extract_spy)
+        monkeypatch.setattr(BoostedEnsemble, "scores", scores_spy)
         held = small_datasets[2]
         predict_ct(trained, held.mr_channels, held.mask)
-        assert seen == [True]
+        assert len(extracted) == 1 and len(seen) == 1
+        assert seen[0] is extracted[0]
+        assert seen[0].flags.f_contiguous and not seen[0].flags.c_contiguous
 
     def test_channel_count_mismatch(self, trained, small_datasets):
         held = small_datasets[2]

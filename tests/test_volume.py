@@ -31,6 +31,13 @@ class TestVolume:
         with pytest.raises(DataError):
             Volume(dims=(2, 2, 2), spacing=(1, 1, 1), data=np.zeros(7))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        data = np.arange(8, dtype=np.float32)
+        data[3] = value
+        with pytest.raises(DataError, match="non-finite"):
+            Volume(dims=(2, 2, 2), spacing=(1, 1, 1), data=data)
+
     def test_data_immutable(self):
         vol = make_volume()
         with pytest.raises(ValueError):
