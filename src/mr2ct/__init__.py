@@ -11,7 +11,6 @@ from .boosting import (
     BoostConfig,
     BoostedEnsemble,
     init_mislabel,
-    predict_label,
     pseudo_loss,
     rus_resample,
     train_rusboost,
@@ -71,5 +70,5 @@ from .pipeline import (
     save_model,
     train_pipeline,
 )
-from .tree import DecisionTree, TreeConfig, gini, train_tree, tree_confidence
+from .tree import DecisionTree, TreeConfig, gini, train_tree
 from .volume import PatientDataset, Volume, load_patient, read_volume, write_volume

@@ -16,7 +16,7 @@ log(1/alpha) stays finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -168,9 +168,6 @@ class BoostRound:
     resample_size: int
     underflow: bool
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass(frozen=True)
 class BoostedEnsemble:
@@ -191,9 +188,6 @@ class BoostedEnsemble:
     @property
     def n_learners(self) -> int:
         return len(self.learners)
-
-    def vote_weights(self) -> np.ndarray:
-        return np.array([np.log(1.0 / lr.alpha) for lr in self.learners])
 
     def scores(self, x: np.ndarray, n_learners: int | None = None) -> np.ndarray:
         """(n, n_labels) weighted vote scores sum_j h_j(x, v) log(1/alpha_j).
@@ -223,10 +217,10 @@ class BoostedEnsemble:
             "format_version": FORMAT_VERSION,
             "n_labels": self.n_labels,
             "n_features": self.n_features,
-            "boost_config": dict(self.boost_config.__dict__),
-            "tree_config": dict(self.tree_config.__dict__),
+            "boost_config": asdict(self.boost_config),
+            "tree_config": asdict(self.tree_config),
             "layout": self.layout,
-            "rounds": [r.to_dict() for r in self.rounds],
+            "rounds": [asdict(r) for r in self.rounds],
             "learners": [
                 {
                     "eps": lr.eps,
@@ -263,11 +257,6 @@ class BoostedEnsemble:
             rounds=rounds,
             layout=d.get("layout"),
         )
-
-
-def predict_label(ensemble: BoostedEnsemble, x: np.ndarray) -> int:
-    """Strong-classifier label for a single feature vector."""
-    return int(ensemble.predict(np.atleast_2d(x))[0])
 
 
 def train_rusboost(

@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -69,7 +70,7 @@ def _sha256(path: Path) -> str:
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, artifacts: list[Path]) -> None:
     manifest = {
         "command": command,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "artifacts": {
             str(p.relative_to(out_dir)): _sha256(p) for p in sorted(artifacts)
@@ -258,52 +259,11 @@ def _cmd_cv_classifier(args, cfg: RunConfig) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """--config plus one flag per RunConfig field; values are parsed, and
+    checked, by load_run_config like config file values."""
     parser.add_argument("--config", help="config file (key = value lines)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threshold-hu", type=float, default=None, dest="threshold_hu")
-    parser.add_argument("--order", choices=("first", "second"), default=None)
-    parser.add_argument("--trees", type=int, default=None)
-    parser.add_argument("--max-splits", type=int, default=None, dest="max_splits")
-    parser.add_argument("--min-leaf", type=int, default=None, dest="min_leaf")
-    parser.add_argument("--rus-ratio", type=float, default=None, dest="rus_ratio")
-    parser.add_argument("--em-restarts", type=int, default=None, dest="em_restarts")
-    parser.add_argument("--em-max-iter", type=int, default=None, dest="em_max_iter")
-    parser.add_argument("--em-tol", type=float, default=None, dest="em_tol")
-    parser.add_argument(
-        "--j-candidates", default=None, dest="j_candidates",
-        help="comma-separated component counts, e.g. 5,6",
-    )
-    parser.add_argument("--j-candidates-0", default=None, dest="j_candidates_0")
-    parser.add_argument("--j-candidates-1", default=None, dest="j_candidates_1")
-    parser.add_argument(
-        "--selection-criterion", choices=("mse", "mae"), default=None,
-        dest="selection_criterion",
-    )
-    parser.add_argument("--window-hu", type=float, default=None, dest="window_hu")
-    parser.add_argument("--fill-hu", type=float, default=None, dest="fill_hu")
-    parser.add_argument("--gmm-max-rows", type=int, default=None, dest="gmm_max_rows")
-    parser.add_argument(
-        "--classifier-cv-folds", type=int, default=None, dest="classifier_cv_folds"
-    )
-    parser.add_argument("--cv-folds", type=int, default=None, dest="cv_folds")
-
-
-def _collect_overrides(args) -> dict:
-    keys = (
-        "seed", "threshold_hu", "order", "trees", "max_splits", "min_leaf",
-        "rus_ratio", "em_restarts", "em_max_iter", "em_tol",
-        "selection_criterion", "window_hu", "fill_hu", "gmm_max_rows",
-        "classifier_cv_folds", "cv_folds",
-    )
-    overrides = {k: getattr(args, k, None) for k in keys}
-    for key in ("j_candidates", "j_candidates_0", "j_candidates_1"):
-        raw = getattr(args, key, None)
-        if raw is not None:
-            try:
-                overrides[key] = tuple(int(tok) for tok in raw.replace(",", " ").split())
-            except ValueError as exc:
-                raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
-    return overrides
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        cfg = load_run_config(args.config, _collect_overrides(args))
+        overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+        cfg = load_run_config(args.config, overrides)
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

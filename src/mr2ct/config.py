@@ -1,13 +1,14 @@
 """Flat key-value run configuration for the CLI.
 
-Config files hold one ``key = value`` pair per line; ``#`` starts a comment.
-Command-line flags override file values, which override the defaults.  The
-environment variable MR2CT_CONFIG names a default config file used when no
---config flag is given.
+The fields of RunConfig are the only list of run keys: each key ``a_b`` is
+the flag ``--a-b``, and file and flag values go through one parse chosen by
+the field's type.  Config files hold one ``key = value`` pair per line;
+``#`` starts a comment.  Command-line flags override file values, which
+override the defaults.  The environment variable MR2CT_CONFIG names a
+default config file used when no --config flag is given.
 """
 
-from __future__ import annotations
-
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -66,51 +67,29 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, raw: str, kind) -> object:
-    raw = raw.strip()
+def _parse_value(key: str, raw: str) -> object:
+    """Parse raw as the type of RunConfig field key: int, finite float, str,
+    or else an int list separated by commas or spaces."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    kind, raw = _FIELD_TYPES[key], raw.strip()
+    if kind is str:
+        return raw
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            return raw
-        if kind == "int_list":
-            return tuple(int(tok) for tok in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc
-    raise ConfigError(f"config key {key!r}: unknown kind {kind}")
-
-
-_KEY_KINDS = {
-    "threshold_hu": "float",
-    "order": "str",
-    "j_candidates": "int_list",
-    "j_candidates_0": "int_list",
-    "j_candidates_1": "int_list",
-    "trees": "int",
-    "max_splits": "int",
-    "min_leaf": "int",
-    "rus_ratio": "float",
-    "em_restarts": "int",
-    "em_max_iter": "int",
-    "em_tol": "float",
-    "selection_criterion": "str",
-    "window_hu": "float",
-    "fill_hu": "float",
-    "gmm_max_rows": "int",
-    "classifier_cv_folds": "int",
-    "cv_folds": "int",
-    "seed": "int",
-}
+        if kind in (int, float):
+            value = kind(raw)
+        else:
+            value = tuple(int(tok) for tok in raw.replace(",", " ").split())
+    except ValueError:
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
+        name = {int: "an int", float: "a finite float"}.get(kind, "a list of ints")
+        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {name}")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -121,18 +100,21 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        if key not in _KEY_KINDS:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw, _KEY_KINDS[key])
+        key, raw = (part.strip() for part in line.split("=", 1))
+        try:
+            values[key] = _parse_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}:{lineno}: {exc}") from None
     return values
 
 
 def load_run_config(
     config_path: str | Path | None = None, overrides: dict | None = None
 ) -> RunConfig:
-    """Defaults, then config file, then overrides; validates the result."""
+    """Defaults, then config file, then overrides; validates the result.
+
+    overrides maps config keys to unparsed strings (None = not given), which
+    go through the same parse as file values."""
     values: dict[str, object] = {}
     if config_path is None:
         env = os.environ.get(ENV_CONFIG)
@@ -142,12 +124,9 @@ def load_run_config(
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         values.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _KEY_KINDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = value
+    for key, raw in (overrides or {}).items():
+        if raw is not None:
+            values[key] = _parse_value(key, raw)
     cfg = RunConfig(**values)
     _validate(cfg)
     return cfg
@@ -156,6 +135,8 @@ def load_run_config(
 def _validate(cfg: RunConfig) -> None:
     if cfg.cv_folds < 2:
         raise ConfigError("cv_folds must be >= 2")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.window_hu <= 0:
         raise ConfigError("window_hu must be positive")
     for key in ("j_candidates", "j_candidates_0", "j_candidates_1"):

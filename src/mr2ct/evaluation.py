@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, FitError, Mr2ctError
 from .labeling import minority_label
 from .pipeline import PipelineConfig, predict_ct, train_pipeline
 from .seeding import derive_seed, rng_for
@@ -217,23 +217,20 @@ class PatientEvalRow:
     failed: bool = False
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class RegressionReport:
     rows: list[PatientEvalRow]
     mean_mae: float
     mean_bone_mae: float
-    signed_curve: ResidualCurve | None
-    absolute_curve: ResidualCurve | None
+    signed_curve: ResidualCurve
+    absolute_curve: ResidualCurve
     threshold_hu: float
     window_hu: float
 
     def to_dict(self) -> dict:
         return {
-            "per_patient": [r.to_dict() for r in self.rows],
+            "per_patient": [asdict(r) for r in self.rows],
             "mean_mae": self.mean_mae,
             "mean_bone_mae": self.mean_bone_mae,
             "threshold_hu": self.threshold_hu,
@@ -256,8 +253,10 @@ def loo_patient_eval(
     """Leave-one-out at patient level: train on the rest, score the held-out.
 
     Each row reports the whole-region MAE and the bone-region MAE (voxels
-    whose true CT exceeds the labeling threshold).  Folds whose training
-    fails are flagged and skipped rather than aborting the whole run.
+    whose true CT exceeds the labeling threshold).  A fold whose training
+    or prediction raises a package error (Mr2ctError) is flagged and skipped
+    rather than aborting the whole run; any other exception propagates, and
+    FitError is raised when no fold succeeds.
     Residual curves pool the voxels of every successfully evaluated patient.
 
     trainer/predictor default to the real pipeline; they are injectable so
@@ -274,7 +273,7 @@ def loo_patient_eval(
         try:
             model, _ = trainer(rest, config=config, seed=derive_seed(seed, i))
             result = predictor(model, held.mr_channels, held.mask)
-        except Exception as exc:  # noqa: BLE001 - per-fold failures are reported
+        except Mr2ctError as exc:
             rows.append(
                 PatientEvalRow(
                     patient_id=held.patient_id, mae=float("nan"),
@@ -302,21 +301,18 @@ def loo_patient_eval(
         pooled_pred.append(pred_vals)
 
     ok = [r for r in rows if not r.failed]
-    mean_mae = float(np.mean([r.mae for r in ok])) if ok else float("nan")
+    if not ok:
+        raise FitError("every leave-one-out fold failed: " + "; ".join(
+            f"{r.patient_id}: {r.error}" for r in rows))
     bone_rows = [r.bone_mae for r in ok if r.n_bone > 0]
-    mean_bone = float(np.mean(bone_rows)) if bone_rows else float("nan")
-    signed = absolute = None
-    if pooled_true:
-        mct = np.concatenate(pooled_true)
-        sct = np.concatenate(pooled_pred)
-        signed = smoothed_residuals(mct, sct, window=window, mode="signed")
-        absolute = smoothed_residuals(mct, sct, window=window, mode="absolute")
+    mct = np.concatenate(pooled_true)
+    sct = np.concatenate(pooled_pred)
     return RegressionReport(
         rows=rows,
-        mean_mae=mean_mae,
-        mean_bone_mae=mean_bone,
-        signed_curve=signed,
-        absolute_curve=absolute,
+        mean_mae=float(np.mean([r.mae for r in ok])),
+        mean_bone_mae=float(np.mean(bone_rows)) if bone_rows else float("nan"),
+        signed_curve=smoothed_residuals(mct, sct, window=window, mode="signed"),
+        absolute_curve=smoothed_residuals(mct, sct, window=window, mode="absolute"),
         threshold_hu=config.threshold_hu,
         window_hu=window,
     )
@@ -349,11 +345,10 @@ def write_regression_report(report: RegressionReport, out_dir: str | Path) -> li
              "residual_sct_minus_mct_hu", "prediction_error_mct_minus_sct_hu",
              "absolute_residual_hu"]
         )
-        if report.signed_curve is not None and report.absolute_curve is not None:
-            sc, ac = report.signed_curve, report.absolute_curve
-            for c, n, v, a in zip(sc.centers, sc.counts, sc.values, ac.values):
-                writer.writerow([repr(float(c)), int(n), repr(float(v)),
-                                 repr(float(-v)), repr(float(a))])
+        sc, ac = report.signed_curve, report.absolute_curve
+        for c, n, v, a in zip(sc.centers, sc.counts, sc.values, ac.values):
+            writer.writerow([repr(float(c)), int(n), repr(float(v)),
+                             repr(float(-v)), repr(float(a))])
     written.append(curves)
 
     summary = out_dir / "summary.json"

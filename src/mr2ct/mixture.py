@@ -17,7 +17,7 @@ components whose weight falls below _DROP_WEIGHT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -103,14 +103,6 @@ class MixtureModel:
         comp = rng.choice(self.n_components, size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
         return self.means[comp] + np.einsum("nab,nb->na", self.chols[comp], z)
-
-    def permuted(self, order: Sequence[int]) -> "MixtureModel":
-        order = list(order)
-        return MixtureModel(
-            weights=self.weights[order],
-            means=self.means[order],
-            covariances=self.covariances[order],
-        )
 
 
 def _log_gaussians(v: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
@@ -386,14 +378,8 @@ class SelectionReport:
     errors: list[str | None]
 
     def to_dict(self) -> dict:
-        return {
-            "candidates": self.candidates,
-            "scores": self.scores,
-            "criterion": self.criterion,
-            "chosen": self.chosen,
-            "fit_reports": [r.to_dict() if r else None for r in self.fit_reports],
-            "errors": self.errors,
-        }
+        fits = [r.to_dict() if r else None for r in self.fit_reports]
+        return {**asdict(self), "fit_reports": fits}
 
 
 def select_model(

@@ -14,7 +14,7 @@ classifier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
@@ -63,7 +63,7 @@ class PipelineConfig:
         if not np.isfinite(self.threshold_hu):
             raise ValueError("threshold must be finite")
         # The fill value lands in a float32 output volume, which must be finite.
-        if not abs(self.fill_hu) <= np.finfo(np.float32).max:
+        if not abs(self.fill_hu) <= float(np.finfo(np.float32).max):
             raise ValueError(f"fill_hu must be finite in float32, got {self.fill_hu!r}")
         neighbor_offsets(self.neighborhood_order)  # validates the order
         if len(self.j_candidates) != N_CLASSES or any(
@@ -75,34 +75,17 @@ class PipelineConfig:
         if self.gmm_max_rows < 0 or self.classifier_cv_folds < 0:
             raise ValueError("row caps and fold counts must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold_hu": self.threshold_hu,
-            "neighborhood_order": self.neighborhood_order,
-            "j_candidates": [list(c) for c in self.j_candidates],
-            "selection_criterion": self.selection_criterion,
-            "em": dict(self.em.__dict__),
-            "tree": dict(self.tree.__dict__),
-            "boost": dict(self.boost.__dict__),
-            "fill_hu": self.fill_hu,
-            "gmm_max_rows": self.gmm_max_rows,
-            "classifier_cv_folds": self.classifier_cv_folds,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(
-            threshold_hu=float(d["threshold_hu"]),
-            neighborhood_order=str(d["neighborhood_order"]),
-            j_candidates=tuple(tuple(int(j) for j in c) for c in d["j_candidates"]),
-            selection_criterion=str(d["selection_criterion"]),
-            em=EmConfig(**d["em"]),
-            tree=TreeConfig(**d["tree"]),
-            boost=BoostConfig(**d["boost"]),
-            fill_hu=float(d["fill_hu"]),
-            gmm_max_rows=int(d["gmm_max_rows"]),
-            classifier_cv_folds=int(d["classifier_cv_folds"]),
-        )
+        """Inverse of dataclasses.asdict; an unknown or missing key raises
+        TypeError or KeyError."""
+        return cls(**{
+            **d,
+            "j_candidates": tuple(tuple(c) for c in d["j_candidates"]),
+            "em": EmConfig(**d["em"]),
+            "tree": TreeConfig(**d["tree"]),
+            "boost": BoostConfig(**d["boost"]),
+        })
 
 
 @dataclass(frozen=True)
@@ -141,17 +124,7 @@ class TrainReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_patients": self.n_patients,
-            "n_rows": self.n_rows,
-            "label_counts": self.label_counts,
-            "minority_fraction": self.minority_fraction,
-            "validation_patient": self.validation_patient,
-            "selection": [s.to_dict() for s in self.selection],
-            "classifier_training_error": self.classifier_training_error,
-            "classifier_cv": self.classifier_cv,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "selection": [s.to_dict() for s in self.selection]}
 
 
 def _subsample(rows: np.ndarray, cap: int, seed: int) -> np.ndarray:
@@ -343,7 +316,7 @@ def model_to_dict(model: PipelineModel) -> dict:
         "kind": BUNDLE_KIND,
         "seed": model.seed,
         "selected_j": list(model.selected_j),
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "layout": model.layout.to_dict(),
         "classifier": model.classifier.to_dict(),
         "regressors": model.regressors.to_dict(),

@@ -121,9 +121,6 @@ class DecisionTree:
     def n_splits(self) -> int:
         return int(np.sum(self.feature >= 0))
 
-    def leaf_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.feature == LEAF)
-
     def leaf_index(self, x: np.ndarray) -> np.ndarray:
         """Leaf node id for every row of x, shape (n,).
 
@@ -182,11 +179,6 @@ class DecisionTree:
             n_features=int(d["n_features"]),
             n_labels=int(d["n_labels"]),
         )
-
-
-def tree_confidence(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
-    """Confidence vector over labels for a single feature vector."""
-    return tree.confidence_matrix(np.atleast_2d(x))[0]
 
 
 def _class_weight_matrix(labels: np.ndarray, weights: np.ndarray, n_labels: int) -> np.ndarray:

@@ -9,7 +9,6 @@ from mr2ct import (
     BoostingError,
     TreeConfig,
     init_mislabel,
-    predict_label,
     pseudo_loss,
     rus_resample,
     train_rusboost,
@@ -250,11 +249,11 @@ class TestPrediction:
 
     def test_unanimous_vote(self):
         ens = self.build([[0.0, 1.0], [0.0, 1.0]], [0.2, 0.3])
-        assert predict_label(ens, np.array([0.0])) == 1
+        assert ens.predict(np.array([[0.0]]))[0] == 1
 
     def test_exact_tie_goes_to_label_zero(self):
         ens = self.build([[1.0, 0.0], [0.0, 1.0]], [0.25, 0.25])
-        assert predict_label(ens, np.array([0.0])) == 0
+        assert ens.predict(np.array([[0.0]]))[0] == 0
 
     def test_vote_weight_rescaling_invariance(self):
         rng = np.random.default_rng(8)

@@ -184,9 +184,10 @@ class TestPredict:
         lambda text: text[: len(text) // 2],
         _edited(lambda b: b["layout"].update(order="second", offsets_zyx=[])),
         _edited(_drop_last_regressor_channel),
+        _edited(lambda b: b["config"].update(warp_speed=9)),
     ], ids=["no-classifier", "unknown-tree-key", "non-integer-seed", "classifier-not-object",
             "format-version-1", "truncated", "layout-not-classifier-width",
-            "regressor-dim-not-layout"])
+            "regressor-dim-not-layout", "unknown-config-key"])
     def test_malformed_bundle_exit_code(self, tmp_path, cohort_dir, model_dir, corrupt, capsys):
         text = (model_dir / "model.json").read_text()
         (tmp_path / "model.json").write_text(corrupt(text))
@@ -255,6 +256,17 @@ class TestEvaluate:
         assert lines[0].startswith("window_center_hu")
         assert len(lines) > 2
 
+    def test_every_fold_failing_exit_code(self, tmp_path, cohort_dir, capsys):
+        # No voxel reaches 100000 HU, so every fold lacks the bone class.
+        rc = main([
+            "evaluate", "--cohort", str(cohort_dir), "--out", str(tmp_path / "eval"),
+            "--threshold-hu", "100000", *FAST,
+        ])
+        assert rc == EXIT_FIT
+        err = capsys.readouterr().err
+        assert "every leave-one-out fold failed" in err
+        assert err.count("both tissue classes must be present") == 3
+
 
 class TestCvClassifier:
     def test_metrics_written(self, tmp_path, cohort_dir):
@@ -275,12 +287,28 @@ class TestConfigHandling:
         assert rc == EXIT_USAGE
         capsys.readouterr()
 
-    def test_invalid_config_value(self, tmp_path):
-        rc = main([
-            "phantom", "--out", str(tmp_path / "x"), "--order", "first",
-            "--trees", "0",
-        ])
-        assert rc == EXIT_CONFIG
+    @pytest.mark.parametrize("key, value", [
+        ("trees", "0"),
+        ("trees", "abc"),
+        ("order", "third"),
+        ("selection_criterion", "rmse"),
+        ("j_candidates", "a,b"),
+        ("rus_ratio", "nan"),
+        ("window_hu", "nan"),
+        ("em_tol", "nan"),
+        ("threshold_hu", "inf"),
+        ("fill_hu", "-inf"),
+        ("seed", "-1"),
+    ], ids=lambda v: v.replace("_", "-"))
+    def test_invalid_config_value(self, tmp_path, key, value, capsys):
+        """A bad value exits 3 alike from a flag and from a config file."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        flag = f"--{key.replace('_', '-')}={value}"
+        for source in ([flag], ["--config", str(cfg)]):
+            rc = main(["phantom", "--out", str(tmp_path / "x"), *source])
+            assert rc == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("config error:")
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"

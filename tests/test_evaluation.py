@@ -4,6 +4,7 @@ import pytest
 from mr2ct import (
     ClassificationMetrics,
     DataError,
+    FitError,
     kfold_cv,
     loo_patient_eval,
     prf,
@@ -256,7 +257,7 @@ class TestLooPatientEval:
         def trainer(rest, config, seed):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise RuntimeError("synthetic failure")
+                raise FitError("synthetic failure")
             from mr2ct.pipeline import train_pipeline
 
             return train_pipeline(rest, config=config, seed=seed)
@@ -265,3 +266,19 @@ class TestLooPatientEval:
         assert sum(r.failed for r in report.rows) == 1
         assert report.rows[0].error == "synthetic failure"
         assert np.isfinite(report.mean_mae)
+
+    def test_bug_in_trainer_propagates(self, small_datasets):
+        def trainer(rest, config, seed):
+            raise TypeError("synthetic bug")
+
+        with pytest.raises(TypeError, match="synthetic bug"):
+            loo_patient_eval(small_datasets, fast_config(), seed=0, trainer=trainer)
+
+    def test_every_fold_failing_raises(self, small_datasets):
+        def trainer(rest, config, seed):
+            raise FitError(f"no fit for {len(rest)}")
+
+        with pytest.raises(FitError, match="every leave-one-out fold failed") as info:
+            loo_patient_eval(small_datasets, fast_config(), seed=0, trainer=trainer)
+        for p in small_datasets:
+            assert f"{p.patient_id}: no fit for" in str(info.value)

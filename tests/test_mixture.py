@@ -115,7 +115,12 @@ class TestConditionalExpectation:
     def test_component_permutation_invariance(self):
         rng = np.random.default_rng(9)
         model = random_mixture(3, 3, rng)
-        permuted = model.permuted([2, 0, 1])
+        order = [2, 0, 1]
+        permuted = MixtureModel(
+            weights=model.weights[order],
+            means=model.means[order],
+            covariances=model.covariances[order],
+        )
         x = rng.normal(size=(20, 2))
         y_a, _ = conditional_expectation_many(model, x)
         y_b, _ = conditional_expectation_many(permuted, x)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ class TestConfig:
 
     def test_roundtrip(self):
         cfg = fast_config()
-        back = PipelineConfig.from_dict(cfg.to_dict())
+        back = PipelineConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
         assert back == cfg
 
     def test_validation(self):
@@ -41,6 +42,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(selection_criterion="rmse")
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1e39])
     def test_fill_must_be_finite_in_float32(self, fill):
         with pytest.raises(ValueError, match="fill_hu"):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mr2ct import DataError, TreeConfig, gini, train_tree, tree_confidence
+from mr2ct import DataError, TreeConfig, gini, train_tree
 from mr2ct.errors import ModelError
 from mr2ct.tree import LEAF, DecisionTree
 
@@ -43,8 +43,8 @@ class TestTrainTree:
                           config=TreeConfig(min_leaf=1))
         assert tree.n_splits == 1
         assert tree.threshold[0] == 0.5
-        np.testing.assert_array_equal(tree_confidence(tree, [0.9]), [0.0, 1.0])
-        np.testing.assert_array_equal(tree_confidence(tree, [0.1]), [1.0, 0.0])
+        np.testing.assert_array_equal(tree.confidence_matrix(np.atleast_2d([0.9]))[0], [0.0, 1.0])
+        np.testing.assert_array_equal(tree.confidence_matrix(np.atleast_2d([0.1]))[0], [1.0, 0.0])
 
     def test_pure_input_single_leaf(self):
         tree = train_tree(np.random.default_rng(0).normal(size=(30, 3)),
@@ -63,7 +63,7 @@ class TestTrainTree:
         x = np.zeros((4, 1))
         labels = np.array([0, 0, 0, 1])
         tree = train_tree(x, labels)
-        np.testing.assert_allclose(tree_confidence(tree, [123.0]), [0.75, 0.25])
+        np.testing.assert_allclose(tree.confidence_matrix(np.atleast_2d([123.0]))[0], [0.75, 0.25])
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(1)
@@ -71,7 +71,7 @@ class TestTrainTree:
         labels = (x[:, 0] + 0.3 * rng.normal(size=200) > 0).astype(int)
         tree = train_tree(x, labels, config=TreeConfig(max_splits=100, min_leaf=5))
         leaf_of = tree.leaf_index(x)
-        for leaf in tree.leaf_ids():
+        for leaf in np.flatnonzero(tree.feature == LEAF):
             assert np.sum(leaf_of == leaf) >= 5
 
     def test_max_splits_budget(self):
@@ -234,7 +234,7 @@ class TestRouting:
         tree = train_tree(np.array([[0.0], [1.0]]), np.array([0, 1]),
                           config=TreeConfig(min_leaf=1))
         with pytest.raises(ModelError):
-            tree_confidence(tree, [0.0, 1.0])
+            tree.confidence_matrix(np.atleast_2d([0.0, 1.0]))
 
     def test_matches_predicate_replay(self):
         rng = np.random.default_rng(8)
