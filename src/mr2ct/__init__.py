@@ -48,7 +48,6 @@ from .labeling import label_tissue, label_tissue_many
 from .mixture import (
     EmConfig,
     MixtureModel,
-    TissueGMM,
     conditional_expectation,
     conditional_expectation_many,
     em_fit,

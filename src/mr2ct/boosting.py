@@ -16,7 +16,7 @@ log(1/alpha) stays finite.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .labeling import minority_label
 from .seeding import derive_seed
 from .tree import DecisionTree, TreeConfig, train_tree
 
-FORMAT_VERSION = 2
 _RETRY_BUDGET = 3
 _EPS_MIN = 1e-10
 
@@ -108,7 +107,7 @@ def rus_resample(
     random until the ratio is met (never below it).
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if target_ratio <= 0:
+    if not target_ratio > 0:
         raise BoostingError(f"target_ratio must be > 0, got {target_ratio!r}")
     if np.unique(labels).size < 2:
         raise BoostingError("undersampling needs at least two classes present")
@@ -145,15 +144,13 @@ class BoostConfig:
     def __post_init__(self):
         if self.n_learners < 1:
             raise ValueError("n_learners must be >= 1")
-        if self.target_ratio <= 0:
+        if not self.target_ratio > 0:
             raise ValueError("target_ratio must be > 0")
 
 
 @dataclass(frozen=True)
 class Learner:
     tree: DecisionTree
-    eps: float
-    eps_raw: float
     alpha: float
 
 
@@ -176,14 +173,16 @@ class BoostedEnsemble:
     learners: tuple[Learner, ...]
     n_labels: int
     n_features: int
-    boost_config: BoostConfig
-    tree_config: TreeConfig
-    rounds: tuple[BoostRound, ...] = ()
-    layout: dict | None = None
+    rounds: tuple[BoostRound, ...] = ()  # training diagnostics; bundles omit them
 
     def __post_init__(self):
         if not self.learners:
             raise BoostingError("an ensemble needs at least one retained learner")
+        # alpha > 1 would invert a learner's vote, and NaN erases every vote.
+        if not all(0.0 < lr.alpha <= 1.0 for lr in self.learners):
+            raise ModelError("learner alphas must lie in (0, 1]")
+        if any(lr.tree.n_labels != self.n_labels for lr in self.learners):
+            raise ModelError(f"every tree must vote over the ensemble's {self.n_labels} labels")
 
     @property
     def n_learners(self) -> int:
@@ -214,49 +213,20 @@ class BoostedEnsemble:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": FORMAT_VERSION,
             "n_labels": self.n_labels,
             "n_features": self.n_features,
-            "boost_config": asdict(self.boost_config),
-            "tree_config": asdict(self.tree_config),
-            "layout": self.layout,
-            "rounds": [asdict(r) for r in self.rounds],
             "learners": [
-                {
-                    "eps": lr.eps,
-                    "eps_raw": lr.eps_raw,
-                    "alpha": lr.alpha,
-                    "tree": lr.tree.to_dict(),
-                }
-                for lr in self.learners
+                {"alpha": lr.alpha, "tree": lr.tree.to_dict()} for lr in self.learners
             ],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostedEnsemble":
-        if int(d.get("format_version", -1)) != FORMAT_VERSION:
-            raise ModelError(
-                f"unsupported ensemble format version {d.get('format_version')!r}"
-            )
         learners = tuple(
-            Learner(
-                tree=DecisionTree.from_dict(entry["tree"]),
-                eps=float(entry["eps"]),
-                eps_raw=float(entry["eps_raw"]),
-                alpha=float(entry["alpha"]),
-            )
+            Learner(tree=DecisionTree.from_dict(entry["tree"]), alpha=float(entry["alpha"]))
             for entry in d["learners"]
         )
-        rounds = tuple(BoostRound(**r) for r in d.get("rounds", []))
-        return cls(
-            learners=learners,
-            n_labels=int(d["n_labels"]),
-            n_features=int(d["n_features"]),
-            boost_config=BoostConfig(**d["boost_config"]),
-            tree_config=TreeConfig(**d["tree_config"]),
-            rounds=rounds,
-            layout=d.get("layout"),
-        )
+        return cls(learners=learners, n_labels=int(d["n_labels"]), n_features=int(d["n_features"]))
 
 
 def train_rusboost(
@@ -266,7 +236,6 @@ def train_rusboost(
     boost_config: BoostConfig = BoostConfig(),
     seed: int = 0,
     n_labels: int | None = None,
-    layout: dict | None = None,
 ) -> BoostedEnsemble:
     """Run the full boosting loop and return the retained learners."""
     # Column-major once, so scoring each round's tree on x copies nothing.
@@ -322,7 +291,7 @@ def train_rusboost(
         eps = max(eps, _EPS_MIN)
         alpha = eps / (1.0 - eps)
         mislabel, underflow = update_mislabel(mislabel, conf, labels, alpha)
-        learners.append(Learner(tree=tree, eps=eps, eps_raw=eps_raw, alpha=alpha))
+        learners.append(Learner(tree=tree, alpha=alpha))
         rounds.append(
             BoostRound(
                 index=j, eps=eps, eps_raw=eps_raw, alpha=alpha,
@@ -336,8 +305,5 @@ def train_rusboost(
         learners=tuple(learners),
         n_labels=n_labels,
         n_features=x.shape[1],
-        boost_config=boost_config,
-        tree_config=tree_config,
         rounds=tuple(rounds),
-        layout=layout,
     )

@@ -138,14 +138,7 @@ def _cmd_phantom(args, cfg: RunConfig) -> int:
                 "minority_fraction": args.minority_fraction,
                 "noise_scale": args.noise_scale,
                 "seed": cfg.seed,
-                "class_models": [
-                    {
-                        "weights": m.weights.tolist(),
-                        "means": m.means.tolist(),
-                        "covariances": m.covariances.tolist(),
-                    }
-                    for m in spec.class_models
-                ],
+                "class_models": [m.to_dict() for m in spec.class_models],
             },
             sort_keys=True,
         ),

@@ -73,16 +73,12 @@ class FeatureLayout:
         return neighbor_offsets(self.order)
 
     @property
-    def n_raw(self) -> int:
-        return self.n_channels
-
-    @property
     def n_neighbor(self) -> int:
         return self.n_channels * len(self.offsets)
 
     @property
     def n_combined(self) -> int:
-        return self.n_raw + self.n_neighbor
+        return self.n_channels + self.n_neighbor
 
     def raw_names(self) -> list[str]:
         return [f"x{c}" for c in range(self.n_channels)]
@@ -93,21 +89,6 @@ class FeatureLayout:
             for c in range(self.n_channels)
             for k in range(len(self.offsets))
         ]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_channels": self.n_channels,
-            "order": self.order,
-            "offsets_zyx": [list(o) for o in self.offsets],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureLayout":
-        layout = cls(n_channels=int(d["n_channels"]), order=str(d["order"]))
-        stored = [tuple(o) for o in d.get("offsets_zyx", [])]
-        if stored and stored != list(layout.offsets):
-            raise DataError("stored offset table does not match the layout order")
-        return layout
 
 
 @dataclass(frozen=True)
@@ -142,12 +123,12 @@ class SampleTable:
     @property
     def x(self) -> np.ndarray:
         """(n, d) raw intensities, a view of features."""
-        return self.features[:, : self.layout.n_raw]
+        return self.features[:, : self.layout.n_channels]
 
     @property
     def xs(self) -> np.ndarray:
         """(n, d * n_offsets) neighbor intensities, a view of features."""
-        return self.features[:, self.layout.n_raw :]
+        return self.features[:, self.layout.n_channels :]
 
     def column_names(self) -> list[str]:
         return (

@@ -35,9 +35,10 @@ _DROP_WEIGHT = 1e-8
 class MixtureModel:
     """One tissue class's mixture: weights (J,), means (J, dim), covariances (J, dim, dim).
 
-    Weights are non-negative and sum to one; covariances are symmetric and
-    positive definite (checked at construction, which keeps their lower
-    Cholesky factors in chols).
+    Weights are non-negative and sum to one within 1e-9; they are kept as
+    given, so MixtureModel(**m.to_dict()) holds m's exact bits.  Covariances
+    are symmetric and positive definite (checked at construction, which keeps
+    their lower Cholesky factors in chols).
     """
 
     weights: np.ndarray
@@ -64,7 +65,6 @@ class MixtureModel:
         total = w.sum()
         if not np.isclose(total, 1.0, rtol=0, atol=1e-9):
             raise ModelError(f"mixture weights must sum to 1, got {total!r}")
-        w = w / total
         if not np.allclose(cov, np.swapaxes(cov, 1, 2), rtol=0, atol=1e-8):
             raise ModelError("covariances must be symmetric")
         cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
@@ -86,6 +86,14 @@ class MixtureModel:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+    def to_dict(self) -> dict:
+        """Nested lists; MixtureModel(**d) rebuilds the same arrays."""
+        return {
+            "weights": self.weights.tolist(),
+            "means": self.means.tolist(),
+            "covariances": self.covariances.tolist(),
+        }
 
     def mean(self) -> np.ndarray:
         """Mixture mean sum_j pi_j mu_j."""
@@ -191,7 +199,7 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iter < 1 or self.n_restarts < 1:
             raise ValueError("max_iter and n_restarts must be >= 1")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
 
 
@@ -440,63 +448,3 @@ def select_model(
         errors=errors,
     )
     return models[best], candidates[best], report
-
-
-@dataclass(frozen=True)
-class TissueGMM:
-    """Per-class mixtures, indexed by tissue label."""
-
-    models: tuple[MixtureModel, ...]
-
-    def __post_init__(self):
-        models = tuple(self.models)
-        if not models:
-            raise ModelError("need at least one class model")
-        dim = models[0].dim
-        if any(m.dim != dim for m in models):
-            raise ModelError("all class models must share the same dimension")
-        object.__setattr__(self, "models", models)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.models)
-
-    @property
-    def dim(self) -> int:
-        return self.models[0].dim
-
-    def __getitem__(self, label: int) -> MixtureModel:
-        return self.models[label]
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_classes": self.n_classes,
-            "classes": [
-                {
-                    "n_components": m.n_components,
-                    "weights": m.weights.tolist(),
-                    "means": m.means.tolist(),
-                    "covariances_row_major": m.covariances.reshape(
-                        m.n_components, -1
-                    ).tolist(),
-                }
-                for m in self.models
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TissueGMM":
-        dim = int(d["dim"])
-        models = []
-        for entry in d["classes"]:
-            j = int(entry["n_components"])
-            cov = np.asarray(entry["covariances_row_major"], dtype=np.float64)
-            models.append(
-                MixtureModel(
-                    weights=np.asarray(entry["weights"], dtype=np.float64),
-                    means=np.asarray(entry["means"], dtype=np.float64),
-                    covariances=cov.reshape(j, dim, dim),
-                )
-            )
-        return cls(models=tuple(models))

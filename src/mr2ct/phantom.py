@@ -14,12 +14,13 @@ trained pipeline can reach on the same data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import DataError
-from .mixture import MixtureModel, TissueGMM, conditional_expectation_many
+from .mixture import MixtureModel, conditional_expectation_many
 from .seeding import derive_seed
 from .volume import PatientDataset, Volume, volume_like
 
@@ -109,20 +110,19 @@ def generate_phantom(
 
 
 def oracle_predict_ct(
-    class_models: tuple[MixtureModel, ...] | TissueGMM,
+    class_models: Sequence[MixtureModel],
     true_labels: Volume,
     mr_channels: tuple[Volume, ...],
     mask: Volume,
     fill_value: float = -1000.0,
 ) -> Volume:
     """CT estimate from the true labels and true per-class conditionals."""
-    models = class_models.models if isinstance(class_models, TissueGMM) else class_models
     out = np.full(mask.n_voxels, fill_value, dtype=np.float64)
     idx = np.flatnonzero(mask.data == 1.0)
     if idx.size:
         x = np.column_stack([vol.data[idx].astype(np.float64) for vol in mr_channels])
         labels = true_labels.data[idx].astype(np.int64)
-        for k, model in enumerate(models):
+        for k, model in enumerate(class_models):
             rows = np.flatnonzero(labels == k)
             if rows.size:
                 y_hat, _ = conditional_expectation_many(model, x[rows])

@@ -21,14 +21,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boosting import BoostConfig, BoostedEnsemble, train_rusboost
+from .boosting import BoostConfig, BoostedEnsemble, BoostRound, train_rusboost
 from .errors import DataError, FeatureLayoutError, ModelError
 from .features import FeatureLayout, assemble, extract_feature_matrix, neighbor_offsets
 from .labeling import DEFAULT_THRESHOLD_HU, N_CLASSES
 from .mixture import (
     EmConfig,
+    MixtureModel,
     SelectionReport,
-    TissueGMM,
     conditional_expectation_many,
     select_model,
 )
@@ -36,7 +36,7 @@ from .seeding import derive_seed, rng_for
 from .tree import TreeConfig
 from .volume import PatientDataset, Volume, volume_like
 
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
 BUNDLE_KIND = "mr2ct-model-bundle"
 
 _SALT_VAL_PATIENT = 101
@@ -91,7 +91,7 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class PipelineModel:
     classifier: BoostedEnsemble
-    regressors: TissueGMM
+    regressors: tuple[MixtureModel, ...]  # indexed by tissue label
     config: PipelineConfig
     layout: FeatureLayout
     seed: int
@@ -104,10 +104,16 @@ class PipelineModel:
                 f"layout yields {self.layout.n_combined} features, "
                 f"classifier expects {self.classifier.n_features}"
             )
-        if self.regressors.dim != self.layout.n_raw + 1:
+        if self.classifier.n_labels != N_CLASSES or len(self.regressors) != N_CLASSES:
             raise ModelError(
-                f"regressors have dim {self.regressors.dim}, layout needs "
-                f"{self.layout.n_raw + 1} (CT plus {self.layout.n_raw} channels)"
+                f"need {N_CLASSES} tissue classes, classifier has "
+                f"{self.classifier.n_labels} and there are {len(self.regressors)} regressors"
+            )
+        dims = [reg.dim for reg in self.regressors]
+        if dims != [self.layout.n_channels + 1] * N_CLASSES:
+            raise ModelError(
+                f"regressors have dims {dims}, layout needs "
+                f"{self.layout.n_channels + 1} (CT plus {self.layout.n_channels} channels)"
             )
 
 
@@ -121,6 +127,7 @@ class TrainReport:
     selection: list[SelectionReport]
     classifier_training_error: float
     classifier_cv: dict | None
+    boost_rounds: tuple[BoostRound, ...]
     seed: int
 
     def to_dict(self) -> dict:
@@ -215,7 +222,6 @@ def train_pipeline(
         boost_config=config.boost,
         seed=derive_seed(seed, _SALT_BOOST),
         n_labels=N_CLASSES,
-        layout=layout.to_dict(),
     )
     train_err = float(np.mean(ensemble.predict(table.features) != table.t))
 
@@ -234,7 +240,7 @@ def train_pipeline(
 
     model = PipelineModel(
         classifier=ensemble,
-        regressors=TissueGMM(models=tuple(regressors)),
+        regressors=tuple(regressors),
         config=config,
         layout=layout,
         seed=seed,
@@ -249,6 +255,7 @@ def train_pipeline(
         selection=selection_reports,
         classifier_training_error=train_err,
         classifier_cv=cv_summary,
+        boost_rounds=ensemble.rounds,
         seed=seed,
     )
     return model, report
@@ -317,15 +324,16 @@ def model_to_dict(model: PipelineModel) -> dict:
         "seed": model.seed,
         "selected_j": list(model.selected_j),
         "config": asdict(model.config),
-        "layout": model.layout.to_dict(),
+        "layout": asdict(model.layout),
         "classifier": model.classifier.to_dict(),
-        "regressors": model.regressors.to_dict(),
+        "regressors": [m.to_dict() for m in model.regressors],
     }
 
 
 def model_from_dict(d: dict) -> PipelineModel:
     """Rebuild a model from its bundle dict; a missing key, a value of the
-    wrong type or shape, or an unknown config key raises ModelError."""
+    wrong type or shape, or an unknown config, layout or regressor key
+    raises ModelError."""
     try:
         version = int(d.get("format_version", -1))
         if d.get("kind") != BUNDLE_KIND or version != BUNDLE_FORMAT_VERSION:
@@ -335,13 +343,13 @@ def model_from_dict(d: dict) -> PipelineModel:
             )
         return PipelineModel(
             classifier=BoostedEnsemble.from_dict(d["classifier"]),
-            regressors=TissueGMM.from_dict(d["regressors"]),
+            regressors=tuple(MixtureModel(**entry) for entry in d["regressors"]),
             config=PipelineConfig.from_dict(d["config"]),
-            layout=FeatureLayout.from_dict(d["layout"]),
+            layout=FeatureLayout(**d["layout"]),
             seed=int(d["seed"]),
             selected_j=tuple(int(j) for j in d["selected_j"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, DataError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model bundle: {type(exc).__name__}: {exc}") from exc
 
 

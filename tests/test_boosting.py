@@ -211,9 +211,12 @@ class TestTrainRusboost:
         labels = rng.integers(0, 2, size=200)  # pure noise
         ens = train_rusboost(x, labels, TreeConfig(max_splits=3, min_leaf=5),
                              BoostConfig(n_learners=15), seed=3)
-        for lr in ens.learners:
-            assert 0.0 < lr.eps < 0.5
+        kept = [r for r in ens.rounds if not r.skipped]
+        assert len(kept) == ens.n_learners
+        for r, lr in zip(kept, ens.learners):
+            assert 0.0 < r.eps < 0.5
             assert 0.0 < lr.alpha < 1.0
+            assert r.alpha == lr.alpha
         assert len(ens.rounds) == 15
 
     def test_both_classes_required(self):
@@ -238,14 +241,9 @@ class TestTrainRusboost:
 class TestPrediction:
     def build(self, confidences, alphas):
         learners = tuple(
-            Learner(tree=leaf_tree(c), eps=a / (1 + a), eps_raw=2 * a / (1 + a), alpha=a)
-            for c, a in zip(confidences, alphas)
+            Learner(tree=leaf_tree(c), alpha=a) for c, a in zip(confidences, alphas)
         )
-        return BoostedEnsemble(
-            learners=learners, n_labels=2, n_features=1,
-            boost_config=BoostConfig(n_learners=len(learners)),
-            tree_config=TreeConfig(),
-        )
+        return BoostedEnsemble(learners=learners, n_labels=2, n_features=1)
 
     def test_unanimous_vote(self):
         ens = self.build([[0.0, 1.0], [0.0, 1.0]], [0.2, 0.3])
@@ -262,13 +260,8 @@ class TestPrediction:
                              BoostConfig(n_learners=8), seed=4)
         scale = 3.7  # alpha -> alpha**scale multiplies every vote weight by scale
         scaled = BoostedEnsemble(
-            learners=tuple(
-                Learner(tree=lr.tree, eps=lr.eps, eps_raw=lr.eps_raw,
-                        alpha=lr.alpha**scale)
-                for lr in ens.learners
-            ),
+            learners=tuple(Learner(tree=lr.tree, alpha=lr.alpha**scale) for lr in ens.learners),
             n_labels=2, n_features=2,
-            boost_config=ens.boost_config, tree_config=ens.tree_config,
         )
         probes = rng.normal(size=(100, 2), scale=2.0)
         np.testing.assert_array_equal(ens.predict(probes), scaled.predict(probes))
@@ -284,24 +277,11 @@ class TestSerialization:
     def test_roundtrip(self):
         x, labels = imbalanced_gaussians(220, 0.2, seed=10)
         ens = train_rusboost(x, labels, TreeConfig(max_splits=6, min_leaf=2),
-                             BoostConfig(n_learners=6), seed=5,
-                             layout={"n_channels": 2, "order": "first"})
+                             BoostConfig(n_learners=6), seed=5)
         back = BoostedEnsemble.from_dict(json.loads(json.dumps(ens.to_dict(), sort_keys=True)))
         assert back.n_learners == ens.n_learners
-        assert back.layout == ens.layout
+        assert back.rounds == ()  # training diagnostics are not serialized
         for a, b in zip(ens.learners, back.learners):
             assert a.alpha == b.alpha
-            assert a.eps == b.eps
         probes = np.random.default_rng(11).normal(size=(60, 2))
         np.testing.assert_array_equal(ens.predict(probes), back.predict(probes))
-
-    def test_version_checked(self):
-        x, labels = imbalanced_gaussians(100, 0.3, seed=12)
-        ens = train_rusboost(x, labels, TreeConfig(max_splits=3, min_leaf=1),
-                             BoostConfig(n_learners=2), seed=6)
-        d = ens.to_dict()
-        d["format_version"] = 99
-        from mr2ct.errors import ModelError
-
-        with pytest.raises(ModelError):
-            BoostedEnsemble.from_dict(d)

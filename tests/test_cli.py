@@ -29,15 +29,28 @@ FAST = [
 
 def _drop_last_regressor_channel(bundle):
     """Regressors one dimension short of the layout, still valid mixtures."""
-    regs = bundle["regressors"]
-    dim = regs["dim"]
-    for entry in regs["classes"]:
+    for entry in bundle["regressors"]:
         entry["means"] = [m[:-1] for m in entry["means"]]
-        entry["covariances_row_major"] = [
-            np.asarray(c).reshape(dim, dim)[:-1, :-1].ravel().tolist()
-            for c in entry["covariances_row_major"]
-        ]
-    regs["dim"] = dim - 1
+        entry["covariances"] = [[row[:-1] for row in c[:-1]] for c in entry["covariances"]]
+
+
+def _set_alphas(value):
+    def edit(bundle):
+        for learner in bundle["classifier"]["learners"]:
+            learner["alpha"] = value
+    return edit
+
+
+def _add_label(trees):
+    """A third label with zero confidence everywhere, on the given trees."""
+    for tree in trees:
+        tree["n_labels"] = 3
+        tree["confidence"] = [row + [0.0] for row in tree["confidence"]]
+
+
+def _three_label_classifier(bundle):
+    bundle["classifier"]["n_labels"] = 3
+    _add_label(lr["tree"] for lr in bundle["classifier"]["learners"])
 
 
 def _edited(edit):
@@ -181,13 +194,22 @@ class TestPredict:
         _edited(lambda b: b.update(seed="seven")),
         _edited(lambda b: b.update(classifier=[])),
         _edited(lambda b: b.update(format_version=1)),
+        _edited(lambda b: b.update(format_version=2)),
         lambda text: text[: len(text) // 2],
-        _edited(lambda b: b["layout"].update(order="second", offsets_zyx=[])),
+        _edited(lambda b: b["layout"].update(order="second")),
         _edited(_drop_last_regressor_channel),
         _edited(lambda b: b["config"].update(warp_speed=9)),
+        _edited(_set_alphas(2.0)),
+        _edited(_set_alphas(float("nan"))),
+        _edited(lambda b: b["regressors"].pop()),
+        _edited(_three_label_classifier),
+        _edited(lambda b: _add_label([b["classifier"]["learners"][0]["tree"]])),
+        _edited(lambda b: b["layout"].update(n_channels=0)),
     ], ids=["no-classifier", "unknown-tree-key", "non-integer-seed", "classifier-not-object",
-            "format-version-1", "truncated", "layout-not-classifier-width",
-            "regressor-dim-not-layout", "unknown-config-key"])
+            "format-version-1", "format-version-2", "truncated",
+            "layout-not-classifier-width", "regressor-dim-not-layout", "unknown-config-key",
+            "alpha-above-one", "alpha-nan", "one-regressor-class", "three-label-classifier",
+            "tree-labels-not-ensemble", "layout-no-channels"])
     def test_malformed_bundle_exit_code(self, tmp_path, cohort_dir, model_dir, corrupt, capsys):
         text = (model_dir / "model.json").read_text()
         (tmp_path / "model.json").write_text(corrupt(text))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mr2ct import BoostConfig, BoostingError, EmConfig, rus_resample
 from mr2ct.cli import _add_config_flags, build_parser
 from mr2ct.config import RunConfig, load_run_config
 
@@ -85,3 +86,14 @@ def test_flag_round_trip(cfg, cfg_path):
     args = build_parser().parse_args(["train", "--cohort", "c", "--out", "o", *flags])
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     assert load_run_config(cfg_path, overrides) == cfg
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BoostConfig(n_learners=1, target_ratio=float("nan")),
+    lambda: EmConfig(rel_tol=float("nan")),
+    lambda: rus_resample(np.array([0, 1, 0, 1]), np.ones(4), float("nan"), seed=0),
+], ids=["boost-target-ratio", "em-rel-tol", "rus-resample-target-ratio"])
+def test_library_rejects_nan(build):
+    """Library callers get the NaN checks the CLI parse makes."""
+    with pytest.raises((ValueError, BoostingError), match="> 0"):
+        build()

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,7 +249,7 @@ class TestCsvExport:
 class TestLayout:
     def test_roundtrip(self):
         layout = FeatureLayout(n_channels=4, order="second")
-        back = FeatureLayout.from_dict(layout.to_dict())
+        back = FeatureLayout(**asdict(layout))
         assert back == layout
         assert back.n_combined == 4 + 4 * 26
 

@@ -11,7 +11,6 @@ from mr2ct import (
     MixtureModel,
     ModelError,
     SelectionError,
-    TissueGMM,
     conditional_expectation,
     conditional_expectation_many,
     em_fit,
@@ -281,16 +280,12 @@ class TestSelectModel:
 
 class TestSerialization:
     def test_roundtrip_lossless(self):
+        # Many mixtures, because re-normalizing weights on load would change
+        # the last bit of some of them.
         rng = np.random.default_rng(19)
-        gmm = TissueGMM(models=(random_mixture(2, 3, rng), random_mixture(3, 3, rng)))
-        back = TissueGMM.from_dict(json.loads(json.dumps(gmm.to_dict(), sort_keys=True)))
-        assert back.n_classes == 2
-        for a, b in zip(gmm.models, back.models):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.means, b.means)
-            assert np.array_equal(a.covariances, b.covariances)
-
-    def test_dimension_consistency_enforced(self):
-        rng = np.random.default_rng(20)
-        with pytest.raises(ModelError, match="dimension"):
-            TissueGMM(models=(random_mixture(2, 3, rng), random_mixture(2, 4, rng)))
+        for _ in range(50):
+            model = random_mixture(int(rng.integers(1, 5)), 3, rng)
+            back = MixtureModel(**json.loads(json.dumps(model.to_dict())))
+            assert np.array_equal(model.weights, back.weights)
+            assert np.array_equal(model.means, back.means)
+            assert np.array_equal(model.covariances, back.covariances)

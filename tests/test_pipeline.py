@@ -1,16 +1,18 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mr2ct.pipeline as pipeline_module
 from mr2ct import (
     DataError,
     FeatureLayoutError,
     MixtureModel,
+    ModelError,
     PipelineConfig,
-    TissueGMM,
     Volume,
     generate_phantom,
     load_model,
@@ -18,11 +20,14 @@ from mr2ct import (
     save_model,
     train_pipeline,
 )
-from mr2ct.boosting import BoostedEnsemble
+from mr2ct.boosting import BoostedEnsemble, Learner
+from mr2ct.features import FeatureLayout
 from mr2ct.mixture import conditional_expectation_many
 from mr2ct.pipeline import PipelineModel, model_from_dict, model_to_dict
+from mr2ct.tree import TreeConfig, train_tree
 
 from conftest import fast_config
+from util import random_mixture
 
 
 class TestConfig:
@@ -161,7 +166,7 @@ class TestPredict:
         """Swapping the class-0 regressor never moves voxels predicted class 1."""
         held = small_datasets[2]
         result = predict_ct(trained, held.mr_channels, held.mask)
-        dim = trained.regressors.dim
+        dim = trained.regressors[0].dim
         other = MixtureModel(
             weights=[1.0],
             means=np.full((1, dim), 77.0),
@@ -169,7 +174,7 @@ class TestPredict:
         )
         patched = PipelineModel(
             classifier=trained.classifier,
-            regressors=TissueGMM(models=(other, trained.regressors[1])),
+            regressors=(other, trained.regressors[1]),
             config=trained.config,
             layout=trained.layout,
             seed=trained.seed,
@@ -187,12 +192,12 @@ class TestPredict:
                                                    small_datasets):
         """A model carrying the generator's true mixtures predicts exactly the
         oracle value at every voxel whose predicted label matches the truth."""
-        from mr2ct import TissueGMM, oracle_predict_ct
+        from mr2ct import oracle_predict_ct
 
         base, _ = train_pipeline(small_datasets[:2], fast_config(), seed=0)
         truth_model = PipelineModel(
             classifier=base.classifier,
-            regressors=TissueGMM(models=small_spec.class_models),
+            regressors=small_spec.class_models,
             config=base.config,
             layout=base.layout,
             seed=base.seed,
@@ -265,6 +270,11 @@ class TestBundle:
         np.testing.assert_array_equal(a.labels.data, b.labels.data)
         assert back.selected_j == model.selected_j
 
+    def test_regressor_dims_must_match_layout(self, trained):
+        short = random_mixture(1, trained.layout.n_channels, np.random.default_rng(0))
+        with pytest.raises(ModelError, match="layout needs"):
+            replace(trained, regressors=(short, trained.regressors[1]))
+
     def test_kind_checked(self, small_datasets):
         model, _ = train_pipeline(small_datasets[:2], fast_config(), seed=0)
         d = model_to_dict(model)
@@ -273,3 +283,60 @@ class TestBundle:
 
         with pytest.raises(ModelError):
             model_from_dict(d)
+
+
+def _bundle_text(model):
+    return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_channels=st.integers(1, 3),
+    order=st.sampled_from(["first", "second"]),
+    n_trees=st.integers(1, 3),
+    components=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+def test_bundle_roundtrip_property(seed, n_channels, order, n_trees, components):
+    """Any valid model survives its bundle: same bytes, same arrays, same
+    predictions."""
+    rng = np.random.default_rng(seed)
+    layout = FeatureLayout(n_channels=n_channels, order=order)
+    learners = []
+    for _ in range(n_trees):
+        x = rng.normal(size=(40, layout.n_combined))
+        labels = np.arange(40) % 2
+        tree = train_tree(x, labels, config=TreeConfig(max_splits=4, min_leaf=1), n_labels=2)
+        learners.append(Learner(tree=tree, alpha=float(rng.uniform(0.01, 1.0))))
+    model = PipelineModel(
+        classifier=BoostedEnsemble(
+            learners=tuple(learners), n_labels=2, n_features=layout.n_combined
+        ),
+        regressors=tuple(random_mixture(j, n_channels + 1, rng) for j in components),
+        config=PipelineConfig(neighborhood_order=order),
+        layout=layout,
+        seed=int(rng.integers(1000)),
+        selected_j=components,
+    )
+    text = _bundle_text(model)
+    back = model_from_dict(json.loads(text))
+    assert _bundle_text(back) == text
+    assert (back.config, back.layout, back.seed, back.selected_j) == (
+        model.config, model.layout, model.seed, model.selected_j
+    )
+    for a, b in zip(model.classifier.learners, back.classifier.learners, strict=True):
+        assert a.alpha == b.alpha
+        for name in ("feature", "threshold", "left", "right", "confidence"):
+            np.testing.assert_array_equal(getattr(a.tree, name), getattr(b.tree, name))
+    for a, b in zip(model.regressors, back.regressors, strict=True):
+        for name in ("weights", "means", "covariances"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    dims = (5, 4, 3)
+    channels = [
+        Volume(dims=dims, spacing=(1.0, 1.0, 1.0), data=rng.normal(size=60))
+        for _ in range(n_channels)
+    ]
+    mask = Volume(dims=dims, spacing=(1.0, 1.0, 1.0), data=rng.integers(0, 2, 60))
+    a, b = predict_ct(model, channels, mask), predict_ct(back, channels, mask)
+    np.testing.assert_array_equal(a.ct.data, b.ct.data)
+    np.testing.assert_array_equal(a.labels.data, b.labels.data)
