@@ -12,7 +12,16 @@ All component posteriors are computed with log-sum-exp, and every Gaussian
 log-density comes from one kernel, _log_gaussians, over Cholesky factors.
 EM regularizes covariances by adding ridge eps = _RIDGE_SCALE * trace(S) / dim
 to the diagonal whenever the smallest eigenvalue falls below eps, and drops
-components whose weight falls below _DROP_WEIGHT.
+components whose weight falls below _DROP_WEIGHT or whose ridged covariance
+has no Cholesky factor.
+
+Arrays keep the rows on their last, contiguous axis: the kernel reads rows as
+vt (dim, n) and returns (J, n) log-densities, and EM's responsibilities are
+(J, n), so centering and every reduction over components run along long rows.
+EM factors each iteration's covariances once, in _regularize, and the next
+E-step reuses those factors.  The kernel centers the rows before multiplying
+by the inverse factor: L^-1 v - L^-1 mu cancels catastrophically once a
+component has collapsed and L^-1 has entries near 1e45.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import FitError, ModelError, SelectionError
 from .seeding import derive_seed
@@ -113,23 +121,32 @@ class MixtureModel:
         return self.means[comp] + np.einsum("nab,nb->na", self.chols[comp], z)
 
 
-def _log_gaussians(v: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
-    """(n, J) matrix of log N(v_i; mu_j, L_j L_j^T) for rows v (n, dim),
-    means (J, dim) and lower Cholesky factors chols (J, dim, dim)."""
-    n, dim = v.shape
-    out = np.empty((n, means.shape[0]), dtype=np.float64)
-    for j, chol in enumerate(chols):
-        sol = solve_triangular(chol, (v - means[j]).T, lower=True)
-        logdet = 2.0 * np.log(np.diag(chol)).sum()
-        out[:, j] = -0.5 * (dim * _LOG_2PI + logdet + np.einsum("dn,dn->n", sol, sol))
+def _log_gaussians(vt: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
+    """(J, n) matrix of log N(v_i; mu_j, L_j L_j^T) for rows vt (dim, n),
+    means (J, dim) and lower Cholesky factors chols (J, dim, dim).
+
+    Precision-Cholesky form, the idiom of scikit-learn's
+    _estimate_log_gaussian_prob (Pedregosa et al., JMLR 2011): the squared
+    Mahalanobis term is |L_j^-1 (v - mu_j)|^2, centered first.
+    """
+    dim, n = vt.shape
+    inv = np.linalg.inv(chols)
+    out = np.empty((means.shape[0], n), dtype=np.float64)
+    for j in range(means.shape[0]):
+        z = inv[j] @ (vt - means[j][:, None])
+        np.square(z, out=z)
+        np.sum(z, axis=0, out=out[j])
+    logdet = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+    out += (dim * _LOG_2PI + logdet)[:, None]
+    out *= -0.5
     return out
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    amax = np.max(a, axis=axis, keepdims=True)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_j exp(a[j]) over axis 0."""
+    amax = np.max(a, axis=0)
     amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
-    return out
+    return np.log(np.sum(np.exp(a - amax), axis=0)) + amax
 
 
 def log_density(model: MixtureModel, v: np.ndarray) -> float | np.ndarray:
@@ -142,8 +159,8 @@ def log_density(model: MixtureModel, v: np.ndarray) -> float | np.ndarray:
     v = np.atleast_2d(v)
     if v.shape[1] != model.dim:
         raise ModelError(f"vector length {v.shape[1]} does not match model dim {model.dim}")
-    logp = _log_gaussians(v, model.means, model.chols) + np.log(model.weights)
-    out = _logsumexp(logp, axis=1)
+    logp = _log_gaussians(np.ascontiguousarray(v.T), model.means, model.chols)
+    out = _logsumexp(logp + np.log(model.weights)[:, None])
     return float(out[0]) if single else out
 
 
@@ -154,7 +171,7 @@ def conditional_expectation_many(
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if model.dim < 2:
         raise ModelError("conditional regression needs dim >= 2 (a target and features)")
-    j, d = model.n_components, model.dim - 1
+    d = model.dim - 1
     if x.shape[1] != d:
         raise ModelError(f"feature length {x.shape[1]} does not match model ({d})")
     if not np.all(np.isfinite(x)):
@@ -163,18 +180,18 @@ def conditional_expectation_many(
         chol_xx = np.linalg.cholesky(model.covariances[:, 1:, 1:])
     except np.linalg.LinAlgError as exc:
         raise ModelError("feature covariance S_xx singular") from exc
-    slope = np.empty((j, d))     # rows of S_yx S_xx^-1
-    intercept = np.empty(j)      # mu_y - slope . mu_x
-    for i in range(j):
-        half = solve_triangular(chol_xx[i], model.covariances[i, 0, 1:], lower=True)
-        slope[i] = solve_triangular(chol_xx[i].T, half, lower=False)
-        intercept[i] = model.means[i, 0] - slope[i] @ model.means[i, 1:]
-    logw = _log_gaussians(x, model.means[:, 1:], chol_xx) + np.log(model.weights)
-    logw -= _logsumexp(logw, axis=1)[:, None]
-    betas = np.exp(logw)
-    comp_means = x @ slope.T + intercept
-    y_hat = np.einsum("nj,nj->n", betas, comp_means)
-    return y_hat, betas
+    # Rows of S_yx S_xx^-1, and the intercepts mu_y - slope . mu_x.
+    slope = np.linalg.solve(model.covariances[:, 1:, 1:], model.covariances[:, 1:, :1])[:, :, 0]
+    intercept = model.means[:, 0] - np.einsum("jd,jd->j", slope, model.means[:, 1:])
+    xt = np.ascontiguousarray(x.T)
+    betas = _log_gaussians(xt, model.means[:, 1:], chol_xx)
+    betas += np.log(model.weights)[:, None]
+    betas -= _logsumexp(betas)
+    np.exp(betas, out=betas)
+    comp_means = slope @ xt
+    comp_means += intercept[:, None]
+    y_hat = np.einsum("jn,jn->n", betas, comp_means)
+    return y_hat, betas.T
 
 
 def conditional_expectation(model: MixtureModel, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -241,32 +258,34 @@ def _kmeanspp_means(v: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return v[chosen].copy()
 
 
-def _regularize(cov: np.ndarray) -> np.ndarray | None:
-    """Symmetrize and ridge a covariance; None if it stays singular."""
-    cov = 0.5 * (cov + cov.T)
-    dim = cov.shape[0]
-    eps = _RIDGE_SCALE * np.trace(cov) / dim
-    if eps > 0:
-        smallest = np.linalg.eigvalsh(cov)[0]
-        if smallest < eps:
-            cov = cov + eps * np.eye(dim)
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return None
-    return cov
+def _regularize(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetrize and ridge a (J, dim, dim) stack of covariances.
+
+    Returns (covs, chols, ok): ok marks the components whose ridged covariance
+    has a Cholesky factor (its smallest ridged eigenvalue is positive), and
+    covs and chols hold only those components.
+    """
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    dim = covs.shape[-1]
+    eps = _RIDGE_SCALE * np.trace(covs, axis1=1, axis2=2) / dim
+    smallest = np.linalg.eigvalsh(covs)[:, 0]
+    ridge = np.where((eps > 0) & (smallest < eps), eps, 0.0)
+    ok = smallest + ridge > 0
+    covs = covs[ok] + ridge[ok, None, None] * np.eye(dim)
+    return covs, np.linalg.cholesky(covs), ok
 
 
 def _em_once(
     v: np.ndarray, n_components: int, config: EmConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool, bool]:
     n, dim = v.shape
+    vt = np.ascontiguousarray(v.T)
     means = _kmeanspp_means(v, n_components, rng)
-    pooled = np.cov(v, rowvar=False, bias=True).reshape(dim, dim)
-    pooled = _regularize(pooled)
-    if pooled is None:
+    pooled, pooled_chol, ok = _regularize(np.cov(vt, bias=True).reshape(1, dim, dim))
+    if not ok[0]:
         raise FitError("samples are degenerate: pooled covariance is singular")
-    covs = np.repeat(pooled[None, :, :], n_components, axis=0)
+    covs = np.repeat(pooled, n_components, axis=0)
+    chols = np.repeat(pooled_chol, n_components, axis=0)
     weights = np.full(n_components, 1.0 / n_components)
 
     history: list[float] = []
@@ -274,8 +293,9 @@ def _em_once(
     converged = False
     prev_ll = -np.inf
     for _ in range(config.max_iter):
-        logp = _log_gaussians(v, means, np.linalg.cholesky(covs)) + np.log(weights)
-        lse = _logsumexp(logp, axis=1)
+        resp = _log_gaussians(vt, means, chols)
+        resp += np.log(weights)[:, None]
+        lse = _logsumexp(resp)
         ll = float(lse.sum())
         history.append(ll)
         if ll - prev_ll < config.rel_tol * max(1.0, abs(prev_ll)) and len(history) > 1:
@@ -283,29 +303,22 @@ def _em_once(
             break
         prev_ll = ll
 
-        resp = np.exp(logp - lse[:, None])
-        bulk = resp.sum(axis=0)
-        new_weights = bulk / n
-        new_means = (resp.T @ v) / bulk[:, None]
-        keep: list[int] = []
-        new_covs = np.empty_like(covs[: len(bulk)])
-        for j in range(len(bulk)):
-            if new_weights[j] < _DROP_WEIGHT:
-                degenerate = True
-                continue
-            diff = v - new_means[j]
-            cov = (resp[:, j][:, None] * diff).T @ diff / bulk[j]
-            cov = _regularize(cov)
-            if cov is None:
-                degenerate = True
-                continue
-            new_covs[j] = cov
-            keep.append(j)
-        if not keep:
+        resp -= lse
+        np.exp(resp, out=resp)
+        bulk = resp.sum(axis=1)
+        keep = np.flatnonzero(bulk / n >= _DROP_WEIGHT)
+        resp, bulk = resp[keep], bulk[keep]
+        means = (resp @ v) / bulk[:, None]
+        covs = np.empty((keep.size, dim, dim))
+        for j, r in enumerate(resp):
+            diff = vt - means[j][:, None]
+            covs[j] = (diff * r) @ diff.T / bulk[j]
+        covs, chols, ok = _regularize(covs)
+        if not ok.any():
             raise FitError("all mixture components collapsed during EM")
-        weights = new_weights[keep] / new_weights[keep].sum()
-        means = new_means[keep]
-        covs = new_covs[keep]
+        degenerate = degenerate or np.count_nonzero(ok) < len(weights)
+        weights = bulk[ok] / bulk[ok].sum()
+        means = means[ok]
     return weights, means, covs, history, converged, degenerate
 
 

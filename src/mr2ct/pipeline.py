@@ -115,6 +115,11 @@ class PipelineModel:
                 f"regressors have dims {dims}, layout needs "
                 f"{self.layout.n_channels + 1} (CT plus {self.layout.n_channels} channels)"
             )
+        if self.config.neighborhood_order != self.layout.order:
+            raise ModelError(
+                f"config neighborhood order {self.config.neighborhood_order!r} does not "
+                f"match layout order {self.layout.order!r}"
+            )
 
 
 @dataclass

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mr2ct
 from mr2ct.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -128,6 +133,23 @@ class TestTrain:
             assert rc == EXIT_OK
         assert (out_a / "model.json").read_bytes() == (out_b / "model.json").read_bytes()
 
+    def test_byte_identical_across_blas_threads(self, tmp_path, cohort_dir):
+        """The bundle does not depend on how many threads BLAS runs."""
+        src = str(Path(mr2ct.__file__).resolve().parents[1])
+        bundles = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from mr2ct.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "train", "--cohort", str(cohort_dir),
+                 "--out", str(out), "--seed", "3", *FAST],
+                env=env, check=True, timeout=300,
+            )
+            bundles.append((out / "model.json").read_bytes())
+        assert bundles[0] == bundles[1]
+
     def test_seed_changes_bundle(self, tmp_path, cohort_dir, model_dir):
         out = tmp_path / "other-seed"
         rc = main([
@@ -205,11 +227,12 @@ class TestPredict:
         _edited(_three_label_classifier),
         _edited(lambda b: _add_label([b["classifier"]["learners"][0]["tree"]])),
         _edited(lambda b: b["layout"].update(n_channels=0)),
+        _edited(lambda b: b["config"].update(neighborhood_order="second")),
     ], ids=["no-classifier", "unknown-tree-key", "non-integer-seed", "classifier-not-object",
             "format-version-1", "format-version-2", "truncated",
             "layout-not-classifier-width", "regressor-dim-not-layout", "unknown-config-key",
             "alpha-above-one", "alpha-nan", "one-regressor-class", "three-label-classifier",
-            "tree-labels-not-ensemble", "layout-no-channels"])
+            "tree-labels-not-ensemble", "layout-no-channels", "order-not-layout"])
     def test_malformed_bundle_exit_code(self, tmp_path, cohort_dir, model_dir, corrupt, capsys):
         text = (model_dir / "model.json").read_text()
         (tmp_path / "model.json").write_text(corrupt(text))

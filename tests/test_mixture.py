@@ -17,10 +17,12 @@ from mr2ct import (
     log_density,
     select_model,
 )
+from mr2ct.mixture import _em_once
 from util import (
     match_components,
     mc_conditional_mean,
     naive_conditional_expectation,
+    naive_em_once,
     naive_mixture_density,
     random_mixture,
     sample_joint,
@@ -73,6 +75,29 @@ class TestLogDensity:
         model = random_mixture(2, 3, np.random.default_rng(0))
         with pytest.raises(ModelError, match="dim"):
             log_density(model, np.zeros(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 5),
+    n_components=st.integers(1, 4),
+    n=st.one_of(st.none(), st.integers(1, 20)),
+    reach=st.floats(0.0, 10.0),
+)
+def test_log_density_matches_naive_oracle(seed, dim, n_components, n, reach):
+    """Single vectors (n None) and matrices, up to `reach` mixture standard
+    deviations from the mixture mean in every coordinate."""
+    rng = np.random.default_rng(seed)
+    model = random_mixture(n_components, dim, rng)
+    sd = np.sqrt(np.diag(model.covariance()))
+    v = model.mean() + reach * sd * rng.uniform(-1.0, 1.0, (dim,) if n is None else (n, dim))
+    got = np.atleast_1d(log_density(model, v))
+    naive = np.atleast_1d(naive_mixture_density(model.weights, model.means,
+                                                model.covariances, v))
+    assert got.shape == naive.shape
+    seen = naive > 1e-300
+    np.testing.assert_allclose(got[seen], np.log(naive[seen]), rtol=1e-9, atol=0)
 
 
 class TestConditionalExpectation:
@@ -237,6 +262,69 @@ class TestEmFit:
         _, report = em_fit(data, 2, EmConfig(n_restarts=4), seed=0)
         assert len(report.restart_scores) == 4
         assert report.best_restart == int(np.argmin(report.restart_scores))
+
+
+def _assert_rows_close(got, want, floor=0.0):
+    """rtol 1e-8 against each row's largest entry (each component's, for a
+    stack of covariances), so entries that are zero up to rounding compare;
+    differences below floor pass."""
+    assert np.shape(got) == np.shape(want)
+    for g, w in zip(np.reshape(got, (len(got), -1)), np.reshape(want, (len(want), -1))):
+        np.testing.assert_allclose(g, w, rtol=1e-8, atol=max(1e-8 * np.abs(w).max(), floor))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 5),
+    n_components=st.integers(1, 4),
+    max_iter=st.integers(1, 20),
+    point_mass=st.booleans(),
+)
+def test_em_once_matches_naive_oracle(seed, dim, n_components, max_iter, point_mass):
+    """Component-major EM against the one-component-at-a-time oracle.
+
+    The point-mass cluster sits on integers 40 to 60 from the origin in every
+    coordinate.  Its copies sum exactly in any order, so a component that
+    collapses onto it ends with a covariance of exactly zero and both drop
+    it; off the origin, L^-1 v - L^-1 mu would cancel on it.  On the way, one
+    iteration can see the cluster's mean off by a rounding error that depends
+    on the summation order.  The next covariance is then about that error
+    squared (near 1e-28), and the log-likelihood computed from it differs
+    between the two (seen: 5794 against 5412, with equal parameters one
+    iteration later).  So covariances compare down to the squared rounding
+    of the data, and a run with a point mass may differ in one
+    log-likelihood.  In about 1 of 3000 point-mass runs that rounding also
+    delays the drop by one iteration in one of the two, so the examples are
+    fixed (derandomize) rather than drawn afresh on every run.
+    """
+    rng = np.random.default_rng(seed)
+    v = random_mixture(n_components, dim, rng).sample(30 * dim, rng)
+    if point_mass:
+        point = rng.choice([-1.0, 1.0], dim) * rng.integers(40, 61, dim)
+        v = np.vstack([v, np.tile(point, (20 * dim, 1))])
+    config = EmConfig(max_iter=max_iter)
+    runs = []
+    for em in (_em_once, naive_em_once):
+        # A collapsing component passes through subnormal covariances, whose
+        # Mahalanobis terms overflow to inf, a density of zero, in both.
+        with np.errstate(over="ignore"):
+            try:
+                runs.append(em(v, n_components, config, np.random.default_rng(seed)))
+            except FitError as exc:
+                runs.append(str(exc))
+    got, want = runs
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    weights, means, covs, history, converged, degenerate = got
+    assert (len(weights), converged, degenerate) == (len(want[0]), want[4], want[5])
+    _assert_rows_close(weights[None], want[0][None])
+    _assert_rows_close(means, want[1])
+    _assert_rows_close(covs, want[2], floor=(1e-13 * np.abs(v).max()) ** 2)
+    assert len(history) == len(want[3])
+    off = ~np.isclose(history, want[3], rtol=1e-8, atol=0)
+    assert off.sum() <= int(point_mass)
 
 
 class TestSelectModel:

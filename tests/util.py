@@ -1,7 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
 The samplers and density evaluations here deliberately avoid the package's
-own mixture code paths, naive_train_tree its presorted split search,
+own mixture code paths, naive_em_once its component-major EM iteration,
+naive_train_tree its presorted split search,
 naive_leaf_index its per-node routing and naive_neighbor_matrix its
 edge-padded extraction, so they can serve as independent checks.
 """
@@ -10,8 +11,10 @@ import heapq
 import itertools
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from mr2ct import MixtureModel, TreeConfig
+from mr2ct import FitError, MixtureModel, TreeConfig
+from mr2ct.mixture import _DROP_WEIGHT, _RIDGE_SCALE, _kmeanspp_means
 from mr2ct.features import neighbor_offsets
 from mr2ct.tree import DecisionTree
 
@@ -38,7 +41,10 @@ def sample_joint(weights, means, covs, n, rng):
 
 
 def naive_mixture_density(weights, means, covs, v):
-    """Direct per-component normal pdf summation, no log-sum-exp."""
+    """Direct per-component normal pdf summation, no log-sum-exp.
+
+    v is one vector (dim,) or a matrix of rows (n, dim).
+    """
     v = np.asarray(v, dtype=float)
     dim = v.shape[-1]
     total = 0.0
@@ -46,9 +52,81 @@ def naive_mixture_density(weights, means, covs, v):
         diff = v - mu
         inv = np.linalg.inv(cov)
         det = np.linalg.det(cov)
-        quad = diff @ inv @ diff
+        quad = np.einsum("...a,ab,...b->...", diff, inv, diff)
         total += w * np.exp(-0.5 * quad) / np.sqrt((2 * np.pi) ** dim * det)
     return total
+
+
+def _naive_regularize(cov):
+    """Symmetrize and ridge one covariance; None if it has no Cholesky factor."""
+    cov = 0.5 * (cov + cov.T)
+    dim = cov.shape[0]
+    eps = _RIDGE_SCALE * np.trace(cov) / dim
+    if eps > 0 and np.linalg.eigvalsh(cov)[0] < eps:
+        cov = cov + eps * np.eye(dim)
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return None
+    return cov
+
+
+def naive_em_once(v, n_components, config, rng):
+    """mixture._em_once one component at a time, rows first.
+
+    Each E-step factors every covariance again and solves a triangular system
+    per component; each M-step ridges and tries to factor one covariance at a
+    time.  Returns the same (weights, means, covs, history, converged,
+    degenerate) tuple and raises the same FitErrors.
+    """
+    n, dim = v.shape
+    means = _kmeanspp_means(v, n_components, rng)
+    pooled = _naive_regularize(np.cov(v, rowvar=False, bias=True).reshape(dim, dim))
+    if pooled is None:
+        raise FitError("samples are degenerate: pooled covariance is singular")
+    covs = np.repeat(pooled[None, :, :], n_components, axis=0)
+    weights = np.full(n_components, 1.0 / n_components)
+    history, converged, degenerate, prev_ll = [], False, False, -np.inf
+    for _ in range(config.max_iter):
+        logp = np.empty((n, len(weights)))
+        for j, cov in enumerate(covs):
+            chol = np.linalg.cholesky(cov)
+            sol = solve_triangular(chol, (v - means[j]).T, lower=True)
+            logdet = 2.0 * np.log(np.diag(chol)).sum()
+            quad = np.sum(sol**2, axis=0)
+            logp[:, j] = np.log(weights[j]) - 0.5 * (dim * np.log(2 * np.pi) + logdet + quad)
+        amax = logp.max(axis=1, keepdims=True)
+        amax = np.where(np.isfinite(amax), amax, 0.0)
+        lse = np.log(np.exp(logp - amax).sum(axis=1)) + amax[:, 0]
+        ll = float(lse.sum())
+        history.append(ll)
+        if ll - prev_ll < config.rel_tol * max(1.0, abs(prev_ll)) and len(history) > 1:
+            converged = True
+            break
+        prev_ll = ll
+
+        resp = np.exp(logp - lse[:, None])
+        bulk = resp.sum(axis=0)
+        new_weights = bulk / n
+        new_means = (resp.T @ v) / bulk[:, None]
+        keep, new_covs = [], []
+        for j in range(len(bulk)):
+            if new_weights[j] < _DROP_WEIGHT:
+                degenerate = True
+                continue
+            diff = v - new_means[j]
+            cov = _naive_regularize((resp[:, j][:, None] * diff).T @ diff / bulk[j])
+            if cov is None:
+                degenerate = True
+                continue
+            new_covs.append(cov)
+            keep.append(j)
+        if not keep:
+            raise FitError("all mixture components collapsed during EM")
+        weights = new_weights[keep] / new_weights[keep].sum()
+        means = new_means[keep]
+        covs = np.stack(new_covs)
+    return weights, means, covs, history, converged, degenerate
 
 
 def naive_conditional_expectation(weights, means, covs, x):
