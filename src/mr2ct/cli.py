@@ -2,8 +2,9 @@
 
 Subcommands: phantom (synthetic cohort), train (cohort -> model bundle),
 predict (model + MR volumes -> CT estimate), evaluate (leave-one-out
-report), cv-classifier (10-fold classification metrics).  Every run writes
-a manifest.json with the resolved config, seed, and artifact checksums.
+report), cv-classifier (10-fold classification metrics).  Each subcommand
+returns the files it wrote under --out; main then writes a manifest.json with
+the resolved config, seed, and the checksum of every one of those files.
 
 Exit codes: 0 success, 2 usage, 3 config, 4 data/format, 5 feature layout,
 6 estimation, 1 unexpected.
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .evaluation import kfold_cv, loo_patient_eval, write_regression_report
 from .features import assemble
-from .phantom import PhantomSpec, default_class_models, generate_phantom
+from .phantom import default_phantom_spec, generate_phantom
 from .pipeline import (
     load_model,
     predict_ct,
@@ -67,18 +68,9 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, artifacts: list[Path]) -> None:
-    manifest = {
-        "command": command,
-        "config": asdict(cfg),
-        "seed": cfg.seed,
-        "artifacts": {
-            str(p.relative_to(out_dir)): _sha256(p) for p in sorted(artifacts)
-        },
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+def _write_json(path: Path, obj, indent: int | None = 2) -> Path:
+    path.write_text(json.dumps(obj, indent=indent, sort_keys=True), encoding="utf-8")
+    return path
 
 
 def _patient_dir_paths(patient_dir: Path) -> tuple[list[Path], Path, Path]:
@@ -100,127 +92,85 @@ def _load_cohort(cohort_dir: Path) -> list[PatientDataset]:
     return patients
 
 
-def _cmd_phantom(args, cfg: RunConfig) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dims = tuple(int(tok) for tok in args.dims.replace(",", " ").split())
-    if len(dims) != 3:
-        raise ConfigError(f"--dims needs three counts, got {args.dims!r}")
-    spec = PhantomSpec(
-        dims=dims,
-        n_channels=args.channels,
-        class_models=default_class_models(args.channels),
-        minority_fraction=args.minority_fraction,
-        noise_scale=args.noise_scale,
+def _cmd_phantom(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
+    try:
+        nx, ny, nz = (int(tok) for tok in args.dims.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigError(f"--dims needs three integer counts, got {args.dims!r}") from exc
+    spec = default_phantom_spec(
+        (nx, ny, nz), args.channels, args.minority_fraction, args.noise_scale
     )
     cohort = generate_phantom(spec, n_patients=args.patients, seed=cfg.seed)
-    artifacts: list[Path] = []
+    written: list[Path] = []
     for item in cohort:
         pdir = out_dir / item.dataset.patient_id
-        pdir.mkdir(parents=True, exist_ok=True)
-        for c, vol in enumerate(item.dataset.mr_channels):
-            write_volume(pdir / f"{MR_PREFIX}{c}.hdr", vol)
-            artifacts += [pdir / f"{MR_PREFIX}{c}.hdr", pdir / f"{MR_PREFIX}{c}.raw"]
-        write_volume(pdir / CT_NAME, item.dataset.ct)
-        write_volume(pdir / MASK_NAME, item.dataset.mask)
-        write_volume(pdir / TRUE_LABELS_NAME, item.true_labels)
-        artifacts += [
-            pdir / CT_NAME, pdir / "ct.raw",
-            pdir / MASK_NAME, pdir / "mask.raw",
-            pdir / TRUE_LABELS_NAME, pdir / "true_labels.raw",
-        ]
-    truth = out_dir / "truth.json"
-    truth.write_text(
-        json.dumps(
-            {
-                "dims": list(dims),
-                "n_channels": args.channels,
-                "minority_fraction": args.minority_fraction,
-                "noise_scale": args.noise_scale,
-                "seed": cfg.seed,
-                "class_models": [m.to_dict() for m in spec.class_models],
-            },
-            sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
-    artifacts.append(truth)
-    _write_manifest(out_dir, "phantom", cfg, artifacts)
+        pdir.mkdir(exist_ok=True)
+        volumes = [(f"{MR_PREFIX}{c}.hdr", v) for c, v in enumerate(item.dataset.mr_channels)]
+        volumes += [(CT_NAME, item.dataset.ct), (MASK_NAME, item.dataset.mask),
+                    (TRUE_LABELS_NAME, item.true_labels)]
+        for name, vol in volumes:
+            written += write_volume(pdir / name, vol)
+    truth = {
+        "dims": [nx, ny, nz],
+        "n_channels": args.channels,
+        "minority_fraction": args.minority_fraction,
+        "noise_scale": args.noise_scale,
+        "seed": cfg.seed,
+        "class_models": [m.to_dict() for m in spec.class_models],
+    }
+    written.append(_write_json(out_dir / "truth.json", truth, indent=None))
     print(f"wrote {args.patients} phantom patients to {out_dir}")
-    return EXIT_OK
+    return written
 
 
-def _cmd_train(args, cfg: RunConfig) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     patients = _load_cohort(Path(args.cohort))
     model, report = train_pipeline(patients, config=cfg.pipeline_config(), seed=cfg.seed)
     model_path = out_dir / "model.json"
     save_model(model, model_path)
-    report_path = out_dir / "train_report.json"
-    report_path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
-    _write_manifest(out_dir, "train", cfg, [model_path, report_path])
+    written = [model_path, _write_json(out_dir / "train_report.json", report.to_dict())]
     print(
         f"trained on {report.n_patients} patients ({report.n_rows} voxels); "
         f"selected components per class: {list(model.selected_j)}; "
         f"classifier training error {report.classifier_training_error:.4f}"
     )
-    return EXIT_OK
+    return written
 
 
-def _cmd_predict(args, cfg: RunConfig) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_predict(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     model = load_model(args.model)
     mr_paths, _, mask_path = _patient_dir_paths(Path(args.patient))
     channels = tuple(read_volume(p) for p in mr_paths)
     mask = read_volume(mask_path)
     result = predict_ct(model, channels, mask)
-    write_volume(out_dir / "ct_estimate.hdr", result.ct)
-    write_volume(out_dir / "labels.hdr", result.labels)
-    summary = out_dir / "predict_report.json"
-    summary.write_text(
-        json.dumps(
-            {
-                "n_predicted": result.n_predicted,
-                "class_counts": list(result.class_counts),
-                "fill_hu": model.config.fill_hu,
-            },
-            indent=2,
-            sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
-    artifacts = [
-        out_dir / "ct_estimate.hdr", out_dir / "ct_estimate.raw",
-        out_dir / "labels.hdr", out_dir / "labels.raw", summary,
+    summary = {
+        "n_predicted": result.n_predicted,
+        "class_counts": list(result.class_counts),
+        "fill_hu": model.config.fill_hu,
+    }
+    written = [
+        *write_volume(out_dir / "ct_estimate.hdr", result.ct),
+        *write_volume(out_dir / "labels.hdr", result.labels),
+        _write_json(out_dir / "predict_report.json", summary),
     ]
-    _write_manifest(out_dir, "predict", cfg, artifacts)
     print(f"predicted {result.n_predicted} voxels; class counts {list(result.class_counts)}")
-    return EXIT_OK
+    return written
 
 
-def _cmd_evaluate(args, cfg: RunConfig) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_evaluate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     patients = _load_cohort(Path(args.cohort))
     report = loo_patient_eval(
         patients, config=cfg.pipeline_config(), seed=cfg.seed, window=cfg.window_hu
     )
-    artifacts = write_regression_report(report, out_dir)
-    _write_manifest(out_dir, "evaluate", cfg, artifacts)
+    written = write_regression_report(report, out_dir)
     print(
         f"leave-one-out over {len(report.rows)} patients: "
         f"mean MAE {report.mean_mae:.2f} HU, bone-region {report.mean_bone_mae:.2f} HU"
     )
-    return EXIT_OK
+    return written
 
 
-def _cmd_cv_classifier(args, cfg: RunConfig) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_cv_classifier(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     patients = _load_cohort(Path(args.cohort))
     pcfg = cfg.pipeline_config()
     table = assemble(patients, order=pcfg.neighborhood_order, threshold=pcfg.threshold_hu)
@@ -228,27 +178,13 @@ def _cmd_cv_classifier(args, cfg: RunConfig) -> int:
         table.features, table.t.astype(np.int64),
         partial(train_classifier_fold, config=pcfg), k=cfg.cv_folds, seed=cfg.seed,
     )
-    out = out_dir / "cv_metrics.json"
-    out.write_text(
-        json.dumps(
-            {
-                "metrics": metrics.to_dict(),
-                "folds": [
-                    {"fold": f.fold, "n": f.n, "err": f.err, "counts": list(f.counts)}
-                    for f in folds
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
-    _write_manifest(out_dir, "cv-classifier", cfg, [out])
+    payload = {"metrics": metrics.to_dict(), "folds": [asdict(f) for f in folds]}
+    written = [_write_json(out_dir / "cv_metrics.json", payload)]
     print(
         f"{cfg.cv_folds}-fold CV: err {metrics.err:.4f}, "
         f"F-score {metrics.f_score:.4f} (minority label {metrics.positive_label})"
     )
-    return EXIT_OK
+    return written
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -315,7 +251,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         cfg = load_run_config(args.config, overrides)
-        return args.func(args, cfg)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written = args.func(args, cfg, out_dir)
+        _write_json(out_dir / "manifest.json", {
+            "command": args.command,
+            "config": asdict(cfg),
+            "seed": cfg.seed,
+            "artifacts": {str(p.relative_to(out_dir)): _sha256(p) for p in sorted(written)},
+        })
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

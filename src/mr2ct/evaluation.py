@@ -319,9 +319,9 @@ def loo_patient_eval(
 
 
 def write_regression_report(report: RegressionReport, out_dir: str | Path) -> list[Path]:
-    """Emit per_patient.csv, residual_curves.csv, and summary.json."""
+    """Emit per_patient.csv, residual_curves.csv, and summary.json into the
+    existing out_dir."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     per_patient = out_dir / "per_patient.csv"

@@ -134,8 +134,10 @@ def _log_gaussians(vt: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.n
     out = np.empty((means.shape[0], n), dtype=np.float64)
     for j in range(means.shape[0]):
         z = inv[j] @ (vt - means[j][:, None])
-        np.square(z, out=z)
-        np.sum(z, axis=0, out=out[j])
+        # A collapsed component's Mahalanobis term overflows to inf: zero density.
+        with np.errstate(over="ignore"):
+            np.square(z, out=z)
+            np.sum(z, axis=0, out=out[j])
     logdet = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     out += (dim * _LOG_2PI + logdet)[:, None]
     out *= -0.5

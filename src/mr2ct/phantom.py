@@ -37,12 +37,14 @@ class PhantomSpec:
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        if len(self.dims) != 3 or any(n < 1 for n in self.dims):
+            raise DataError(f"phantom dims must be three counts >= 1, got {self.dims}")
         if not (0.0 < self.minority_fraction < 1.0):
             raise DataError(
                 f"minority fraction must lie in (0, 1), got {self.minority_fraction}"
             )
-        if self.noise_scale <= 0:
-            raise DataError("noise scale must be positive")
+        if not (0.0 < self.noise_scale < np.inf):
+            raise DataError(f"noise scale must be positive and finite, got {self.noise_scale}")
         if len(self.class_models) < 2:
             raise DataError("phantom needs one model per class, at least two classes")
         dim = 1 + self.n_channels

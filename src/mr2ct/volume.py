@@ -134,22 +134,23 @@ class PatientDataset:
         return np.flatnonzero(self.mask.data == 1.0)
 
 
-def write_volume(header_path: str | Path, vol: Volume) -> None:
-    """Write a volume as header + raw payload next to each other."""
+def write_volume(header_path: str | Path, vol: Volume) -> tuple[Path, Path]:
+    """Write a volume as header + raw payload next to each other; return
+    (header path, payload path)."""
     header_path = Path(header_path)
     if header_path.suffix != HEADER_SUFFIX:
         header_path = header_path.with_suffix(HEADER_SUFFIX)
-    raw_name = header_path.with_suffix(RAW_SUFFIX).name
+    raw_path = header_path.with_suffix(RAW_SUFFIX)
     lines = [
         f"dims: {vol.dims[0]} {vol.dims[1]} {vol.dims[2]}",
         f"spacing: {vol.spacing[0]!r} {vol.spacing[1]!r} {vol.spacing[2]!r}",
         "dtype: float32",
         "byteorder: little-endian",
-        f"data: {raw_name}",
+        f"data: {raw_path.name}",
     ]
     header_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    payload = vol.data.astype("<f4", copy=False)
-    (header_path.parent / raw_name).write_bytes(payload.tobytes())
+    raw_path.write_bytes(vol.data.astype("<f4", copy=False).tobytes())
+    return header_path, raw_path
 
 
 def _parse_header(path: Path) -> dict[str, str]:

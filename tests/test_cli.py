@@ -88,6 +88,38 @@ def model_dir(tmp_path_factory, cohort_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def predict_dir(tmp_path_factory, cohort_dir, model_dir):
+    out = tmp_path_factory.mktemp("pred")
+    rc = main([
+        "predict", "--model", str(model_dir / "model.json"),
+        "--patient", str(cohort_dir / "phantom002"), "--out", str(out),
+    ])
+    assert rc == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def evaluate_dir(tmp_path_factory, cohort_dir):
+    out = tmp_path_factory.mktemp("eval")
+    rc = main([
+        "evaluate", "--cohort", str(cohort_dir), "--out", str(out), "--seed", "2", *FAST,
+    ])
+    assert rc == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def cv_dir(tmp_path_factory, cohort_dir):
+    out = tmp_path_factory.mktemp("cv")
+    rc = main([
+        "cv-classifier", "--cohort", str(cohort_dir), "--out", str(out),
+        "--cv-folds", "3", "--seed", "2", *FAST,
+    ])
+    assert rc == EXIT_OK
+    return out
+
+
 class TestPhantom:
     def test_writes_cohort_and_truth(self, cohort_dir):
         patients = sorted(p.name for p in cohort_dir.iterdir() if p.is_dir())
@@ -101,12 +133,31 @@ class TestPhantom:
         truth = json.loads((cohort_dir / "truth.json").read_text())
         assert len(truth["class_models"]) == 2
 
-    def test_manifest_checksums(self, cohort_dir):
-        manifest = json.loads((cohort_dir / "manifest.json").read_text())
-        assert manifest["command"] == "phantom"
-        for rel, digest in manifest["artifacts"].items():
-            data = (cohort_dir / rel).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest
+    def test_manifest_checksums(self, cohort_dir, model_dir, predict_dir, evaluate_dir,
+                                cv_dir):
+        """Every command's manifest lists exactly the files under --out, with
+        their digests."""
+        for command, out in [("phantom", cohort_dir), ("train", model_dir),
+                             ("predict", predict_dir), ("evaluate", evaluate_dir),
+                             ("cv-classifier", cv_dir)]:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["command"] == command
+            files = {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()}
+            assert set(manifest["artifacts"]) == files - {"manifest.json"}
+            for rel, digest in manifest["artifacts"].items():
+                data = (out / rel).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--dims", "3,a,3", EXIT_CONFIG),
+        ("--dims", "0,4,4", EXIT_DATA),
+        ("--noise-scale", "nan", EXIT_DATA),
+    ])
+    def test_bad_phantom_argument_exit_code(self, tmp_path, flag, value, code, capsys):
+        rc = main(["phantom", "--out", str(tmp_path / "x"), "--patients", "1",
+                   f"{flag}={value}"])
+        assert rc == code
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_volumes_readable(self, cohort_dir):
         vol = read_volume(cohort_dir / "phantom000" / "ct.hdr")
@@ -166,19 +217,13 @@ class TestTrain:
 
 
 class TestPredict:
-    def test_predicts_volumes(self, tmp_path, cohort_dir, model_dir):
-        out = tmp_path / "pred"
-        rc = main([
-            "predict", "--model", str(model_dir / "model.json"),
-            "--patient", str(cohort_dir / "phantom002"), "--out", str(out),
-        ])
-        assert rc == EXIT_OK
-        estimate = read_volume(out / "ct_estimate.hdr")
+    def test_predicts_volumes(self, cohort_dir, predict_dir):
+        estimate = read_volume(predict_dir / "ct_estimate.hdr")
         truth = read_volume(cohort_dir / "phantom002" / "ct.hdr")
         assert estimate.dims == truth.dims
         mae = np.abs(estimate.data - truth.data).mean()
         assert mae < 100.0
-        labels = read_volume(out / "labels.hdr")
+        labels = read_volume(predict_dir / "labels.hdr")
         assert set(np.unique(labels.data)) <= {0.0, 1.0}
 
     def test_channel_mismatch_exit_code(self, tmp_path, cohort_dir, model_dir):
@@ -287,17 +332,11 @@ class TestPredict:
 
 
 class TestEvaluate:
-    def test_full_report(self, tmp_path, cohort_dir):
-        out = tmp_path / "eval"
-        rc = main([
-            "evaluate", "--cohort", str(cohort_dir), "--out", str(out),
-            "--seed", "2", *FAST,
-        ])
-        assert rc == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
+    def test_full_report(self, evaluate_dir):
+        summary = json.loads((evaluate_dir / "summary.json").read_text())
         assert len(summary["per_patient"]) == 3
         assert summary["mean_mae"] < 100.0
-        lines = (out / "residual_curves.csv").read_text().strip().splitlines()
+        lines = (evaluate_dir / "residual_curves.csv").read_text().strip().splitlines()
         assert lines[0].startswith("window_center_hu")
         assert len(lines) > 2
 
@@ -314,14 +353,8 @@ class TestEvaluate:
 
 
 class TestCvClassifier:
-    def test_metrics_written(self, tmp_path, cohort_dir):
-        out = tmp_path / "cv"
-        rc = main([
-            "cv-classifier", "--cohort", str(cohort_dir), "--out", str(out),
-            "--cv-folds", "3", "--seed", "2", *FAST,
-        ])
-        assert rc == EXIT_OK
-        payload = json.loads((out / "cv_metrics.json").read_text())
+    def test_metrics_written(self, cv_dir):
+        payload = json.loads((cv_dir / "cv_metrics.json").read_text())
         assert payload["metrics"]["err"] <= 0.05
         assert len(payload["folds"]) == 3
 

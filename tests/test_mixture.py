@@ -273,6 +273,17 @@ def _assert_rows_close(got, want, floor=0.0):
         np.testing.assert_allclose(g, w, rtol=1e-8, atol=max(1e-8 * np.abs(w).max(), floor))
 
 
+def _mixture_rows(seed, dim, n_components, point_mass):
+    """30*dim rows of a random mixture and, with point_mass, 20*dim copies of
+    one point on integers 40 to 60 from the origin in every coordinate."""
+    rng = np.random.default_rng(seed)
+    v = random_mixture(n_components, dim, rng).sample(30 * dim, rng)
+    if point_mass:
+        point = rng.choice([-1.0, 1.0], dim) * rng.integers(40, 61, dim)
+        v = np.vstack([v, np.tile(point, (20 * dim, 1))])
+    return v
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -298,11 +309,7 @@ def test_em_once_matches_naive_oracle(seed, dim, n_components, max_iter, point_m
     delays the drop by one iteration in one of the two, so the examples are
     fixed (derandomize) rather than drawn afresh on every run.
     """
-    rng = np.random.default_rng(seed)
-    v = random_mixture(n_components, dim, rng).sample(30 * dim, rng)
-    if point_mass:
-        point = rng.choice([-1.0, 1.0], dim) * rng.integers(40, 61, dim)
-        v = np.vstack([v, np.tile(point, (20 * dim, 1))])
+    v = _mixture_rows(seed, dim, n_components, point_mass)
     config = EmConfig(max_iter=max_iter)
     runs = []
     for em in (_em_once, naive_em_once):
@@ -325,6 +332,19 @@ def test_em_once_matches_naive_oracle(seed, dim, n_components, max_iter, point_m
     assert len(history) == len(want[3])
     off = ~np.isclose(history, want[3], rtol=1e-8, atol=0)
     assert off.sum() <= int(point_mass)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed, dim", [(45, 2), (200, 5)])
+def test_em_once_collapse_does_not_warn(seed, dim):
+    """A component collapsing onto the point mass has an inverse factor above
+    1e150, so its squared Mahalanobis terms (and, at seed 200, their sums)
+    overflow to inf, a density of zero, without a RuntimeWarning."""
+    weights, _, _, _, _, degenerate = _em_once(
+        _mixture_rows(seed, dim, 2, point_mass=True), 2, EmConfig(max_iter=20),
+        np.random.default_rng(seed),
+    )
+    assert degenerate and len(weights) == 1
 
 
 class TestSelectModel:

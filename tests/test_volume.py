@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mr2ct import DataError, Volume, VolumeFormatError
 from mr2ct.volume import load_patient, read_volume, write_volume
@@ -52,6 +55,22 @@ class TestFileFormat:
         assert back.dims == vol.dims
         assert back.spacing == vol.spacing
         np.testing.assert_array_equal(back.data, vol.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vol=st.tuples(*[st.integers(1, 5)] * 3).flatmap(lambda dims: st.builds(
+        Volume,
+        dims=st.just(dims),
+        spacing=st.tuples(*[st.floats(0.0, exclude_min=True, allow_infinity=False)] * 3),
+        data=hnp.arrays(np.float32, dims[0] * dims[1] * dims[2], elements=st.floats(
+            width=32, allow_nan=False, allow_infinity=False)),
+    )))
+    def test_roundtrip_property(self, tmp_path_factory, vol):
+        header, payload = write_volume(tmp_path_factory.getbasetemp() / "prop.hdr", vol)
+        back = read_volume(header)
+        assert (back.dims, back.spacing) == (vol.dims, vol.spacing)
+        assert back.data.tobytes() == vol.data.tobytes()
+        entries = dict(line.split(": ", 1) for line in header.read_text().splitlines())
+        assert payload == header.parent / entries["data"]
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.hdr"
