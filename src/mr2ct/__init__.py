@@ -16,6 +16,7 @@ from .boosting import (
     train_rusboost,
     update_mislabel,
 )
+from .config import RunConfig
 from .errors import (
     BoostingError,
     ConfigError,
@@ -62,7 +63,6 @@ from .phantom import (
     oracle_predict_ct,
 )
 from .pipeline import (
-    PipelineConfig,
     PipelineModel,
     load_model,
     predict_ct,

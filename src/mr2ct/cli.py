@@ -125,7 +125,7 @@ def _cmd_phantom(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     patients = _load_cohort(Path(args.cohort))
-    model, report = train_pipeline(patients, config=cfg.pipeline_config(), seed=cfg.seed)
+    model, report = train_pipeline(patients, config=cfg, seed=cfg.seed)
     model_path = out_dir / "model.json"
     save_model(model, model_path)
     written = [model_path, _write_json(out_dir / "train_report.json", report.to_dict())]
@@ -146,7 +146,7 @@ def _cmd_predict(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     summary = {
         "n_predicted": result.n_predicted,
         "class_counts": list(result.class_counts),
-        "fill_hu": model.config.fill_hu,
+        "fill_hu": model.fill_hu,
     }
     written = [
         *write_volume(out_dir / "ct_estimate.hdr", result.ct),
@@ -160,7 +160,7 @@ def _cmd_predict(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 def _cmd_evaluate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     patients = _load_cohort(Path(args.cohort))
     report = loo_patient_eval(
-        patients, config=cfg.pipeline_config(), seed=cfg.seed, window=cfg.window_hu
+        patients, config=cfg, seed=cfg.seed, window=cfg.window_hu
     )
     written = write_regression_report(report, out_dir)
     print(
@@ -172,11 +172,10 @@ def _cmd_evaluate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def _cmd_cv_classifier(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     patients = _load_cohort(Path(args.cohort))
-    pcfg = cfg.pipeline_config()
-    table = assemble(patients, order=pcfg.neighborhood_order, threshold=pcfg.threshold_hu)
+    table = assemble(patients, order=cfg.order, threshold=cfg.threshold_hu)
     metrics, folds = kfold_cv(
         table.features, table.t.astype(np.int64),
-        partial(train_classifier_fold, config=pcfg), k=cfg.cv_folds, seed=cfg.seed,
+        partial(train_classifier_fold, config=cfg), k=cfg.cv_folds, seed=cfg.seed,
     )
     payload = {"metrics": metrics.to_dict(), "folds": [asdict(f) for f in folds]}
     written = [_write_json(out_dir / "cv_metrics.json", payload)]

@@ -1,11 +1,12 @@
-"""Flat key-value run configuration for the CLI.
+"""The run configuration, shared by the CLI and the library.
 
-The fields of RunConfig are the only list of run keys: each key ``a_b`` is
-the flag ``--a-b``, and file and flag values go through one parse chosen by
-the field's type.  Config files hold one ``key = value`` pair per line;
-``#`` starts a comment.  Command-line flags override file values, which
-override the defaults.  The environment variable MR2CT_CONFIG names a
-default config file used when no --config flag is given.
+The fields of RunConfig are the only list of run keys, and RunConfig checks
+them all when it is built: each key ``a_b`` is the flag ``--a-b``, and file
+and flag values go through one parse chosen by the field's type.  Config
+files hold one ``key = value`` pair per line; ``#`` starts a comment.
+Command-line flags override file values, which override the defaults.  The
+environment variable MR2CT_CONFIG names a default config file used when no
+--config flag is given.
 """
 
 import math
@@ -15,16 +16,18 @@ from pathlib import Path
 
 from .boosting import BoostConfig
 from .errors import ConfigError
+from .features import neighbor_offsets
+from .labeling import DEFAULT_THRESHOLD_HU
 from .mixture import EmConfig
-from .pipeline import PipelineConfig
 from .tree import TreeConfig
+from .volume import FLOAT32_MAX
 
 ENV_CONFIG = "MR2CT_CONFIG"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    threshold_hu: float = 100.0
+    threshold_hu: float = DEFAULT_THRESHOLD_HU
     order: str = "second"
     j_candidates: tuple[int, ...] = (5, 6)
     j_candidates_0: tuple[int, ...] | None = None
@@ -39,33 +42,57 @@ class RunConfig:
     selection_criterion: str = "mse"
     window_hu: float = 20.0
     fill_hu: float = -1000.0
-    gmm_max_rows: int = 0
-    classifier_cv_folds: int = 0
+    gmm_max_rows: int = 0            # 0 = no cap; otherwise seeded subsample per class
+    classifier_cv_folds: int = 0     # 0 = skip CV inside the training report
     cv_folds: int = 10
     seed: int = 0
 
-    def pipeline_config(self) -> PipelineConfig:
-        grid0 = self.j_candidates_0 or self.j_candidates
-        grid1 = self.j_candidates_1 or self.j_candidates
+    def __post_init__(self):
+        """Raise ConfigError on the first invalid field; the EM, tree and
+        boosting configs check the fields they are built from."""
         try:
-            return PipelineConfig(
-                threshold_hu=self.threshold_hu,
-                neighborhood_order=self.order,
-                j_candidates=(tuple(grid0), tuple(grid1)),
-                selection_criterion=self.selection_criterion,
-                em=EmConfig(
-                    max_iter=self.em_max_iter,
-                    rel_tol=self.em_tol,
-                    n_restarts=self.em_restarts,
-                ),
-                tree=TreeConfig(max_splits=self.max_splits, min_leaf=self.min_leaf),
-                boost=BoostConfig(n_learners=self.trees, target_ratio=self.rus_ratio),
-                fill_hu=self.fill_hu,
-                gmm_max_rows=self.gmm_max_rows,
-                classifier_cv_folds=self.classifier_cv_folds,
-            )
+            self.em, self.tree, self.boost
+            neighbor_offsets(self.order)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not math.isfinite(self.threshold_hu):
+            raise ConfigError("threshold_hu must be finite")
+        # The fill value lands in a float32 output volume, which must be finite.
+        if not abs(self.fill_hu) <= FLOAT32_MAX:
+            raise ConfigError(f"fill_hu must be finite in float32, got {self.fill_hu!r}")
+        for key in ("j_candidates", "j_candidates_0", "j_candidates_1"):
+            grid = getattr(self, key)
+            if grid is not None and (len(grid) == 0 or any(j < 1 for j in grid)):
+                raise ConfigError(f"{key} must be a non-empty list of counts >= 1")
+        if self.selection_criterion not in ("mse", "mae"):
+            raise ConfigError("selection_criterion must be 'mse' or 'mae'")
+        if self.gmm_max_rows < 0 or self.classifier_cv_folds < 0:
+            raise ConfigError("gmm_max_rows and classifier_cv_folds must be >= 0")
+        if self.cv_folds < 2:
+            raise ConfigError("cv_folds must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not self.window_hu > 0:
+            raise ConfigError("window_hu must be positive")
+
+    @property
+    def em(self) -> EmConfig:
+        return EmConfig(max_iter=self.em_max_iter, rel_tol=self.em_tol,
+                        n_restarts=self.em_restarts)
+
+    @property
+    def tree(self) -> TreeConfig:
+        return TreeConfig(max_splits=self.max_splits, min_leaf=self.min_leaf)
+
+    @property
+    def boost(self) -> BoostConfig:
+        return BoostConfig(n_learners=self.trees, target_ratio=self.rus_ratio)
+
+    @property
+    def class_grids(self) -> tuple[tuple[int, ...], ...]:
+        """The component counts tried for each tissue class, by label."""
+        return (self.j_candidates_0 or self.j_candidates,
+                self.j_candidates_1 or self.j_candidates)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -127,20 +154,4 @@ def load_run_config(
     for key, raw in (overrides or {}).items():
         if raw is not None:
             values[key] = _parse_value(key, raw)
-    cfg = RunConfig(**values)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.cv_folds < 2:
-        raise ConfigError("cv_folds must be >= 2")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if cfg.window_hu <= 0:
-        raise ConfigError("window_hu must be positive")
-    for key in ("j_candidates", "j_candidates_0", "j_candidates_1"):
-        grid = getattr(cfg, key)
-        if grid is not None and (len(grid) == 0 or any(j < 1 for j in grid)):
-            raise ConfigError(f"{key} must be a non-empty list of counts >= 1")
-    cfg.pipeline_config()  # surfaces the remaining range errors
+    return RunConfig(**values)

@@ -16,9 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DataError, FitError, Mr2ctError
 from .labeling import minority_label
-from .pipeline import PipelineConfig, predict_ct, train_pipeline
+from .pipeline import predict_ct, train_pipeline
 from .seeding import derive_seed, rng_for
 from .volume import PatientDataset
 
@@ -244,7 +245,7 @@ def masked_mae(true_vals: np.ndarray, pred_vals: np.ndarray) -> float:
 
 def loo_patient_eval(
     patients: Sequence[PatientDataset],
-    config: PipelineConfig = PipelineConfig(),
+    config: RunConfig = RunConfig(),
     seed: int = 0,
     window: float = 20.0,
     trainer: Callable = train_pipeline,

@@ -20,9 +20,10 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import DataError
-from .mixture import MixtureModel, conditional_expectation_many
+from .mixture import MixtureModel
+from .pipeline import regress_by_label
 from .seeding import derive_seed
-from .volume import PatientDataset, Volume, volume_like
+from .volume import PatientDataset, Volume
 
 DEFAULT_MINORITY_FRACTION = 0.1849
 
@@ -119,17 +120,10 @@ def oracle_predict_ct(
     fill_value: float = -1000.0,
 ) -> Volume:
     """CT estimate from the true labels and true per-class conditionals."""
-    out = np.full(mask.n_voxels, fill_value, dtype=np.float64)
     idx = np.flatnonzero(mask.data == 1.0)
-    if idx.size:
-        x = np.column_stack([vol.data[idx].astype(np.float64) for vol in mr_channels])
-        labels = true_labels.data[idx].astype(np.int64)
-        for k, model in enumerate(class_models):
-            rows = np.flatnonzero(labels == k)
-            if rows.size:
-                y_hat, _ = conditional_expectation_many(model, x[rows])
-                out[idx[rows]] = y_hat
-    return volume_like(mask, out)
+    x = np.column_stack([vol.data[idx].astype(np.float64) for vol in mr_channels])
+    labels = true_labels.data[idx].astype(np.int64)
+    return regress_by_label(class_models, labels, x, idx, mask, fill_value)
 
 
 def _factor_model(
@@ -163,6 +157,8 @@ def default_class_models(n_channels: int = 4) -> tuple[MixtureModel, MixtureMode
     """Two-class truth with air/soft structure below the bone threshold and
     two bone sub-populations above it, separated enough in feature space for
     the labels to be learnable."""
+    if n_channels < 1:
+        raise DataError(f"a phantom needs at least one MR channel, got {n_channels}")
     base_x = np.linspace(0.9, 1.15, n_channels)
 
     def scaled(level: float) -> tuple[float, ...]:

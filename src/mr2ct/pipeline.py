@@ -14,29 +14,28 @@ classifier.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .boosting import BoostConfig, BoostedEnsemble, BoostRound, train_rusboost
+from .boosting import BoostedEnsemble, BoostRound, train_rusboost
+from .config import RunConfig
 from .errors import DataError, FeatureLayoutError, ModelError
-from .features import FeatureLayout, assemble, extract_feature_matrix, neighbor_offsets
-from .labeling import DEFAULT_THRESHOLD_HU, N_CLASSES
+from .features import FeatureLayout, assemble, extract_feature_matrix
+from .labeling import N_CLASSES
 from .mixture import (
-    EmConfig,
     MixtureModel,
     SelectionReport,
     conditional_expectation_many,
     select_model,
 )
 from .seeding import derive_seed, rng_for
-from .tree import TreeConfig
-from .volume import PatientDataset, Volume, volume_like
+from .volume import FLOAT32_MAX, PatientDataset, Volume, volume_like
 
-BUNDLE_FORMAT_VERSION = 3
+BUNDLE_FORMAT_VERSION = 4
 BUNDLE_KIND = "mr2ct-model-bundle"
 
 _SALT_VAL_PATIENT = 101
@@ -47,52 +46,10 @@ _SALT_SUBSAMPLE = 105
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    threshold_hu: float = DEFAULT_THRESHOLD_HU
-    neighborhood_order: str = "second"
-    j_candidates: tuple[tuple[int, ...], ...] = ((5, 6), (5, 6))
-    selection_criterion: str = "mse"
-    em: EmConfig = field(default_factory=EmConfig)
-    tree: TreeConfig = field(default_factory=TreeConfig)
-    boost: BoostConfig = field(default_factory=BoostConfig)
-    fill_hu: float = -1000.0
-    gmm_max_rows: int = 0            # 0 = no cap; otherwise seeded subsample per class
-    classifier_cv_folds: int = 0     # 0 = skip CV inside the training report
-
-    def __post_init__(self):
-        if not np.isfinite(self.threshold_hu):
-            raise ValueError("threshold must be finite")
-        # The fill value lands in a float32 output volume, which must be finite.
-        if not abs(self.fill_hu) <= float(np.finfo(np.float32).max):
-            raise ValueError(f"fill_hu must be finite in float32, got {self.fill_hu!r}")
-        neighbor_offsets(self.neighborhood_order)  # validates the order
-        if len(self.j_candidates) != N_CLASSES or any(
-            len(c) == 0 for c in self.j_candidates
-        ):
-            raise ValueError("j_candidates needs a non-empty grid per class")
-        if self.selection_criterion not in ("mse", "mae"):
-            raise ValueError("selection_criterion must be 'mse' or 'mae'")
-        if self.gmm_max_rows < 0 or self.classifier_cv_folds < 0:
-            raise ValueError("row caps and fold counts must be >= 0")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Inverse of dataclasses.asdict; an unknown or missing key raises
-        TypeError or KeyError."""
-        return cls(**{
-            **d,
-            "j_candidates": tuple(tuple(c) for c in d["j_candidates"]),
-            "em": EmConfig(**d["em"]),
-            "tree": TreeConfig(**d["tree"]),
-            "boost": BoostConfig(**d["boost"]),
-        })
-
-
-@dataclass(frozen=True)
 class PipelineModel:
     classifier: BoostedEnsemble
     regressors: tuple[MixtureModel, ...]  # indexed by tissue label
-    config: PipelineConfig
+    fill_hu: float  # CT value written outside the mask
     layout: FeatureLayout
     seed: int
     selected_j: tuple[int, ...]
@@ -115,11 +72,8 @@ class PipelineModel:
                 f"regressors have dims {dims}, layout needs "
                 f"{self.layout.n_channels + 1} (CT plus {self.layout.n_channels} channels)"
             )
-        if self.config.neighborhood_order != self.layout.order:
-            raise ModelError(
-                f"config neighborhood order {self.config.neighborhood_order!r} does not "
-                f"match layout order {self.layout.order!r}"
-            )
+        if not abs(self.fill_hu) <= FLOAT32_MAX:
+            raise ModelError(f"fill_hu must be finite in float32, got {self.fill_hu!r}")
 
 
 @dataclass
@@ -147,7 +101,7 @@ def _subsample(rows: np.ndarray, cap: int, seed: int) -> np.ndarray:
 
 
 def train_classifier_fold(
-    x: np.ndarray, labels: np.ndarray, fold_seed: int, config: PipelineConfig
+    x: np.ndarray, labels: np.ndarray, fold_seed: int, config: RunConfig
 ) -> Callable[[np.ndarray], np.ndarray]:
     """kfold_cv trainer: fit the configured classifier on one fold's rows and
     return its predict.  Bind config with functools.partial."""
@@ -160,7 +114,7 @@ def train_classifier_fold(
 
 def train_pipeline(
     patients: Sequence[PatientDataset],
-    config: PipelineConfig = PipelineConfig(),
+    config: RunConfig = RunConfig(),
     seed: int = 0,
 ) -> tuple[PipelineModel, TrainReport]:
     """Train classifier and per-class regressors on a cohort.
@@ -176,7 +130,7 @@ def train_pipeline(
     if len(set(ids)) != len(ids):
         raise DataError(f"duplicate patient ids in cohort: {sorted(ids)}")
     ordered = sorted(patients, key=lambda p: p.patient_id)
-    table = assemble(ordered, order=config.neighborhood_order, threshold=config.threshold_hu)
+    table = assemble(ordered, order=config.order, threshold=config.threshold_hu)
 
     counts = np.bincount(table.t, minlength=N_CLASSES)
     if np.any(counts == 0):
@@ -210,7 +164,7 @@ def train_pipeline(
         model, j_star, report = select_model(
             joint[train_rows],
             joint[val_rows],
-            config.j_candidates[k],
+            config.class_grids[k],
             config=config.em,
             seed=derive_seed(seed, _SALT_GMM, k),
             criterion=config.selection_criterion,
@@ -246,7 +200,7 @@ def train_pipeline(
     model = PipelineModel(
         classifier=ensemble,
         regressors=tuple(regressors),
-        config=config,
+        fill_hu=config.fill_hu,
         layout=layout,
         seed=seed,
         selected_j=tuple(selected_j),
@@ -274,6 +228,25 @@ class PredictionResult:
     class_counts: tuple[int, ...]
 
 
+def regress_by_label(
+    regressors: Sequence[MixtureModel],
+    labels: np.ndarray,
+    x_raw: np.ndarray,
+    flat_idx: np.ndarray,
+    mask: Volume,
+    fill: float,
+) -> Volume:
+    """CT volume on mask's grid: fill everywhere but at flat_idx, where row i
+    gets E[ct | x_raw[i]] under the regressor of labels[i]."""
+    ct = np.full(mask.n_voxels, fill, dtype=np.float64)
+    for k, regressor in enumerate(regressors):
+        rows = np.flatnonzero(labels == k)
+        if rows.size:
+            y_hat, _ = conditional_expectation_many(regressor, x_raw[rows])
+            ct[flat_idx[rows]] = y_hat
+    return volume_like(mask, ct)
+
+
 def predict_ct(
     model: PipelineModel,
     mr_channels: Sequence[Volume],
@@ -293,32 +266,17 @@ def predict_ct(
             f"got {len(channels)}"
         )
 
-    fill = model.config.fill_hu
-    ct_out = np.full(mask.n_voxels, fill, dtype=np.float64)
+    flat_idx, x_raw, features = extract_feature_matrix(channels, mask, model.layout.order)
+    # The channel count matches the layout and PipelineModel matches the
+    # layout to the classifier, so the columns are the classifier's.
+    hard = model.classifier.predict(features)
     label_out = np.zeros(mask.n_voxels, dtype=np.float64)
-    idx = np.flatnonzero(mask.data == 1.0)
-    class_counts = [0] * N_CLASSES
-    if idx.size:
-        flat_idx, x_raw, features = extract_feature_matrix(
-            channels, mask, model.layout.order
-        )
-        # The channel count matches the layout and PipelineModel matches the
-        # layout to the classifier, so the columns are the classifier's.
-        hard = model.classifier.predict(features)
-        for k in range(N_CLASSES):
-            rows = np.flatnonzero(hard == k)
-            if rows.size:
-                y_hat, _ = conditional_expectation_many(model.regressors[k], x_raw[rows])
-                ct_out[flat_idx[rows]] = y_hat
-        label_out[flat_idx] = hard
-        for k in range(N_CLASSES):
-            class_counts[k] = int(np.sum(hard == k))
-
+    label_out[flat_idx] = hard
     return PredictionResult(
-        ct=volume_like(mask, ct_out),
+        ct=regress_by_label(model.regressors, hard, x_raw, flat_idx, mask, model.fill_hu),
         labels=volume_like(mask, label_out),
-        n_predicted=int(idx.size),
-        class_counts=tuple(class_counts),
+        n_predicted=int(flat_idx.size),
+        class_counts=tuple(int(n) for n in np.bincount(hard, minlength=N_CLASSES)),
     )
 
 
@@ -328,7 +286,7 @@ def model_to_dict(model: PipelineModel) -> dict:
         "kind": BUNDLE_KIND,
         "seed": model.seed,
         "selected_j": list(model.selected_j),
-        "config": asdict(model.config),
+        "fill_hu": model.fill_hu,
         "layout": asdict(model.layout),
         "classifier": model.classifier.to_dict(),
         "regressors": [m.to_dict() for m in model.regressors],
@@ -337,8 +295,8 @@ def model_to_dict(model: PipelineModel) -> dict:
 
 def model_from_dict(d: dict) -> PipelineModel:
     """Rebuild a model from its bundle dict; a missing key, a value of the
-    wrong type or shape, or an unknown config, layout or regressor key
-    raises ModelError."""
+    wrong type or shape, or an unknown layout or regressor key raises
+    ModelError."""
     try:
         version = int(d.get("format_version", -1))
         if d.get("kind") != BUNDLE_KIND or version != BUNDLE_FORMAT_VERSION:
@@ -349,7 +307,7 @@ def model_from_dict(d: dict) -> PipelineModel:
         return PipelineModel(
             classifier=BoostedEnsemble.from_dict(d["classifier"]),
             regressors=tuple(MixtureModel(**entry) for entry in d["regressors"]),
-            config=PipelineConfig.from_dict(d["config"]),
+            fill_hu=float(d["fill_hu"]),
             layout=FeatureLayout(**d["layout"]),
             seed=int(d["seed"]),
             selected_j=tuple(int(j) for j in d["selected_j"]),

@@ -30,6 +30,7 @@ from .errors import DataError, VolumeFormatError
 HEADER_SUFFIX = ".hdr"
 RAW_SUFFIX = ".raw"
 _REQUIRED_KEYS = ("dims", "spacing", "dtype", "byteorder", "data")
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)

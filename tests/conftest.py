@@ -1,26 +1,21 @@
 import pytest
 
-from mr2ct import (
-    BoostConfig,
-    EmConfig,
-    PipelineConfig,
-    TreeConfig,
-    default_phantom_spec,
-    generate_phantom,
-)
+from mr2ct import RunConfig, default_phantom_spec, generate_phantom
 
 
-def fast_config(**overrides) -> PipelineConfig:
+def fast_config(**overrides) -> RunConfig:
     """Small-but-real configuration for pipeline-level tests."""
     base = dict(
-        neighborhood_order="first",
-        j_candidates=((1, 2), (1, 2)),
-        em=EmConfig(n_restarts=2, max_iter=150),
-        tree=TreeConfig(max_splits=16, min_leaf=5),
-        boost=BoostConfig(n_learners=5),
+        order="first",
+        j_candidates=(1, 2),
+        em_restarts=2,
+        em_max_iter=150,
+        max_splits=16,
+        min_leaf=5,
+        trees=5,
     )
     base.update(overrides)
-    return PipelineConfig(**base)
+    return RunConfig(**base)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import numpy as np
 from mr2ct import (
     BoostConfig,
     EmConfig,
-    PipelineConfig,
+    RunConfig,
     TreeConfig,
     conditional_expectation,
     default_phantom_spec,
@@ -197,12 +197,14 @@ def test_criterion_7_end_to_end_oracle_gap():
     spec = default_phantom_spec(dims=(32, 32, 32))
     cohort = generate_phantom(spec, n_patients=4, seed=2026)
     datasets = [item.dataset for item in cohort]
-    config = PipelineConfig(
-        neighborhood_order="first",
-        j_candidates=((1, 2, 3), (1, 2, 3)),
-        em=EmConfig(n_restarts=2, max_iter=200),
-        tree=TreeConfig(max_splits=48, min_leaf=20),
-        boost=BoostConfig(n_learners=12),
+    config = RunConfig(
+        order="first",
+        j_candidates=(1, 2, 3),
+        em_restarts=2,
+        em_max_iter=200,
+        max_splits=48,
+        min_leaf=20,
+        trees=12,
         gmm_max_rows=30_000,
     )
     report = loo_patient_eval(datasets, config, seed=0)

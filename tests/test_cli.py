@@ -152,6 +152,8 @@ class TestPhantom:
         ("--dims", "3,a,3", EXIT_CONFIG),
         ("--dims", "0,4,4", EXIT_DATA),
         ("--noise-scale", "nan", EXIT_DATA),
+        ("--channels", "0", EXIT_DATA),
+        ("--channels", "-2", EXIT_DATA),
     ])
     def test_bad_phantom_argument_exit_code(self, tmp_path, flag, value, code, capsys):
         rc = main(["phantom", "--out", str(tmp_path / "x"), "--patients", "1",
@@ -257,27 +259,27 @@ class TestPredict:
 
     @pytest.mark.parametrize("corrupt", [
         _edited(lambda b: b.pop("classifier")),
-        _edited(lambda b: b["config"]["tree"].update(threshold_strategy="exhaustive")),
         _edited(lambda b: b.update(seed="seven")),
         _edited(lambda b: b.update(classifier=[])),
         _edited(lambda b: b.update(format_version=1)),
         _edited(lambda b: b.update(format_version=2)),
+        _edited(lambda b: b.update(format_version=3)),
         lambda text: text[: len(text) // 2],
         _edited(lambda b: b["layout"].update(order="second")),
         _edited(_drop_last_regressor_channel),
-        _edited(lambda b: b["config"].update(warp_speed=9)),
         _edited(_set_alphas(2.0)),
         _edited(_set_alphas(float("nan"))),
         _edited(lambda b: b["regressors"].pop()),
         _edited(_three_label_classifier),
         _edited(lambda b: _add_label([b["classifier"]["learners"][0]["tree"]])),
         _edited(lambda b: b["layout"].update(n_channels=0)),
-        _edited(lambda b: b["config"].update(neighborhood_order="second")),
-    ], ids=["no-classifier", "unknown-tree-key", "non-integer-seed", "classifier-not-object",
-            "format-version-1", "format-version-2", "truncated",
-            "layout-not-classifier-width", "regressor-dim-not-layout", "unknown-config-key",
+        _edited(lambda b: b.update(fill_hu=float("nan"))),
+        _edited(lambda b: b.update(fill_hu=1e39)),
+    ], ids=["no-classifier", "non-integer-seed", "classifier-not-object",
+            "format-version-1", "format-version-2", "format-version-3", "truncated",
+            "layout-not-classifier-width", "regressor-dim-not-layout",
             "alpha-above-one", "alpha-nan", "one-regressor-class", "three-label-classifier",
-            "tree-labels-not-ensemble", "layout-no-channels", "order-not-layout"])
+            "tree-labels-not-ensemble", "layout-no-channels", "fill-hu-nan", "fill-hu-1e39"])
     def test_malformed_bundle_exit_code(self, tmp_path, cohort_dir, model_dir, corrupt, capsys):
         text = (model_dir / "model.json").read_text()
         (tmp_path / "model.json").write_text(corrupt(text))

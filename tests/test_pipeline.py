@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 import mr2ct.pipeline as pipeline_module
 from mr2ct import (
+    ConfigError,
     DataError,
     FeatureLayoutError,
     MixtureModel,
     ModelError,
-    PipelineConfig,
+    RunConfig,
     Volume,
     generate_phantom,
     load_model,
@@ -21,10 +22,12 @@ from mr2ct import (
     train_pipeline,
 )
 from mr2ct.boosting import BoostedEnsemble, Learner
+from mr2ct.config import load_run_config
 from mr2ct.features import FeatureLayout
 from mr2ct.mixture import conditional_expectation_many
 from mr2ct.pipeline import PipelineModel, model_from_dict, model_to_dict
 from mr2ct.tree import TreeConfig, train_tree
+from mr2ct.volume import FLOAT32_MAX
 
 from conftest import fast_config
 from util import random_mixture
@@ -32,30 +35,33 @@ from util import random_mixture
 
 class TestConfig:
     def test_default_grid_includes_five_and_six(self):
-        cfg = PipelineConfig()
-        for grid in cfg.j_candidates:
+        cfg = RunConfig()
+        for grid in cfg.class_grids:
             assert 5 in grid and 6 in grid
 
-    def test_roundtrip(self):
-        cfg = fast_config()
-        back = PipelineConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
-        assert back == cfg
+    def test_roundtrip(self, tmp_path):
+        """The manifest's config dump, written as a config file, loads back equal."""
+        cfg = fast_config(j_candidates_1=(3,), em_tol=1e-7)
+        lines = [f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                 for k, v in asdict(cfg).items() if v is not None]
+        (tmp_path / "run.cfg").write_text("".join(lines))
+        assert load_run_config(tmp_path / "run.cfg") == cfg
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(j_candidates=((), (1,)))
-        with pytest.raises(ValueError):
-            PipelineConfig(selection_criterion="rmse")
+        with pytest.raises(ConfigError):
+            RunConfig(j_candidates_0=())
+        with pytest.raises(ConfigError):
+            RunConfig(selection_criterion="rmse")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1e39])
     def test_fill_must_be_finite_in_float32(self, fill):
-        with pytest.raises(ValueError, match="fill_hu"):
-            PipelineConfig(fill_hu=fill)
+        with pytest.raises(ConfigError, match="fill_hu"):
+            RunConfig(fill_hu=fill)
 
     def test_order_checked_on_construction(self):
-        with pytest.raises(ValueError, match="order"):
-            PipelineConfig(neighborhood_order="third")
+        with pytest.raises(ConfigError, match="order"):
+            RunConfig(order="third")
 
 
 class TestTrain:
@@ -129,7 +135,7 @@ class TestPredict:
                        data=np.zeros(held.ct.n_voxels))
         result = predict_ct(trained, held.mr_channels, empty)
         assert result.n_predicted == 0
-        assert np.all(result.ct.data == trained.config.fill_hu)
+        assert np.all(result.ct.data == trained.fill_hu)
         assert np.all(result.labels.data == 0.0)
 
     def test_classifier_gets_column_major_features(self, trained, small_datasets,
@@ -175,7 +181,7 @@ class TestPredict:
         patched = PipelineModel(
             classifier=trained.classifier,
             regressors=(other, trained.regressors[1]),
-            config=trained.config,
+            fill_hu=trained.fill_hu,
             layout=trained.layout,
             seed=trained.seed,
             selected_j=trained.selected_j,
@@ -198,7 +204,7 @@ class TestPredict:
         truth_model = PipelineModel(
             classifier=base.classifier,
             regressors=small_spec.class_models,
-            config=base.config,
+            fill_hu=base.fill_hu,
             layout=base.layout,
             seed=base.seed,
             selected_j=(2, 2),
@@ -296,8 +302,9 @@ def _bundle_text(model):
     order=st.sampled_from(["first", "second"]),
     n_trees=st.integers(1, 3),
     components=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    fill_hu=st.floats(-FLOAT32_MAX, FLOAT32_MAX),
 )
-def test_bundle_roundtrip_property(seed, n_channels, order, n_trees, components):
+def test_bundle_roundtrip_property(seed, n_channels, order, n_trees, components, fill_hu):
     """Any valid model survives its bundle: same bytes, same arrays, same
     predictions."""
     rng = np.random.default_rng(seed)
@@ -313,7 +320,7 @@ def test_bundle_roundtrip_property(seed, n_channels, order, n_trees, components)
             learners=tuple(learners), n_labels=2, n_features=layout.n_combined
         ),
         regressors=tuple(random_mixture(j, n_channels + 1, rng) for j in components),
-        config=PipelineConfig(neighborhood_order=order),
+        fill_hu=fill_hu,
         layout=layout,
         seed=int(rng.integers(1000)),
         selected_j=components,
@@ -321,8 +328,8 @@ def test_bundle_roundtrip_property(seed, n_channels, order, n_trees, components)
     text = _bundle_text(model)
     back = model_from_dict(json.loads(text))
     assert _bundle_text(back) == text
-    assert (back.config, back.layout, back.seed, back.selected_j) == (
-        model.config, model.layout, model.seed, model.selected_j
+    assert (back.fill_hu, back.layout, back.seed, back.selected_j) == (
+        model.fill_hu, model.layout, model.seed, model.selected_j
     )
     for a, b in zip(model.classifier.learners, back.classifier.learners, strict=True):
         assert a.alpha == b.alpha

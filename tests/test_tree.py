@@ -189,6 +189,29 @@ def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tie
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 50),
+    n_features=st.integers(1, 4),
+    n_labels=st.sampled_from([2, 3]),
+    max_splits=st.integers(1, 19),
+)
+def test_duplicated_rows_equal_doubled_weights(seed, n, n_features, n_labels, max_splits):
+    """With min_leaf=1, every row twice grows bit for bit the tree of every row
+    once at weight 2: both see the same integer class-weight sums."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-3, 4, size=(n, n_features)).astype(np.float64)  # tied values
+    labels = rng.integers(0, n_labels, size=n)
+    config = TreeConfig(max_splits=max_splits, min_leaf=1)
+    twice = train_tree(np.vstack([x, x]), np.concatenate([labels, labels]), None, config,
+                       n_labels=n_labels)
+    doubled = train_tree(x, labels, np.full(n, 2.0), config, n_labels=n_labels)
+    for name in ("feature", "threshold", "left", "right", "confidence"):
+        a, b = getattr(twice, name), getattr(doubled, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 40),
     n_features=st.integers(1, 4),
     duplicated=st.booleans(),
