@@ -69,5 +69,5 @@ from .pipeline import (
     save_model,
     train_pipeline,
 )
-from .tree import DecisionTree, TreeConfig, gini, train_tree
+from .tree import DecisionTree, TreeConfig, train_tree
 from .volume import PatientDataset, Volume, load_patient, read_volume, write_volume

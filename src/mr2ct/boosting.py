@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BoostingError, ModelError
 from .labeling import minority_label
 from .seeding import derive_seed
-from .tree import DecisionTree, TreeConfig, train_tree
+from .tree import DecisionTree, TreeConfig, bin_features, train_tree
 
 _RETRY_BUDGET = 3
 _EPS_MIN = 1e-10
@@ -98,10 +98,10 @@ def rus_resample(
     target_ratio: float,
     seed: int,
     n_draw: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Weight-proportional draw with replacement, then majority undersampling.
 
-    Returns (row indices into the input, uniform weights over the draw).
+    Returns row indices into the input; the drawn rows carry equal weight.
     target_ratio is the minority:majority count ratio after undersampling;
     1.0 balances the classes.  Majority draws are removed uniformly at
     random until the ratio is met (never below it).
@@ -133,7 +133,7 @@ def rus_resample(
         keep = np.ones(size, dtype=bool)
         keep[drop] = False
         draw = draw[keep]
-    return draw, np.full(draw.shape[0], 1.0 / draw.shape[0])
+    return draw
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,11 @@ def train_rusboost(
     seed: int = 0,
     n_labels: int | None = None,
 ) -> BoostedEnsemble:
-    """Run the full boosting loop and return the retained learners."""
+    """Run the full boosting loop and return the retained learners.
+
+    The features are binned once here, and every round's tree trains on its
+    resample's codes at unit weights.
+    """
     # Column-major once, so scoring each round's tree on x copies nothing.
     x = np.asfortranarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -246,6 +250,7 @@ def train_rusboost(
     present = np.unique(labels)
     if present.size < 2:
         raise BoostingError("boosting needs both classes present in the training set")
+    codes = bin_features(x)
     mislabel = init_mislabel(labels, n_labels)
     learners: list[Learner] = []
     rounds: list[BoostRound] = []
@@ -255,7 +260,7 @@ def train_rusboost(
         retries = 0
         resample_size = 0
         for attempt in range(_RETRY_BUDGET + 1):
-            idx, w = rus_resample(
+            idx = rus_resample(
                 labels,
                 selection,
                 boost_config.target_ratio,
@@ -263,14 +268,13 @@ def train_rusboost(
             )
             resample_size = idx.shape[0]
             # Gathered along x.T's contiguous rows, the resample comes out
-            # column-major, which is what train_tree transposes to anyway;
-            # x[idx] on a column-major x is several times slower.
+            # column-major; x[idx] on a column-major x is several times slower.
             tree = train_tree(
                 np.take(x.T, idx, axis=1).T,
                 labels[idx],
-                weights=w,
                 config=tree_config,
                 n_labels=n_labels,
+                codes=np.take(codes, idx, axis=1),
             )
             conf = tree.confidence_matrix(x)
             eps, eps_raw = pseudo_loss(conf, labels, mislabel)

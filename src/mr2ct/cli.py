@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 from functools import partial
@@ -125,7 +126,7 @@ def _cmd_phantom(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     patients = _load_cohort(Path(args.cohort))
-    model, report = train_pipeline(patients, config=cfg, seed=cfg.seed)
+    model, report = train_pipeline(patients, config=cfg)
     model_path = out_dir / "model.json"
     save_model(model, model_path)
     written = [model_path, _write_json(out_dir / "train_report.json", report.to_dict())]
@@ -159,9 +160,7 @@ def _cmd_predict(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
 
 def _cmd_evaluate(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     patients = _load_cohort(Path(args.cohort))
-    report = loo_patient_eval(
-        patients, config=cfg, seed=cfg.seed, window=cfg.window_hu
-    )
+    report = loo_patient_eval(patients, config=cfg)
     written = write_regression_report(report, out_dir)
     print(
         f"leave-one-out over {len(report.rows)} patients: "
@@ -186,6 +185,15 @@ def _cmd_cv_classifier(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     return written
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent notation,
+    such as -1e4, as a value; argparse's own pattern takes it for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """--config plus one flag per RunConfig field; values are parsed, and
     checked, by load_run_config like config file values."""
@@ -195,7 +203,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mr2ct",
         description="CT volume estimation from MR volumes: tissue classification "
         "plus per-tissue mixture regression.",

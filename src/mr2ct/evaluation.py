@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -246,8 +246,6 @@ def masked_mae(true_vals: np.ndarray, pred_vals: np.ndarray) -> float:
 def loo_patient_eval(
     patients: Sequence[PatientDataset],
     config: RunConfig = RunConfig(),
-    seed: int = 0,
-    window: float = 20.0,
     trainer: Callable = train_pipeline,
     predictor: Callable = predict_ct,
 ) -> RegressionReport:
@@ -258,7 +256,9 @@ def loo_patient_eval(
     or prediction raises a package error (Mr2ctError) is flagged and skipped
     rather than aborting the whole run; any other exception propagates, and
     FitError is raised when no fold succeeds.
-    Residual curves pool the voxels of every successfully evaluated patient.
+    Fold i trains with seed derive_seed(config.seed, i).  Residual curves
+    pool the voxels of every successfully evaluated patient, in windows of
+    config.window_hu.
 
     trainer/predictor default to the real pipeline; they are injectable so
     the report arithmetic can be exercised against reference predictors.
@@ -272,7 +272,8 @@ def loo_patient_eval(
     for i, held in enumerate(ordered):
         rest = [p for p in ordered if p.patient_id != held.patient_id]
         try:
-            model, _ = trainer(rest, config=config, seed=derive_seed(seed, i))
+            fold_config = replace(config, seed=derive_seed(config.seed, i))
+            model, _ = trainer(rest, config=fold_config)
             result = predictor(model, held.mr_channels, held.mask)
         except Mr2ctError as exc:
             rows.append(
@@ -312,10 +313,10 @@ def loo_patient_eval(
         rows=rows,
         mean_mae=float(np.mean([r.mae for r in ok])),
         mean_bone_mae=float(np.mean(bone_rows)) if bone_rows else float("nan"),
-        signed_curve=smoothed_residuals(mct, sct, window=window, mode="signed"),
-        absolute_curve=smoothed_residuals(mct, sct, window=window, mode="absolute"),
+        signed_curve=smoothed_residuals(mct, sct, window=config.window_hu, mode="signed"),
+        absolute_curve=smoothed_residuals(mct, sct, window=config.window_hu, mode="absolute"),
         threshold_hu=config.threshold_hu,
-        window_hu=window,
+        window_hu=config.window_hu,
     )
 
 

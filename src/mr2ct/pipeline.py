@@ -115,15 +115,15 @@ def train_classifier_fold(
 def train_pipeline(
     patients: Sequence[PatientDataset],
     config: RunConfig = RunConfig(),
-    seed: int = 0,
 ) -> tuple[PipelineModel, TrainReport]:
     """Train classifier and per-class regressors on a cohort.
 
     Patients are processed in sorted patient_id order, so the result does
     not depend on how the cohort list happens to be ordered.  One patient,
-    chosen by seed, is held out of the mixture fits to score the candidate
-    component counts.
+    chosen by config.seed, is held out of the mixture fits to score the
+    candidate component counts.
     """
+    seed = config.seed
     if len(patients) < 2:
         raise DataError("training needs at least two patients for a validation split")
     ids = [p.patient_id for p in patients]
@@ -280,6 +280,10 @@ def predict_ct(
     )
 
 
+_BUNDLE_KEYS = {"format_version", "kind", "seed", "selected_j", "fill_hu", "layout",
+                "classifier", "regressors"}
+
+
 def model_to_dict(model: PipelineModel) -> dict:
     return {
         "format_version": BUNDLE_FORMAT_VERSION,
@@ -294,9 +298,9 @@ def model_to_dict(model: PipelineModel) -> dict:
 
 
 def model_from_dict(d: dict) -> PipelineModel:
-    """Rebuild a model from its bundle dict; a missing key, a value of the
-    wrong type or shape, or an unknown layout or regressor key raises
-    ModelError."""
+    """Rebuild a model from its bundle dict; a missing or unknown key, a
+    value of the wrong type or shape, or an unknown layout or regressor key
+    raises ModelError."""
     try:
         version = int(d.get("format_version", -1))
         if d.get("kind") != BUNDLE_KIND or version != BUNDLE_FORMAT_VERSION:
@@ -304,6 +308,12 @@ def model_from_dict(d: dict) -> PipelineModel:
                 f"not a model bundle of format version {BUNDLE_FORMAT_VERSION}: "
                 f"kind={d.get('kind')!r} version={d.get('format_version')!r}"
             )
+        if d.keys() != _BUNDLE_KEYS:
+            raise ModelError(
+                f"bundle keys must be {sorted(_BUNDLE_KEYS)}, got {sorted(d.keys())}"
+            )
+        if type(d["fill_hu"]) not in (int, float):
+            raise ModelError(f"fill_hu must be a JSON number, got {d['fill_hu']!r}")
         return PipelineModel(
             classifier=BoostedEnsemble.from_dict(d["classifier"]),
             regressors=tuple(MixtureModel(**entry) for entry in d["regressors"]),

@@ -2,24 +2,29 @@
 
 A tree routes a feature vector to a leaf whose confidence vector holds the
 normalized class-weight proportions of the training rows that reached it.
-Split search is exhaustive: at every node, every feature is scanned and the
-candidate thresholds are the midpoints of consecutive distinct sorted values.
-The split minimizing the weighted child impurity (1 - sum p^2) wins, with
-ties broken to the lowest feature index, then the lowest threshold.
+
+Split search uses histograms, the `hist` method of XGBoost (Chen & Guestrin,
+KDD 2016) and LightGBM (Ke et al., NeurIPS 2017).  bin_features codes each
+feature into at most N_BINS ordered bins.  The bin edges lie between
+consecutive distinct values: every such gap when a feature has at most N_BINS
+distinct values, otherwise the gaps nearest the rank quantiles.  A row's
+code is the number of edges below its value, so codes are uint8 and monotone
+in the value.  At a node, one bincount over (feature, label, code) gives
+every feature's class-weight histogram, and one cumulative sum over the bins
+gives the left class weights of every cut.  The cut minimizing the weighted
+child impurity (1 - sum p^2) wins, with ties broken to the lowest feature,
+then the lowest cut.  Its threshold is the midpoint of the node's own values
+on either side of the cut, so the float test x <= threshold sends every
+training row of the node where its code does.
+
+When every feature has at most N_BINS distinct values and the class-weight
+sums are exact, as they are for unit or integer weights, the candidates,
+decreases, tie-breaks and thresholds are those of an exhaustive search over
+the midpoints of each node's sorted values, and so is the tree.
 
 The split budget max_splits is global and spent best-first: the pending
 split with the largest weighted impurity decrease is applied next, so a
 small budget still buys the most useful structure.
-
-Each feature is sorted once per tree (SLIQ; the exact-greedy column blocks
-of XGBoost): a stable argsort per feature fills a (features, rows) int32
-array, and a node owns one column segment of it.  A split partitions that
-segment stably, so every node's per-feature lists stay in sorted order with
-ties in ascending row order, as a stable sort of the node's own rows would
-give.  The scan then scores all thresholds of _BLOCK features at once with
-one cumulative sum per label.  Cumulative sums, node totals and thresholds
-are therefore bitwise equal to those of a per-node sort, and so is the
-tree: the same data, weights and config give the same model bytes.
 
 Routing walks the tree node by node with a stack of (node, rows): a split
 compares one contiguous column of a column-major copy of x, gathered at the
@@ -31,27 +36,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, ModelError
 
 LEAF = -1
-# Features scored together: bounds split-search scratch to a few
-# (_BLOCK, rows) arrays rather than one (labels, features, rows) tensor.
-_BLOCK = 8
-
-
-def gini(proportions: Sequence[float]) -> float:
-    """Node impurity 1 - sum_t p_t^2 for class proportions p."""
-    p = np.asarray(proportions, dtype=np.float64)
-    if np.any(p < 0):
-        raise ValueError("proportions must be non-negative")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"proportions must sum to 1 within 1e-9, got {total!r}")
-    return float(1.0 - np.sum(p * p))
+N_BINS = 256  # bins per feature, so that codes fit uint8
 
 
 @dataclass(frozen=True)
@@ -181,6 +172,34 @@ class DecisionTree:
         )
 
 
+def bin_features(x: np.ndarray) -> np.ndarray:
+    """(features, rows) uint8 bin codes of the columns of x, from one argsort each.
+
+    See the module docstring for the edges; x must be finite.  A column-major
+    x reads each column contiguously.
+    """
+    n, n_features = x.shape
+    codes = np.empty((n_features, n), dtype=np.uint8)
+    step = np.empty(n, dtype=np.uint8)
+    for f in range(n_features):
+        order = np.argsort(x[:, f])
+        ordered = x[order, f]
+        gaps = np.flatnonzero(ordered[:-1] < ordered[1:])  # last position below each gap
+        if gaps.size >= N_BINS:
+            # The N_BINS - 1 gaps whose row counts below lie nearest the rank
+            # quantiles k n / N_BINS; near ties go to the lower gap.
+            below = gaps + 1
+            target = np.arange(1, N_BINS) * (n / N_BINS)
+            k = np.searchsorted(below, target).clip(1, below.size - 1)
+            k -= target - below[k - 1] <= below[k] - target
+            gaps = np.unique(gaps[k])
+        # In sorted order a row's code counts the edges it has passed.
+        step[:] = 0
+        step[gaps + 1] = 1
+        codes[f, order] = np.cumsum(step, dtype=np.uint8)
+    return codes
+
+
 def _class_weight_matrix(labels: np.ndarray, weights: np.ndarray, n_labels: int) -> np.ndarray:
     cw = np.zeros((labels.shape[0], n_labels), dtype=np.float64)
     cw[np.arange(labels.shape[0]), labels] = weights
@@ -194,65 +213,50 @@ def _node_confidence(class_weights: np.ndarray) -> np.ndarray:
     return class_weights / total
 
 
-def _label_sum(parts: list[np.ndarray]) -> np.ndarray:
-    """parts[0] + parts[1] + ..., added in the order a row sum over labels uses."""
-    return sum(parts[1:], parts[0])
-
-
-def _best_split(
-    x_t: np.ndarray,
-    cw_t: np.ndarray,
-    sorted_rows: np.ndarray,
+def _best_cut(
+    keys: np.ndarray,
+    weights: np.ndarray | None,
     totals: np.ndarray,
-    config: TreeConfig,
-) -> tuple[float, int, float] | None:
-    """Best (impurity decrease, feature, threshold) over all features, or None.
+    shape: tuple[int, int, int],
+    min_leaf: int,
+) -> tuple[float, int, int] | None:
+    """Best (impurity decrease, feature, bin) of one node, or None.
 
-    x_t is (features, n) and cw_t (labels, n); sorted_rows (features, m)
-    holds the node's rows per feature in stable sorted order and totals the
-    node's class weights.  The decrease is the unnormalized weighted form
+    keys (features, m) index the node's flattened (features, labels, bins)
+    histogram, one per row and feature; weights (m,) are the rows' weights,
+    None for unit weights, and totals the node's class weights.  Cut b sends
+    codes <= b left.  The decrease is the unnormalized weighted form
     W*G(node) - W_L*G(L) - W_R*G(R), which equals
     sum_t cwL_t^2/W_L + sum_t cwR_t^2/W_R - sum_t cw_t^2/W.
     """
-    n_features, m = sorted_rows.shape
+    n_features, n_labels, n_bins = shape
+    m = keys.shape[1]
+    size = n_features * n_labels * n_bins
+    counts = np.bincount(keys.ravel(), minlength=size).reshape(shape)
+    n_left = np.cumsum(counts.sum(axis=1), axis=1)
+    if weights is None:
+        cw = counts.astype(np.float64)
+    else:
+        cw = np.bincount(
+            keys.ravel(), weights=np.broadcast_to(weights, keys.shape).ravel(), minlength=size
+        ).reshape(shape)
+    cw_left = np.cumsum(cw, axis=2)
+    cw_right = totals[:, None] - cw_left
     w_total = totals.sum()
     parent_term = float(np.sum(totals**2) / w_total)
-    # Position p cuts between sorted rows p and p+1; min_leaf bounds it.
-    lo, hi = config.min_leaf - 1, m - config.min_leaf
-    # np.take gathers faster than fancy indexing; offsets index a block of x_t.
-    offsets = np.arange(0, _BLOCK * x_t.shape[1], x_t.shape[1])[:, None]
-    best: tuple[float, int, float] | None = None
-    for f0 in range(0, n_features, _BLOCK):
-        block = sorted_rows[f0:f0 + _BLOCK]
-        xv = np.take(x_t[f0:f0 + _BLOCK], block + offsets[:block.shape[0]])
-        cand = xv[:, lo:hi] < xv[:, lo + 1:hi + 1]
-        if not cand.any():
-            continue
-        # One (block, positions) array per label, added label by label, so
-        # every sum matches a row sum over the label axis bit for bit.
-        cw_left = [np.cumsum(np.take(c, block[:, :hi]), axis=1)[:, lo:] for c in cw_t]
-        cw_right = [t - c for t, c in zip(totals, cw_left)]
-        w_left, w_right = _label_sum(cw_left), _label_sum(cw_right)
-        sq_left = _label_sum([c**2 for c in cw_left])
-        sq_right = _label_sum([c**2 for c in cw_right])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(w_left > 0, sq_left / w_left, 0.0)
-            term += np.where(w_right > 0, sq_right / w_right, 0.0)
-        term[~cand] = -np.inf
-        k = np.argmax(term, axis=1)  # first max: lowest threshold
-        decrease = term[np.arange(k.size), k] - parent_term
-        # Ties across features go to the lowest index, here and across blocks.
-        decrease[decrease <= 1e-12 * w_total] = -np.inf
-        j = int(np.argmax(decrease))
-        if decrease[j] == -np.inf or (best is not None and not decrease[j] > best[0]):
-            continue
-        p = lo + int(k[j])
-        below, above = xv[j, p], xv[j, p + 1]
-        thr = 0.5 * (below + above)
-        if not (below < thr < above):
-            thr = below  # adjacent floats: keep the partition exact
-        best = (float(decrease[j]), f0 + j, float(thr))
-    return best
+    # Sums over the label axis add label by label, as a row sum over labels does.
+    w_left, w_right = cw_left.sum(axis=1), cw_right.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.where(w_left > 0, (cw_left**2).sum(axis=1) / w_left, 0.0)
+        term += np.where(w_right > 0, (cw_right**2).sum(axis=1) / w_right, 0.0)
+    term[(n_left < min_leaf) | (n_left > m - min_leaf)] = -np.inf
+    k = np.argmax(term, axis=1)  # first max: lowest cut
+    decrease = term[np.arange(n_features), k] - parent_term
+    decrease[decrease <= 1e-12 * w_total] = -np.inf
+    f = int(np.argmax(decrease))  # first max: lowest feature
+    if decrease[f] == -np.inf:
+        return None
+    return float(decrease[f]), f, int(k[f])
 
 
 def train_tree(
@@ -261,11 +265,16 @@ def train_tree(
     weights: np.ndarray | None = None,
     config: TreeConfig = TreeConfig(),
     n_labels: int | None = None,
+    *,
+    codes: np.ndarray | None = None,
 ) -> DecisionTree:
     """Grow a tree greedily under the global best-first split budget.
 
-    Branch growth stops on purity, on min_leaf (children must keep at least
-    min_leaf rows), or when the budget is exhausted.
+    codes are x's (features, rows) uint8 bin codes: bin_features(x), or the
+    codes of a larger set binned once and gathered at x's rows, as boosting
+    passes them.  Without codes, x is binned here.  Branch growth stops on
+    purity, on min_leaf (children must keep at least min_leaf rows), or when
+    the budget is exhausted.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -276,80 +285,74 @@ def train_tree(
         raise DataError("labels length does not match sample count")
     if not np.all(np.isfinite(x)):
         raise DataError("features must be finite")
-    if weights is None:
-        weights = np.ones(n, dtype=np.float64)
-    else:
+    if weights is not None:
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if weights.shape[0] != n or not np.all(np.isfinite(weights) & (weights >= 0)):
             raise DataError("weights must be finite and non-negative, one per sample")
-    if weights.sum() <= 0:
-        raise DataError("total sample weight must be positive")
+        if weights.sum() <= 0:
+            raise DataError("total sample weight must be positive")
     if n_labels is None:
         n_labels = int(labels.max()) + 1
     if labels.min() < 0 or labels.max() >= n_labels:
         raise DataError(f"labels must lie in [0, {n_labels})")
+    if codes is None:
+        codes = bin_features(x)
+    elif codes.shape != (n_features, n) or codes.dtype != np.uint8:
+        raise DataError(f"codes must be uint8 of shape ({n_features}, {n})")
 
-    cw_all = _class_weight_matrix(labels, weights, n_labels)
-    cw_t = np.ascontiguousarray(cw_all.T)
-    x_t = np.ascontiguousarray(x.T)
-    # Every node owns one column segment [start, start + rows) of order, in
-    # which each feature's row lists are stably sorted by that feature.
-    order = np.empty((n_features, n), dtype=np.int32)
-    for f in range(n_features):
-        order[f] = np.argsort(x_t[f], kind="stable")
-    goes_left = np.zeros(n, dtype=bool)
+    cw_all = _class_weight_matrix(labels, 1.0 if weights is None else weights, n_labels)
+    shape = (n_features, n_labels, int(codes.max(initial=0)) + 1)
+    # keys = feature*L*B + label*B + code indexes the flattened histogram.
+    key_base = np.arange(n_features)[:, None] * (n_labels * shape[2])
+    label_key = labels * shape[2]
 
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     confidence: list[np.ndarray] = []
-    heap: list[tuple[float, int, int, float]] = []
-    pending: dict[int, tuple[np.ndarray, int]] = {}  # heap node -> (rows, start)
+    heap: list[tuple[float, int, int, int]] = []
+    pending: dict[int, np.ndarray] = {}  # heap node -> its rows
 
-    def new_node(rows: np.ndarray, start: int) -> int:
+    def new_node(rows: np.ndarray) -> int:
         """Append a leaf for rows (ascending) and queue its best split."""
         node_id = len(feature)
         feature.append(LEAF)
         threshold.append(np.nan)
         left.append(LEAF)
         right.append(LEAF)
-        # Summed in row order: a sum in sorted order can differ in the last bit.
         totals = cw_all[rows].sum(axis=0)
         confidence.append(_node_confidence(totals))
         if rows.size < 2 * config.min_leaf or np.count_nonzero(totals > 0) <= 1:
             return node_id  # too small to split, or pure
-        found = _best_split(x_t, cw_t, order[:, start:start + rows.size], totals, config)
+        keys = key_base + label_key[rows]
+        keys += codes[:, rows]
+        found = _best_cut(
+            keys, None if weights is None else weights[rows], totals, shape, config.min_leaf
+        )
         if found is not None:
-            decrease, f, thr = found
+            decrease, f, b = found
             # Equal decreases split the older node first: ids grow with time.
-            heapq.heappush(heap, (-decrease, node_id, f, thr))
-            pending[node_id] = (rows, start)
+            heapq.heappush(heap, (-decrease, node_id, f, b))
+            pending[node_id] = rows
         return node_id
 
-    new_node(np.arange(n, dtype=np.int64), 0)
+    new_node(np.arange(n))
 
     splits_done = 0
     while heap and splits_done < config.max_splits:
-        _, node_id, f, thr = heapq.heappop(heap)
-        rows, start = pending.pop(node_id)
-        go_left = x_t[f, rows] <= thr
-        rows_left = rows[go_left]
-        n_left = rows_left.size
-        # Stable partition of every feature's list: left rows first.
-        segment = order[:, start:start + rows.size]
-        goes_left[rows_left] = True
-        sel = goes_left[segment]
-        goes_left[rows_left] = False
-        segment[...] = np.concatenate(
-            (segment[sel].reshape(n_features, n_left),
-             segment[~sel].reshape(n_features, rows.size - n_left)),
-            axis=1,
-        )
+        _, node_id, f, b = heapq.heappop(heap)
+        rows = pending.pop(node_id)
+        go_left = codes[f].take(rows) <= b
+        values = x[:, f].take(rows)
+        below, above = values[go_left].max(), values[~go_left].min()
+        thr = 0.5 * (below + above)
+        if not (below < thr < above):
+            thr = below  # adjacent floats: keep the partition exact
         feature[node_id] = f
-        threshold[node_id] = thr
-        left[node_id] = new_node(rows_left, start)
-        right[node_id] = new_node(rows[~go_left], start + n_left)
+        threshold[node_id] = float(thr)
+        left[node_id] = new_node(rows[go_left])
+        right[node_id] = new_node(rows[~go_left])
         splits_done += 1
 
     return DecisionTree(

@@ -207,7 +207,7 @@ def test_criterion_7_end_to_end_oracle_gap():
         trees=12,
         gmm_max_rows=30_000,
     )
-    report = loo_patient_eval(datasets, config, seed=0)
+    report = loo_patient_eval(datasets, config)
     assert not any(r.failed for r in report.rows)
     oracle_maes = []
     for item in cohort:

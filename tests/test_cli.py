@@ -275,11 +275,14 @@ class TestPredict:
         _edited(lambda b: b["layout"].update(n_channels=0)),
         _edited(lambda b: b.update(fill_hu=float("nan"))),
         _edited(lambda b: b.update(fill_hu=1e39)),
+        _edited(lambda b: b.update(fill_hu="-1024")),
+        _edited(lambda b: b.update(config={"seed": 0})),
     ], ids=["no-classifier", "non-integer-seed", "classifier-not-object",
             "format-version-1", "format-version-2", "format-version-3", "truncated",
             "layout-not-classifier-width", "regressor-dim-not-layout",
             "alpha-above-one", "alpha-nan", "one-regressor-class", "three-label-classifier",
-            "tree-labels-not-ensemble", "layout-no-channels", "fill-hu-nan", "fill-hu-1e39"])
+            "tree-labels-not-ensemble", "layout-no-channels", "fill-hu-nan", "fill-hu-1e39",
+            "fill-hu-string", "stale-config-key"])
     def test_malformed_bundle_exit_code(self, tmp_path, cohort_dir, model_dir, corrupt, capsys):
         text = (model_dir / "model.json").read_text()
         (tmp_path / "model.json").write_text(corrupt(text))
@@ -389,6 +392,18 @@ class TestConfigHandling:
             rc = main(["phantom", "--out", str(tmp_path / "x"), *source])
             assert rc == EXIT_CONFIG
             assert capsys.readouterr().err.startswith("config error:")
+
+    def test_negative_exponent_values(self, tmp_path, capsys):
+        """A negative number in exponent notation is a flag's value, not an option."""
+        out = tmp_path / "phantom"
+        rc = main(["phantom", "--out", str(out), "--patients", "1", "--dims", "4,4,4",
+                   "--fill-hu", "-1e4", "--threshold-hu", "-2.5E+1"])
+        assert rc == EXIT_OK
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["fill_hu"], config["threshold_hu"]) == (-1e4, -25.0)
+        rc = main(["phantom", "--out", str(out), "--trees", "-1e2"])
+        assert rc == EXIT_CONFIG
+        assert "cannot parse '-1e2' as an int" in capsys.readouterr().err
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"

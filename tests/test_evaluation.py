@@ -202,16 +202,17 @@ class TestLooPatientEval:
             def __init__(self, ct):
                 self.ct = ct
 
-        def trainer(rest, config, seed):
+        def trainer(rest, config):
             return object(), None
 
         def predictor(_model, channels, mask):
             return _Copy(ct_by_channel_id[id(channels[0])])
 
         report = loo_patient_eval(
-            small_datasets, fast_config(), seed=0,
+            small_datasets, fast_config(window_hu=35.0),
             trainer=trainer, predictor=predictor,
         )
+        assert report.window_hu == report.absolute_curve.window == 35.0
         assert len(report.rows) == len(small_datasets)
         for row in report.rows:
             assert row.mae == 0.0
@@ -220,7 +221,7 @@ class TestLooPatientEval:
         np.testing.assert_array_equal(report.absolute_curve.values, 0.0)
 
     def test_real_pipeline_report(self, small_datasets, tmp_path):
-        report = loo_patient_eval(small_datasets, fast_config(), seed=0)
+        report = loo_patient_eval(small_datasets, fast_config())
         assert len(report.rows) == 3
         assert not any(r.failed for r in report.rows)
         assert report.mean_mae < 80.0
@@ -231,7 +232,7 @@ class TestLooPatientEval:
 
         ordered = sorted(small_datasets, key=lambda p: p.patient_id)
         held = ordered[0]
-        model, _ = train_pipeline(ordered[1:], fast_config(), seed=derive_seed(0, 0))
+        model, _ = train_pipeline(ordered[1:], fast_config(seed=derive_seed(0, 0)))
         result = predict_ct(model, held.mr_channels, held.mask)
         idx = held.masked_indices()
         true_vals = held.ct.data[idx].astype(np.float64)
@@ -249,36 +250,36 @@ class TestLooPatientEval:
 
     def test_needs_two_patients(self, small_datasets):
         with pytest.raises(DataError):
-            loo_patient_eval(small_datasets[:1], fast_config(), seed=0)
+            loo_patient_eval(small_datasets[:1], fast_config())
 
     def test_failed_fold_flagged(self, small_datasets):
         calls = {"n": 0}
 
-        def trainer(rest, config, seed):
+        def trainer(rest, config):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise FitError("synthetic failure")
             from mr2ct.pipeline import train_pipeline
 
-            return train_pipeline(rest, config=config, seed=seed)
+            return train_pipeline(rest, config=config)
 
-        report = loo_patient_eval(small_datasets, fast_config(), seed=0, trainer=trainer)
+        report = loo_patient_eval(small_datasets, fast_config(), trainer=trainer)
         assert sum(r.failed for r in report.rows) == 1
         assert report.rows[0].error == "synthetic failure"
         assert np.isfinite(report.mean_mae)
 
     def test_bug_in_trainer_propagates(self, small_datasets):
-        def trainer(rest, config, seed):
+        def trainer(rest, config):
             raise TypeError("synthetic bug")
 
         with pytest.raises(TypeError, match="synthetic bug"):
-            loo_patient_eval(small_datasets, fast_config(), seed=0, trainer=trainer)
+            loo_patient_eval(small_datasets, fast_config(), trainer=trainer)
 
     def test_every_fold_failing_raises(self, small_datasets):
-        def trainer(rest, config, seed):
+        def trainer(rest, config):
             raise FitError(f"no fit for {len(rest)}")
 
         with pytest.raises(FitError, match="every leave-one-out fold failed") as info:
-            loo_patient_eval(small_datasets, fast_config(), seed=0, trainer=trainer)
+            loo_patient_eval(small_datasets, fast_config(), trainer=trainer)
         for p in small_datasets:
             assert f"{p.patient_id}: no fit for" in str(info.value)

@@ -67,7 +67,7 @@ class TestConfig:
 class TestTrain:
     def test_report_contents(self, small_datasets):
         cfg = fast_config(classifier_cv_folds=2)
-        model, report = train_pipeline(small_datasets, cfg, seed=0)
+        model, report = train_pipeline(small_datasets, cfg)
         assert len(model.selected_j) == 2
         assert all(j in (1, 2) for j in model.selected_j)
         assert len(report.selection) == 2
@@ -80,38 +80,41 @@ class TestTrain:
 
     def test_needs_two_patients(self, small_datasets):
         with pytest.raises(DataError, match="two patients"):
-            train_pipeline(small_datasets[:1], fast_config(), seed=0)
+            train_pipeline(small_datasets[:1], fast_config())
 
     def test_duplicate_ids_rejected(self, small_datasets):
         with pytest.raises(DataError, match="duplicate"):
-            train_pipeline([small_datasets[0], small_datasets[0]], fast_config(), seed=0)
+            train_pipeline([small_datasets[0], small_datasets[0]], fast_config())
 
     def test_seed_determinism_bytes(self, small_datasets, tmp_path):
-        cfg = fast_config()
-        model_a, _ = train_pipeline(small_datasets, cfg, seed=3)
-        model_b, _ = train_pipeline(small_datasets, cfg, seed=3)
+        cfg = fast_config(seed=3)
+        model_a, _ = train_pipeline(small_datasets, cfg)
+        model_b, _ = train_pipeline(small_datasets, cfg)
         save_model(model_a, tmp_path / "a.json")
         save_model(model_b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_seed_changes_model(self, small_datasets, tmp_path):
-        cfg = fast_config()
-        model_a, _ = train_pipeline(small_datasets, cfg, seed=3)
-        model_b, _ = train_pipeline(small_datasets, cfg, seed=4)
+        model_a, _ = train_pipeline(small_datasets, fast_config(seed=3))
+        model_b, _ = train_pipeline(small_datasets, fast_config(seed=4))
         save_model(model_a, tmp_path / "a.json")
         save_model(model_b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() != (tmp_path / "b.json").read_bytes()
 
     def test_patient_order_invariance(self, small_datasets):
-        cfg = fast_config()
-        model_a, _ = train_pipeline(small_datasets, cfg, seed=1)
-        model_b, _ = train_pipeline(list(reversed(small_datasets)), cfg, seed=1)
+        cfg = fast_config(seed=1)
+        model_a, _ = train_pipeline(small_datasets, cfg)
+        model_b, _ = train_pipeline(list(reversed(small_datasets)), cfg)
         assert json.dumps(model_to_dict(model_a)) == json.dumps(model_to_dict(model_b))
+
+    def test_seed_comes_from_config(self, small_datasets):
+        model, report = train_pipeline(small_datasets, fast_config(trees=1, seed=5))
+        assert model.seed == report.seed == 5
 
 
 @pytest.fixture(scope="module")
 def trained(small_datasets):
-    model, _ = train_pipeline(small_datasets[:2], fast_config(), seed=0)
+    model, _ = train_pipeline(small_datasets[:2], fast_config())
     return model
 
 
@@ -200,7 +203,7 @@ class TestPredict:
         oracle value at every voxel whose predicted label matches the truth."""
         from mr2ct import oracle_predict_ct
 
-        base, _ = train_pipeline(small_datasets[:2], fast_config(), seed=0)
+        base, _ = train_pipeline(small_datasets[:2], fast_config())
         truth_model = PipelineModel(
             classifier=base.classifier,
             regressors=small_spec.class_models,
@@ -244,7 +247,7 @@ class TestPredict:
         for seed in range(5):
             cohort = generate_phantom(spec, n_patients=3, seed=seed)
             datasets = [c.dataset for c in cohort]
-            model, _ = train_pipeline(datasets[:2], fast_config(), seed=seed)
+            model, _ = train_pipeline(datasets[:2], fast_config(seed=seed))
             held = cohort[2]
             result = predict_ct(model, held.dataset.mr_channels, held.dataset.mask)
             truth = held.dataset.ct.data.astype(np.float64)
@@ -265,7 +268,7 @@ class TestPredict:
 
 class TestBundle:
     def test_roundtrip_predictions(self, small_datasets, tmp_path):
-        model, _ = train_pipeline(small_datasets[:2], fast_config(), seed=0)
+        model, _ = train_pipeline(small_datasets[:2], fast_config())
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
@@ -282,7 +285,7 @@ class TestBundle:
             replace(trained, regressors=(short, trained.regressors[1]))
 
     def test_kind_checked(self, small_datasets):
-        model, _ = train_pipeline(small_datasets[:2], fast_config(), seed=0)
+        model, _ = train_pipeline(small_datasets[:2], fast_config())
         d = model_to_dict(model)
         d["kind"] = "something-else"
         from mr2ct.errors import ModelError

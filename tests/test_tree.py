@@ -3,33 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mr2ct import DataError, TreeConfig, gini, train_tree
+from mr2ct import DataError, TreeConfig, train_tree
 from mr2ct.errors import ModelError
-from mr2ct.tree import LEAF, DecisionTree
+from mr2ct.tree import LEAF, N_BINS, DecisionTree, bin_features
 
-from util import naive_leaf_index, naive_train_tree
-
-
-class TestGini:
-    def test_pure_node(self):
-        assert gini([1.0, 0.0]) == 0.0
-
-    def test_maximal_binary_impurity(self):
-        assert gini([0.5, 0.5]) == 0.5
-
-    def test_direct_arithmetic(self):
-        assert gini([0.25, 0.75]) == pytest.approx(0.375, abs=1e-15)
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            gini([0.5, 0.6])
-
-    def test_uniform_maximizes(self):
-        for k in (2, 3, 5):
-            assert gini(np.full(k, 1 / k)) == pytest.approx(1 - 1 / k, abs=1e-12)
-            one_hot = np.zeros(k)
-            one_hot[0] = 1.0
-            assert gini(one_hot) == 0.0
+from util import naive_best_split, naive_leaf_index, naive_train_tree
 
 
 def weighted_error(tree, x, labels, weights):
@@ -155,6 +133,14 @@ class TestTrainTree:
         with pytest.raises(DataError, match="finite"):
             train_tree(np.arange(4.0)[:, None], labels, weights=np.array([1, np.nan, 1, 1]))
 
+    def test_codes_must_match_x(self):
+        x = np.arange(8.0).reshape(4, 2)
+        labels = np.array([0, 0, 1, 1])
+        with pytest.raises(DataError, match="codes"):
+            train_tree(x, labels, codes=bin_features(x).T.copy())
+        with pytest.raises(DataError, match="codes"):
+            train_tree(x, labels, codes=bin_features(x).astype(np.int64))
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -171,6 +157,9 @@ class TestTrainTree:
 )
 def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tied, duplicated,
                                       weighted, min_leaf, max_splits):
+    """Under N_BINS distinct values per feature and integer weights, every
+    class-weight sum is exact, so the histogram search grows the exhaustive
+    search's tree bit for bit."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, n_features))
     if tied:
@@ -180,10 +169,133 @@ def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tie
     labels = rng.integers(0, n_labels, size=n)
     if duplicated:
         x, labels = np.vstack([x, x[::2]]), np.concatenate([labels, labels[::2]])
-    weights = rng.uniform(0.1, 3.0, size=labels.size) if weighted else None
+    weights = rng.integers(0, 4, size=labels.size).astype(np.float64) if weighted else None
+    if weighted:
+        weights[0] += 1.0  # positive total
     config = TreeConfig(max_splits=max_splits, min_leaf=min_leaf)
     expected = naive_train_tree(x, labels, weights, config, n_labels=n_labels)
     assert train_tree(x, labels, weights, config, n_labels=n_labels).to_dict() == expected.to_dict()
+
+
+def node_rows(tree, x):
+    """Training rows reaching each node, by replaying the float thresholds."""
+    rows = {0: np.arange(x.shape[0])}
+    for node in range(tree.n_nodes):  # children follow their parent
+        f = tree.feature[node]
+        if f != LEAF:
+            go_left = x[rows[node], f] <= tree.threshold[node]
+            rows[tree.left[node]] = rows[node][go_left]
+            rows[tree.right[node]] = rows[node][~go_left]
+    return rows
+
+
+def split_decrease(cw, go_left):
+    """W*G(node) - W_L*G(L) - W_R*G(R) of one partition of class weights cw."""
+    def term(part):
+        return np.sum(part.sum(axis=0) ** 2) / part.sum()
+    return term(cw[go_left]) + term(cw[~go_left]) - term(cw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    n_features=st.integers(1, 5),
+    n_labels=st.sampled_from([2, 3]),
+    tied=st.booleans(),
+    min_leaf=st.integers(1, 8),
+    max_splits=st.integers(1, 40),
+)
+def test_float_weight_splits_near_per_node_best(seed, n, n_features, n_labels, tied, min_leaf,
+                                                max_splits):
+    """With float weights, per-bin sums round differently from row-order sums,
+    so near-ties may break differently, but every split is within 1e-9 W of
+    the node's exhaustive best."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n_features))
+    if tied:
+        x = np.round(2 * x) / 2
+    labels = rng.integers(0, n_labels, size=n)
+    weights = rng.uniform(0.1, 3.0, size=n)
+    config = TreeConfig(max_splits=max_splits, min_leaf=min_leaf)
+    tree = train_tree(x, labels, weights, config, n_labels=n_labels)
+    cw = np.zeros((n, n_labels))
+    cw[np.arange(n), labels] = weights
+    rows = node_rows(tree, x)
+    for node in np.flatnonzero(tree.feature != LEAF):
+        r = rows[node]
+        go_left = x[r, tree.feature[node]] <= tree.threshold[node]
+        assert min(go_left.sum(), (~go_left).sum()) >= min_leaf
+        found = naive_best_split(x[r], cw[r], config)
+        best = 0.0 if found is None else found[0]
+        assert abs(split_decrease(cw[r], go_left) - best) <= 1e-9 * cw[r].sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 700),
+    n_features=st.integers(1, 3),
+    distinct=st.integers(1, 400),
+    continuous=st.booleans(),
+)
+def test_binning_codes(seed, n, n_features, distinct, continuous):
+    """At most N_BINS codes per feature, used without gaps and monotone in x;
+    a feature with at most N_BINS distinct values gives each its own code.
+    Above N_BINS values, rank quantiles that share their nearest gap merge, so
+    a small sample can get fewer codes."""
+    rng = np.random.default_rng(seed)
+    if continuous:
+        x = rng.normal(size=(n, n_features))
+    else:
+        x = rng.integers(0, distinct, size=(n, n_features)) * 0.1 - 3.0
+    codes = bin_features(x)
+    assert codes.dtype == np.uint8 and codes.shape == (n_features, n)
+    for f in range(n_features):
+        order = np.argsort(x[:, f], kind="stable")
+        xs, cs = x[order, f], codes[f, order].astype(np.int64)
+        steps = np.diff(cs)
+        assert np.all(steps >= 0)                      # monotone in x
+        assert np.all(steps[xs[1:] == xs[:-1]] == 0)   # equal values, equal codes
+        n_values = np.unique(xs).size
+        assert np.array_equal(np.unique(cs), np.arange(cs[-1] + 1))
+        if n_values <= N_BINS:
+            assert cs[-1] + 1 == n_values
+        else:
+            assert cs[-1] + 1 <= N_BINS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 700),
+    n_features=st.integers(1, 3),
+    tied=st.booleans(),
+    subset=st.booleans(),
+    min_leaf=st.integers(1, 6),
+    max_splits=st.integers(1, 30),
+)
+def test_code_and_threshold_routing_agree(seed, n, n_features, tied, subset, min_leaf,
+                                          max_splits):
+    """At every split, code <= b and x <= threshold partition the node's
+    training rows alike, also for codes binned on a larger set and gathered,
+    as boosting passes them."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n_features))
+    if tied:
+        x = np.round(4 * x) / 4
+    labels = (x[:, 0] + rng.normal(size=n) > 0).astype(int)
+    codes = bin_features(x)
+    if subset:
+        idx = np.sort(rng.choice(n, size=max(2, n // 2)))
+        x, labels, codes = x[idx], labels[idx], codes[:, idx]
+    tree = train_tree(x, labels, config=TreeConfig(max_splits=max_splits, min_leaf=min_leaf),
+                      n_labels=2, codes=codes)
+    rows = node_rows(tree, x)
+    for node in np.flatnonzero(tree.feature != LEAF):
+        f, r = tree.feature[node], rows[node]
+        go_left = x[r, f] <= tree.threshold[node]
+        assert codes[f, r][go_left].max() < codes[f, r][~go_left].min()
 
 
 @settings(max_examples=60, deadline=None)

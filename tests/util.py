@@ -2,7 +2,7 @@
 
 The samplers and density evaluations here deliberately avoid the package's
 own mixture code paths, naive_em_once its component-major EM iteration,
-naive_train_tree its presorted split search,
+naive_train_tree its histogram split search,
 naive_leaf_index its per-node routing and naive_neighbor_matrix its
 edge-padded extraction, so they can serve as independent checks.
 """
@@ -188,7 +188,7 @@ def match_components(est_means, true_means):
     return order
 
 
-def _naive_best_split(x, cw, config):
+def naive_best_split(x, cw, config):
     """Best (decrease, feature, threshold) by sorting every feature afresh."""
     m = x.shape[0]
     totals = cw.sum(axis=0)
@@ -268,7 +268,7 @@ def naive_train_tree(x, labels, weights=None, config=TreeConfig(), n_labels=None
             return
         if (cw_all[rows].sum(axis=0) > 0).sum() <= 1:
             return
-        found = _naive_best_split(x[rows], cw_all[rows], config)
+        found = naive_best_split(x[rows], cw_all[rows], config)
         if found is not None:
             decrease, f, thr = found
             heapq.heappush(heap, (-decrease, next(push_seq), node_id, f, thr))
