@@ -97,9 +97,9 @@ def rus_resample(
     selection_weights: np.ndarray,
     target_ratio: float,
     seed: int,
-    n_draw: int | None = None,
 ) -> np.ndarray:
-    """Weight-proportional draw with replacement, then majority undersampling.
+    """Weight-proportional draw of n rows from n with replacement, then
+    majority undersampling.
 
     Returns row indices into the input; the drawn rows carry equal weight.
     target_ratio is the minority:majority count ratio after undersampling;
@@ -117,9 +117,9 @@ def rus_resample(
         raise BoostingError("selection weights must be non-negative with positive sum")
     p = weights / weights.sum()
     rng = np.random.default_rng(seed)
-    size = labels.shape[0] if n_draw is None else int(n_draw)
+    size = labels.shape[0]
     for _ in range(10):
-        draw = rng.choice(labels.shape[0], size=size, replace=True, p=p)
+        draw = rng.choice(size, size=size, replace=True, p=p)
         if np.any(labels[draw] == minority):
             break
     else:
@@ -164,6 +164,7 @@ class BoostRound:
     skipped: bool
     resample_size: int
     underflow: bool
+    train_error: float | None  # of the learners retained so far; None before the first
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,9 @@ def train_rusboost(
     """Run the full boosting loop and return the retained learners.
 
     The features are binned once here, and every round's tree trains on its
-    resample's codes at unit weights.
+    resample's codes at unit weights.  Each round records the training error
+    of the learners retained so far, from the running vote over the full set
+    that the pseudo-losses already route.
     """
     # Column-major once, so scoring each round's tree on x copies nothing.
     x = np.asfortranarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
@@ -254,6 +257,8 @@ def train_rusboost(
     mislabel = init_mislabel(labels, n_labels)
     learners: list[Learner] = []
     rounds: list[BoostRound] = []
+    votes = np.zeros((x.shape[0], n_labels))
+    train_error = None
     for j in range(boost_config.n_learners):
         selection = mislabel.sum(axis=1)
         chosen: tuple[DecisionTree, np.ndarray, float, float] | None = None
@@ -287,7 +292,7 @@ def train_rusboost(
                 BoostRound(
                     index=j, eps=None, eps_raw=None, alpha=None,
                     retries=retries, skipped=True,
-                    resample_size=resample_size, underflow=False,
+                    resample_size=resample_size, underflow=False, train_error=train_error,
                 )
             )
             continue
@@ -296,11 +301,14 @@ def train_rusboost(
         alpha = eps / (1.0 - eps)
         mislabel, underflow = update_mislabel(mislabel, conf, labels, alpha)
         learners.append(Learner(tree=tree, alpha=alpha))
+        # The same sum, in the same order, as BoostedEnsemble.scores.
+        votes += conf * np.log(1.0 / alpha)
+        train_error = float(np.mean(np.argmax(votes, axis=1) != labels))
         rounds.append(
             BoostRound(
                 index=j, eps=eps, eps_raw=eps_raw, alpha=alpha,
                 retries=retries, skipped=False,
-                resample_size=resample_size, underflow=underflow,
+                resample_size=resample_size, underflow=underflow, train_error=train_error,
             )
         )
     if not learners:

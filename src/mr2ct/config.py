@@ -30,8 +30,6 @@ class RunConfig:
     threshold_hu: float = DEFAULT_THRESHOLD_HU
     order: str = "second"
     j_candidates: tuple[int, ...] = (5, 6)
-    j_candidates_0: tuple[int, ...] | None = None
-    j_candidates_1: tuple[int, ...] | None = None
     trees: int = 150
     max_splits: int = 400
     min_leaf: int = 5
@@ -39,11 +37,9 @@ class RunConfig:
     em_restarts: int = 5
     em_max_iter: int = 500
     em_tol: float = 1e-6
-    selection_criterion: str = "mse"
     window_hu: float = 20.0
     fill_hu: float = -1000.0
     gmm_max_rows: int = 0            # 0 = no cap; otherwise seeded subsample per class
-    classifier_cv_folds: int = 0     # 0 = skip CV inside the training report
     cv_folds: int = 10
     seed: int = 0
 
@@ -60,14 +56,10 @@ class RunConfig:
         # The fill value lands in a float32 output volume, which must be finite.
         if not abs(self.fill_hu) <= FLOAT32_MAX:
             raise ConfigError(f"fill_hu must be finite in float32, got {self.fill_hu!r}")
-        for key in ("j_candidates", "j_candidates_0", "j_candidates_1"):
-            grid = getattr(self, key)
-            if grid is not None and (len(grid) == 0 or any(j < 1 for j in grid)):
-                raise ConfigError(f"{key} must be a non-empty list of counts >= 1")
-        if self.selection_criterion not in ("mse", "mae"):
-            raise ConfigError("selection_criterion must be 'mse' or 'mae'")
-        if self.gmm_max_rows < 0 or self.classifier_cv_folds < 0:
-            raise ConfigError("gmm_max_rows and classifier_cv_folds must be >= 0")
+        if len(self.j_candidates) == 0 or any(j < 1 for j in self.j_candidates):
+            raise ConfigError("j_candidates must be a non-empty list of counts >= 1")
+        if self.gmm_max_rows < 0:
+            raise ConfigError("gmm_max_rows must be >= 0")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
         if self.seed < 0:
@@ -87,12 +79,6 @@ class RunConfig:
     @property
     def boost(self) -> BoostConfig:
         return BoostConfig(n_learners=self.trees, target_ratio=self.rus_ratio)
-
-    @property
-    def class_grids(self) -> tuple[tuple[int, ...], ...]:
-        """The component counts tried for each tissue class, by label."""
-        return (self.j_candidates_0 or self.j_candidates,
-                self.j_candidates_1 or self.j_candidates)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

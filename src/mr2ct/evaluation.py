@@ -2,7 +2,7 @@
 patient-level leave-one-out for the regression, and smoothed residual
 curves over the true-intensity range.
 
-The positive class for precision/recall/F-score is the minority class.
+The positive class for precision/recall/F1 score is the minority class.
 Degenerate confusion counts use the 0/0 -> 0 convention throughout.
 """
 
@@ -24,18 +24,15 @@ from .seeding import derive_seed, rng_for
 from .volume import PatientDataset
 
 
-def prf(tp: int, fp: int, fn: int, beta: float = 1.0) -> tuple[float, float, float]:
-    """(precision, recall, f_score) from confusion counts.
-
-    beta weighs recall relative to precision:
-    Fs = (1 + beta^2) * Re * Pr / (beta^2 * Pr + Re).
-    """
+def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """(precision, recall, f_score) from confusion counts, with the F1 score
+    Fs = 2 * Re * Pr / (Pr + Re)."""
     if min(tp, fp, fn) < 0:
         raise ValueError("confusion counts must be non-negative")
     precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
-    denom = beta**2 * precision + recall
-    f_score = (1 + beta**2) * recall * precision / denom if denom > 0 else 0.0
+    denom = precision + recall
+    f_score = 2 * recall * precision / denom if denom > 0 else 0.0
     return precision, recall, f_score
 
 
@@ -49,20 +46,19 @@ class ClassificationMetrics:
     precision: float
     recall: float
     f_score: float
-    beta: float
     positive_label: int
 
     @classmethod
     def from_counts(
-        cls, tp: int, fp: int, fn: int, tn: int, beta: float = 1.0, positive_label: int = 1
+        cls, tp: int, fp: int, fn: int, tn: int, positive_label: int = 1
     ) -> "ClassificationMetrics":
         n = tp + fp + fn + tn
         err = (fp + fn) / n if n > 0 else 0.0
-        precision, recall, f_score = prf(tp, fp, fn, beta)
+        precision, recall, f_score = prf(tp, fp, fn)
         return cls(
             tp=tp, fp=fp, fn=fn, tn=tn, err=err,
             precision=precision, recall=recall, f_score=f_score,
-            beta=beta, positive_label=positive_label,
+            positive_label=positive_label,
         )
 
     @property
@@ -74,8 +70,7 @@ class ClassificationMetrics:
             "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
             "err": self.err, "accuracy": self.accuracy,
             "precision": self.precision, "recall": self.recall,
-            "f_score": self.f_score, "beta": self.beta,
-            "positive_label": self.positive_label,
+            "f_score": self.f_score, "positive_label": self.positive_label,
         }
 
 
@@ -105,7 +100,6 @@ def kfold_cv(
     train_fn: Callable[[np.ndarray, np.ndarray, int], Callable[[np.ndarray], np.ndarray]],
     k: int = 10,
     seed: int = 0,
-    beta: float = 1.0,
 ) -> tuple[ClassificationMetrics, list[FoldResult]]:
     """Voxel-level k-fold cross-validation of a classifier factory.
 
@@ -155,9 +149,7 @@ def kfold_cv(
         fold_results.append(
             FoldResult(fold=i, n=fold.size, err=wrong / fold.size, counts=counts)
         )
-    metrics = ClassificationMetrics.from_counts(
-        *[int(c) for c in totals], beta=beta, positive_label=positive
-    )
+    metrics = ClassificationMetrics.from_counts(*[int(c) for c in totals], positive_label=positive)
     return metrics, fold_results
 
 

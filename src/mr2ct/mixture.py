@@ -395,7 +395,6 @@ def em_fit(
 class SelectionReport:
     candidates: list[int]
     scores: list[float]
-    criterion: str
     chosen: int
     fit_reports: list[EmFitReport | None]
     errors: list[str | None]
@@ -411,18 +410,15 @@ def select_model(
     j_candidates: Sequence[int],
     config: EmConfig = EmConfig(),
     seed: int = 0,
-    criterion: str = "mse",
 ) -> tuple[MixtureModel, int, SelectionReport]:
     """Fit every candidate component count and keep the best validation score.
 
     Candidates are fitted on the training split with em_fit (restarts decided
-    by training MSE) and scored on the validation split by the conditional
-    prediction error of y given x, mean squared or mean absolute per
-    ``criterion``.  Returns the winning model, its component count, and the
-    per-candidate score report.
+    by training MSE) and scored on the validation split by the mean squared
+    error of the conditional prediction of y given x; the lowest score wins,
+    the first candidate on a tie.  Returns the winning model, its component
+    count, and the per-candidate score report.
     """
-    if criterion not in ("mse", "mae"):
-        raise ValueError(f"criterion must be 'mse' or 'mae', got {criterion!r}")
     candidates = [int(j) for j in j_candidates]
     if not candidates:
         raise SelectionError("candidate list is empty")
@@ -437,8 +433,7 @@ def select_model(
         try:
             model, rep = em_fit(samples_train, j, config=config, seed=derive_seed(seed, i))
             y_hat, _ = conditional_expectation_many(model, val[:, 1:])
-            resid = val[:, 0] - y_hat
-            score = float(np.mean(resid**2) if criterion == "mse" else np.mean(np.abs(resid)))
+            score = float(np.mean((val[:, 0] - y_hat) ** 2))
             models.append(model)
             reports.append(rep)
             errors.append(None)
@@ -457,7 +452,6 @@ def select_model(
     report = SelectionReport(
         candidates=candidates,
         scores=scores,
-        criterion=criterion,
         chosen=candidates[best],
         fit_reports=reports,
         errors=errors,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -41,7 +40,6 @@ BUNDLE_KIND = "mr2ct-model-bundle"
 _SALT_VAL_PATIENT = 101
 _SALT_GMM = 102
 _SALT_BOOST = 103
-_SALT_CV = 104
 _SALT_SUBSAMPLE = 105
 
 
@@ -85,7 +83,6 @@ class TrainReport:
     validation_patient: str
     selection: list[SelectionReport]
     classifier_training_error: float
-    classifier_cv: dict | None
     boost_rounds: tuple[BoostRound, ...]
     seed: int
 
@@ -164,10 +161,9 @@ def train_pipeline(
         model, j_star, report = select_model(
             joint[train_rows],
             joint[val_rows],
-            config.class_grids[k],
+            config.j_candidates,
             config=config.em,
             seed=derive_seed(seed, _SALT_GMM, k),
-            criterion=config.selection_criterion,
         )
         regressors.append(model)
         selection_reports.append(report)
@@ -182,20 +178,6 @@ def train_pipeline(
         seed=derive_seed(seed, _SALT_BOOST),
         n_labels=N_CLASSES,
     )
-    train_err = float(np.mean(ensemble.predict(table.features) != table.t))
-
-    cv_summary = None
-    if config.classifier_cv_folds >= 2:
-        from .evaluation import kfold_cv  # local import to avoid a module cycle
-
-        metrics, _ = kfold_cv(
-            table.features,
-            table.t.astype(np.int64),
-            partial(train_classifier_fold, config=config),
-            k=config.classifier_cv_folds,
-            seed=derive_seed(seed, _SALT_CV),
-        )
-        cv_summary = metrics.to_dict()
 
     model = PipelineModel(
         classifier=ensemble,
@@ -212,8 +194,7 @@ def train_pipeline(
         minority_fraction=float(counts[1] / counts.sum()),
         validation_patient=val_id,
         selection=selection_reports,
-        classifier_training_error=train_err,
-        classifier_cv=cv_summary,
+        classifier_training_error=ensemble.rounds[-1].train_error,
         boost_rounds=ensemble.rounds,
         seed=seed,
     )

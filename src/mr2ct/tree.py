@@ -1,7 +1,7 @@
-"""Weighted, confidence-rated binary decision trees.
+"""Confidence-rated binary decision trees.
 
 A tree routes a feature vector to a leaf whose confidence vector holds the
-normalized class-weight proportions of the training rows that reached it.
+class proportions of the training rows that reached it.
 
 Split search uses histograms, the `hist` method of XGBoost (Chen & Guestrin,
 KDD 2016) and LightGBM (Ke et al., NeurIPS 2017).  bin_features codes each
@@ -10,21 +10,22 @@ consecutive distinct values: every such gap when a feature has at most N_BINS
 distinct values, otherwise the gaps nearest the rank quantiles.  A row's
 code is the number of edges below its value, so codes are uint8 and monotone
 in the value.  At a node, one bincount over (feature, label, code) gives
-every feature's class-weight histogram, and one cumulative sum over the bins
-gives the left class weights of every cut.  The cut minimizing the weighted
+every feature's class-count histogram, and one cumulative sum over the bins
+gives the left class counts of every cut.  The cut minimizing the row-weighted
 child impurity (1 - sum p^2) wins, with ties broken to the lowest feature,
 then the lowest cut.  Its threshold is the midpoint of the node's own values
 on either side of the cut, so the float test x <= threshold sends every
 training row of the node where its code does.
 
-When every feature has at most N_BINS distinct values and the class-weight
-sums are exact, as they are for unit or integer weights, the candidates,
+When every feature has at most N_BINS distinct values, the candidates,
 decreases, tie-breaks and thresholds are those of an exhaustive search over
-the midpoints of each node's sorted values, and so is the tree.
+the midpoints of each node's sorted values, and so is the tree: every class
+count is an exact integer.  A row repeated k times counts k times, which is
+how boosting by resampling weighs it.
 
 The split budget max_splits is global and spent best-first: the pending
-split with the largest weighted impurity decrease is applied next, so a
-small budget still buys the most useful structure.
+split with the largest impurity decrease is applied next, so a small budget
+still buys the most useful structure.
 
 Routing walks the tree node by node with a stack of (node, rows): a split
 compares one contiguous column of a column-major copy of x, gathered at the
@@ -63,7 +64,7 @@ class DecisionTree:
 
     feature[i] is the split feature of node i, or -1 for a leaf.  Routing
     goes left when x[feature] <= threshold.  confidence[i] holds the
-    class-weight proportions of the training rows at node i (leaves carry
+    class proportions of the training rows at node i (leaves carry
     the prediction; internal values are diagnostics).
     """
 
@@ -200,59 +201,32 @@ def bin_features(x: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _class_weight_matrix(labels: np.ndarray, weights: np.ndarray, n_labels: int) -> np.ndarray:
-    cw = np.zeros((labels.shape[0], n_labels), dtype=np.float64)
-    cw[np.arange(labels.shape[0]), labels] = weights
-    return cw
-
-
-def _node_confidence(class_weights: np.ndarray) -> np.ndarray:
-    total = class_weights.sum()
-    if total <= 0:
-        return np.full(class_weights.shape, 1.0 / class_weights.shape[0])
-    return class_weights / total
-
-
 def _best_cut(
-    keys: np.ndarray,
-    weights: np.ndarray | None,
-    totals: np.ndarray,
-    shape: tuple[int, int, int],
-    min_leaf: int,
+    keys: np.ndarray, totals: np.ndarray, shape: tuple[int, int, int], min_leaf: int
 ) -> tuple[float, int, int] | None:
     """Best (impurity decrease, feature, bin) of one node, or None.
 
     keys (features, m) index the node's flattened (features, labels, bins)
-    histogram, one per row and feature; weights (m,) are the rows' weights,
-    None for unit weights, and totals the node's class weights.  Cut b sends
-    codes <= b left.  The decrease is the unnormalized weighted form
-    W*G(node) - W_L*G(L) - W_R*G(R), which equals
-    sum_t cwL_t^2/W_L + sum_t cwR_t^2/W_R - sum_t cw_t^2/W.
+    histogram, one per row and feature, and totals are the node's class
+    counts.  Cut b sends codes <= b left.  The decrease is the unnormalized
+    form N*G(node) - N_L*G(L) - N_R*G(R), which equals
+    sum_t cL_t^2/N_L + sum_t cR_t^2/N_R - sum_t c_t^2/N for class counts c
+    and row counts N.
     """
-    n_features, n_labels, n_bins = shape
-    m = keys.shape[1]
-    size = n_features * n_labels * n_bins
-    counts = np.bincount(keys.ravel(), minlength=size).reshape(shape)
-    n_left = np.cumsum(counts.sum(axis=1), axis=1)
-    if weights is None:
-        cw = counts.astype(np.float64)
-    else:
-        cw = np.bincount(
-            keys.ravel(), weights=np.broadcast_to(weights, keys.shape).ravel(), minlength=size
-        ).reshape(shape)
-    cw_left = np.cumsum(cw, axis=2)
-    cw_right = totals[:, None] - cw_left
-    w_total = totals.sum()
-    parent_term = float(np.sum(totals**2) / w_total)
-    # Sums over the label axis add label by label, as a row sum over labels does.
-    w_left, w_right = cw_left.sum(axis=1), cw_right.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(w_left > 0, (cw_left**2).sum(axis=1) / w_left, 0.0)
-        term += np.where(w_right > 0, (cw_right**2).sum(axis=1) / w_right, 0.0)
-    term[(n_left < min_leaf) | (n_left > m - min_leaf)] = -np.inf
+    n_features = shape[0]
+    counts = np.bincount(keys.ravel(), minlength=np.prod(shape)).reshape(shape)
+    c_left = np.cumsum(counts, axis=2, dtype=np.float64)
+    c_right = totals[:, None] - c_left
+    n_total = totals.sum()
+    parent_term = float(np.sum(totals**2) / n_total)
+    n_left = c_left.sum(axis=1)
+    n_right = n_total - n_left
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty sides are masked next
+        term = (c_left**2).sum(axis=1) / n_left + (c_right**2).sum(axis=1) / n_right
+    term[(n_left < min_leaf) | (n_right < min_leaf)] = -np.inf
     k = np.argmax(term, axis=1)  # first max: lowest cut
     decrease = term[np.arange(n_features), k] - parent_term
-    decrease[decrease <= 1e-12 * w_total] = -np.inf
+    decrease[decrease <= 1e-12 * n_total] = -np.inf
     f = int(np.argmax(decrease))  # first max: lowest feature
     if decrease[f] == -np.inf:
         return None
@@ -262,7 +236,6 @@ def _best_cut(
 def train_tree(
     x: np.ndarray,
     labels: np.ndarray,
-    weights: np.ndarray | None = None,
     config: TreeConfig = TreeConfig(),
     n_labels: int | None = None,
     *,
@@ -285,12 +258,6 @@ def train_tree(
         raise DataError("labels length does not match sample count")
     if not np.all(np.isfinite(x)):
         raise DataError("features must be finite")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if weights.shape[0] != n or not np.all(np.isfinite(weights) & (weights >= 0)):
-            raise DataError("weights must be finite and non-negative, one per sample")
-        if weights.sum() <= 0:
-            raise DataError("total sample weight must be positive")
     if n_labels is None:
         n_labels = int(labels.max()) + 1
     if labels.min() < 0 or labels.max() >= n_labels:
@@ -300,7 +267,6 @@ def train_tree(
     elif codes.shape != (n_features, n) or codes.dtype != np.uint8:
         raise DataError(f"codes must be uint8 of shape ({n_features}, {n})")
 
-    cw_all = _class_weight_matrix(labels, 1.0 if weights is None else weights, n_labels)
     shape = (n_features, n_labels, int(codes.max(initial=0)) + 1)
     # keys = feature*L*B + label*B + code indexes the flattened histogram.
     key_base = np.arange(n_features)[:, None] * (n_labels * shape[2])
@@ -321,15 +287,13 @@ def train_tree(
         threshold.append(np.nan)
         left.append(LEAF)
         right.append(LEAF)
-        totals = cw_all[rows].sum(axis=0)
-        confidence.append(_node_confidence(totals))
+        totals = np.bincount(labels[rows], minlength=n_labels)
+        confidence.append(totals / rows.size)
         if rows.size < 2 * config.min_leaf or np.count_nonzero(totals > 0) <= 1:
             return node_id  # too small to split, or pure
         keys = key_base + label_key[rows]
         keys += codes[:, rows]
-        found = _best_cut(
-            keys, None if weights is None else weights[rows], totals, shape, config.min_leaf
-        )
+        found = _best_cut(keys, totals, shape, config.min_leaf)
         if found is not None:
             decrease, f, b = found
             # Equal decreases split the older node first: ids grow with time.

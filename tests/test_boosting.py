@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import mr2ct.boosting as boosting_module
 from mr2ct import (
     BoostConfig,
     BoostedEnsemble,
@@ -203,6 +205,29 @@ class TestTrainRusboost:
         err_1 = np.mean(ens.predict(x, n_learners=1) != labels)
         err_30 = np.mean(ens.predict(x) != labels)
         assert err_30 <= err_1
+
+    def test_round_train_error_is_the_vote_so_far(self, monkeypatch):
+        """Each round's training error is that of the learners retained so
+        far, bit for bit; a skipped round repeats the previous value."""
+        calls = itertools.count()
+        real = boosting_module.train_tree
+
+        def flaky(*args, **kwargs):
+            tree = real(*args, **kwargs)
+            # Round 1's tries all vote 50:50, a pseudo-loss of exactly 0.5.
+            if 1 <= next(calls) <= 4:
+                return leaf_tree([0.5, 0.5], n_features=tree.n_features)
+            return tree
+
+        monkeypatch.setattr(boosting_module, "train_tree", flaky)
+        x, labels = imbalanced_gaussians(300, 0.2, seed=12)
+        ens = train_rusboost(x, labels, TreeConfig(max_splits=4, min_leaf=2),
+                             BoostConfig(n_learners=8), seed=6)
+        assert [r.skipped for r in ens.rounds] == [False, True] + [False] * 6
+        assert ens.rounds[1].train_error == ens.rounds[0].train_error
+        kept = [r for r in ens.rounds if not r.skipped]
+        for k, r in enumerate(kept, start=1):
+            assert r.train_error == np.mean(ens.predict(x, n_learners=k) != labels)
 
     def test_retained_eps_in_open_interval(self):
         rng = np.random.default_rng(5)

@@ -374,7 +374,6 @@ class TestConfigHandling:
         ("trees", "0"),
         ("trees", "abc"),
         ("order", "third"),
-        ("selection_criterion", "rmse"),
         ("j_candidates", "a,b"),
         ("rus_ratio", "nan"),
         ("window_hu", "nan"),
@@ -435,11 +434,21 @@ class TestConfigHandling:
         rc = main(["phantom", "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert rc == EXIT_CONFIG
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
+        """An unknown key exits 3, and so does each key that no longer exists."""
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("warp_speed = 9\n")
-        rc = main(["phantom", "--out", str(tmp_path / "x"), "--config", str(cfg)])
-        assert rc == EXIT_CONFIG
+        for line in ("warp_speed = 9", "j_candidates_0 = 5", "j_candidates_1 = 5",
+                     "selection_criterion = mse", "classifier_cv_folds = 2"):
+            cfg.write_text(line + "\n")
+            rc = main(["phantom", "--out", str(tmp_path / "x"), "--config", str(cfg)])
+            assert rc == EXIT_CONFIG
+            key = line.split(" =")[0]
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys):
+        rc = main(["phantom", "--out", str(tmp_path / "x"), "--selection-criterion", "mse"])
+        assert rc == EXIT_USAGE
+        assert "--selection-criterion" in capsys.readouterr().err
 
     def test_unknown_order_in_config_file(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

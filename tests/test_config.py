@@ -2,7 +2,9 @@
 loads back equal from `key = value` lines and from command-line flags."""
 
 import argparse
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,6 @@ VALID = {
     "threshold_hu": st.floats(allow_nan=False, allow_infinity=False),
     "order": st.sampled_from(["first", "second"]),
     "j_candidates": _grid,
-    "j_candidates_0": st.none() | _grid,
-    "j_candidates_1": st.none() | _grid,
     "trees": st.integers(1, 10**6),
     "max_splits": st.integers(1, 10**6),
     "min_leaf": st.integers(1, 10**6),
@@ -31,11 +31,9 @@ VALID = {
     "em_restarts": st.integers(1, 100),
     "em_max_iter": st.integers(1, 10**6),
     "em_tol": _positive,
-    "selection_criterion": st.sampled_from(["mse", "mae"]),
     "window_hu": _positive,
     "fill_hu": st.floats(-FLOAT32_MAX, FLOAT32_MAX),
     "gmm_max_rows": st.integers(0, 10**9),
-    "classifier_cv_folds": st.integers(0, 100),
     "cv_folds": st.integers(2, 100),
     "seed": st.integers(0, 2**32 - 1),
 }
@@ -50,8 +48,8 @@ def _text(value) -> str:
 
 
 def _given(cfg: RunConfig) -> dict:
-    """The fields of cfg that a config file or a flag has to set."""
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if getattr(cfg, f.name) is not None}
+    """Every field of cfg, as a config file or flags set it."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +59,19 @@ def cfg_path(tmp_path_factory):
 
 def test_strategy_covers_every_field():
     assert set(VALID) == {f.name for f in fields(RunConfig)}
+
+
+def test_readme_lists_every_key():
+    """The README's config table names exactly the RunConfig fields, and its
+    key count sentences give their number."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+    first_cells = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+    names = [f.name for f in fields(RunConfig)]
+    assert sorted(keys) == sorted(names)
+    counts = re.findall(r"(?:takes the|holds these) (\d+) keys", readme)
+    assert counts and all(int(c) == len(names) for c in counts)
 
 
 def test_every_field_has_one_flag():

@@ -32,7 +32,7 @@ class TestPrf:
         assert prf(tp=0, fp=0, fn=0) == (0.0, 0.0, 0.0)
 
     def test_harmonic_identity(self):
-        # Pr = Re = p gives F = p when beta = 1
+        # Pr = Re = p gives F1 = p
         for tp, fp, fn in [(4, 1, 1), (9, 3, 3), (10, 0, 0)]:
             precision, recall, f1 = prf(tp, fp, fn)
             assert precision == recall
@@ -42,12 +42,6 @@ class TestPrf:
         a = prf(tp=6, fp=2, fn=5)[2]
         b = prf(tp=6, fp=5, fn=2)[2]
         assert a == pytest.approx(b, abs=1e-15)
-
-    def test_beta_weighting(self):
-        # recall-heavy beta favours the high-recall classifier
-        f2_high_recall = prf(tp=8, fp=6, fn=0, beta=2.0)[2]
-        f2_high_precision = prf(tp=8, fp=0, fn=6, beta=2.0)[2]
-        assert f2_high_recall > f2_high_precision
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -377,14 +377,6 @@ class TestSelectModel:
         with pytest.raises(SelectionError):
             select_model(data[:20], data[20:], [50, 60], seed=0)
 
-    def test_mae_criterion(self):
-        rng = np.random.default_rng(18)
-        data = sample_joint(*two_component_truth(), 800, rng)
-        _, j_star, report = select_model(data[:600], data[600:], [1, 2],
-                                         seed=1, criterion="mae")
-        assert report.criterion == "mae"
-        assert j_star == 2
-
 
 class TestSerialization:
     def test_roundtrip_lossless(self):

@@ -35,23 +35,22 @@ from util import random_mixture
 
 class TestConfig:
     def test_default_grid_includes_five_and_six(self):
-        cfg = RunConfig()
-        for grid in cfg.class_grids:
-            assert 5 in grid and 6 in grid
+        grid = RunConfig().j_candidates
+        assert 5 in grid and 6 in grid
 
     def test_roundtrip(self, tmp_path):
         """The manifest's config dump, written as a config file, loads back equal."""
-        cfg = fast_config(j_candidates_1=(3,), em_tol=1e-7)
+        cfg = fast_config(j_candidates=(3,), em_tol=1e-7)
         lines = [f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
-                 for k, v in asdict(cfg).items() if v is not None]
+                 for k, v in asdict(cfg).items()]
         (tmp_path / "run.cfg").write_text("".join(lines))
         assert load_run_config(tmp_path / "run.cfg") == cfg
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RunConfig(j_candidates_0=())
+            RunConfig(j_candidates=())
         with pytest.raises(ConfigError):
-            RunConfig(selection_criterion="rmse")
+            RunConfig(j_candidates=(5, 0))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1e39])
@@ -66,17 +65,29 @@ class TestConfig:
 
 class TestTrain:
     def test_report_contents(self, small_datasets):
-        cfg = fast_config(classifier_cv_folds=2)
-        model, report = train_pipeline(small_datasets, cfg)
+        model, report = train_pipeline(small_datasets, fast_config())
         assert len(model.selected_j) == 2
         assert all(j in (1, 2) for j in model.selected_j)
         assert len(report.selection) == 2
         for sel in report.selection:
             assert len(sel.scores) == 2
-        assert report.classifier_cv is not None
-        assert 0.0 <= report.classifier_cv["err"] <= 1.0
         assert report.classifier_training_error <= 0.05
         assert report.label_counts[1] > 0
+
+    def test_training_routes_no_second_vote(self, small_datasets, monkeypatch):
+        """The training error comes from boosting's running vote: training
+        never scores the finished ensemble again."""
+        calls = []
+        scores = BoostedEnsemble.scores
+
+        def scores_spy(self, x, n_learners=None):
+            calls.append(x.shape)
+            return scores(self, x, n_learners)
+
+        monkeypatch.setattr(BoostedEnsemble, "scores", scores_spy)
+        _, report = train_pipeline(small_datasets, fast_config(trees=2))
+        assert calls == []
+        assert report.classifier_training_error == report.boost_rounds[-1].train_error
 
     def test_needs_two_patients(self, small_datasets):
         with pytest.raises(DataError, match="two patients"):

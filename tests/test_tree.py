@@ -7,12 +7,11 @@ from mr2ct import DataError, TreeConfig, train_tree
 from mr2ct.errors import ModelError
 from mr2ct.tree import LEAF, N_BINS, DecisionTree, bin_features
 
-from util import naive_best_split, naive_leaf_index, naive_train_tree
+from util import naive_leaf_index, naive_train_tree
 
 
-def weighted_error(tree, x, labels, weights):
-    pred = np.argmax(tree.confidence_matrix(x), axis=1)
-    return float(np.sum(weights[pred != labels]) / weights.sum())
+def training_error(tree, x, labels):
+    return float(np.mean(np.argmax(tree.confidence_matrix(x), axis=1) != labels))
 
 
 class TestTrainTree:
@@ -63,10 +62,6 @@ class TestTrainTree:
         with pytest.raises(DataError):
             train_tree(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
-    def test_negative_weights_rejected(self):
-        with pytest.raises(DataError):
-            train_tree(np.zeros((2, 1)), np.array([0, 1]), weights=np.array([1.0, -1.0]))
-
     def test_feature_tiebreak_lowest_index(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
         tree = train_tree(x, np.array([0, 1]), config=TreeConfig(min_leaf=1))
@@ -78,17 +73,6 @@ class TestTrainTree:
         labels = np.array([0, 1, 1, 0])
         tree = train_tree(x, labels, config=TreeConfig(max_splits=1, min_leaf=1))
         assert tree.threshold[0] == 0.5
-
-    def test_doubling_weights_keeps_structure(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(120, 2))
-        labels = (x[:, 0] * x[:, 1] > 0).astype(int)
-        w = rng.uniform(0.5, 2.0, size=120)
-        a = train_tree(x, labels, weights=w, config=TreeConfig(max_splits=20, min_leaf=1))
-        b = train_tree(x, labels, weights=2 * w, config=TreeConfig(max_splits=20, min_leaf=1))
-        np.testing.assert_array_equal(a.feature, b.feature)
-        np.testing.assert_array_equal(a.threshold, b.threshold)
-        np.testing.assert_allclose(a.confidence, b.confidence, atol=1e-12)
 
     def test_duplicating_samples_keeps_structure(self):
         rng = np.random.default_rng(4)
@@ -105,24 +89,19 @@ class TestTrainTree:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(150, 3))
         labels = rng.integers(0, 3, size=150)
-        w = rng.uniform(0.1, 3.0, size=150)
-        tree = train_tree(x, labels, weights=w, config=TreeConfig(max_splits=30, min_leaf=2))
+        tree = train_tree(x, labels, config=TreeConfig(max_splits=30, min_leaf=2))
         np.testing.assert_allclose(tree.confidence.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_error_chain_leaf_stump_tree(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(250, 2))
         labels = ((x[:, 0] > 0.2) ^ (x[:, 1] < -0.1)).astype(int)
-        w = rng.uniform(0.5, 1.5, size=250)
-        leaf = train_tree(x, labels, weights=w,
-                          config=TreeConfig(max_splits=1, min_leaf=250))
-        stump = train_tree(x, labels, weights=w,
-                           config=TreeConfig(max_splits=1, min_leaf=1))
-        tree = train_tree(x, labels, weights=w,
-                          config=TreeConfig(max_splits=60, min_leaf=1))
-        e_leaf = weighted_error(leaf, x, labels, w)
-        e_stump = weighted_error(stump, x, labels, w)
-        e_tree = weighted_error(tree, x, labels, w)
+        leaf = train_tree(x, labels, config=TreeConfig(max_splits=1, min_leaf=250))
+        stump = train_tree(x, labels, config=TreeConfig(max_splits=1, min_leaf=1))
+        tree = train_tree(x, labels, config=TreeConfig(max_splits=60, min_leaf=1))
+        e_leaf = training_error(leaf, x, labels)
+        e_stump = training_error(stump, x, labels)
+        e_tree = training_error(tree, x, labels)
         assert e_tree <= e_stump + 1e-12 <= e_leaf + 1e-12
 
     def test_non_finite_input_rejected(self):
@@ -130,8 +109,6 @@ class TestTrainTree:
         labels = np.array([0, 0, 1, 1])
         with pytest.raises(DataError, match="finite"):
             train_tree(x, labels, config=TreeConfig(min_leaf=1))
-        with pytest.raises(DataError, match="finite"):
-            train_tree(np.arange(4.0)[:, None], labels, weights=np.array([1, np.nan, 1, 1]))
 
     def test_codes_must_match_x(self):
         x = np.arange(8.0).reshape(4, 2)
@@ -151,15 +128,15 @@ class TestTrainTree:
     n_labels=st.sampled_from([2, 3]),
     tied=st.booleans(),
     duplicated=st.booleans(),
-    weighted=st.booleans(),
+    repeated=st.booleans(),
     min_leaf=st.integers(1, 8),
     max_splits=st.integers(1, 40),
 )
 def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tied, duplicated,
-                                      weighted, min_leaf, max_splits):
-    """Under N_BINS distinct values per feature and integer weights, every
-    class-weight sum is exact, so the histogram search grows the exhaustive
-    search's tree bit for bit."""
+                                      repeated, min_leaf, max_splits):
+    """Under N_BINS distinct values per feature every class count is exact,
+    so the histogram search grows the exhaustive search's tree bit for bit,
+    also when rows repeat as a resample repeats them."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, n_features))
     if tied:
@@ -169,12 +146,13 @@ def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tie
     labels = rng.integers(0, n_labels, size=n)
     if duplicated:
         x, labels = np.vstack([x, x[::2]]), np.concatenate([labels, labels[::2]])
-    weights = rng.integers(0, 4, size=labels.size).astype(np.float64) if weighted else None
-    if weighted:
-        weights[0] += 1.0  # positive total
+    if repeated:
+        multiplicity = rng.integers(0, 4, size=labels.size)
+        multiplicity[0] = max(multiplicity[0], 1)  # at least one row
+        x, labels = np.repeat(x, multiplicity, axis=0), np.repeat(labels, multiplicity)
     config = TreeConfig(max_splits=max_splits, min_leaf=min_leaf)
-    expected = naive_train_tree(x, labels, weights, config, n_labels=n_labels)
-    assert train_tree(x, labels, weights, config, n_labels=n_labels).to_dict() == expected.to_dict()
+    expected = naive_train_tree(x, labels, config, n_labels=n_labels)
+    assert train_tree(x, labels, config, n_labels=n_labels).to_dict() == expected.to_dict()
 
 
 def node_rows(tree, x):
@@ -187,48 +165,6 @@ def node_rows(tree, x):
             rows[tree.left[node]] = rows[node][go_left]
             rows[tree.right[node]] = rows[node][~go_left]
     return rows
-
-
-def split_decrease(cw, go_left):
-    """W*G(node) - W_L*G(L) - W_R*G(R) of one partition of class weights cw."""
-    def term(part):
-        return np.sum(part.sum(axis=0) ** 2) / part.sum()
-    return term(cw[go_left]) + term(cw[~go_left]) - term(cw)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 60),
-    n_features=st.integers(1, 5),
-    n_labels=st.sampled_from([2, 3]),
-    tied=st.booleans(),
-    min_leaf=st.integers(1, 8),
-    max_splits=st.integers(1, 40),
-)
-def test_float_weight_splits_near_per_node_best(seed, n, n_features, n_labels, tied, min_leaf,
-                                                max_splits):
-    """With float weights, per-bin sums round differently from row-order sums,
-    so near-ties may break differently, but every split is within 1e-9 W of
-    the node's exhaustive best."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, n_features))
-    if tied:
-        x = np.round(2 * x) / 2
-    labels = rng.integers(0, n_labels, size=n)
-    weights = rng.uniform(0.1, 3.0, size=n)
-    config = TreeConfig(max_splits=max_splits, min_leaf=min_leaf)
-    tree = train_tree(x, labels, weights, config, n_labels=n_labels)
-    cw = np.zeros((n, n_labels))
-    cw[np.arange(n), labels] = weights
-    rows = node_rows(tree, x)
-    for node in np.flatnonzero(tree.feature != LEAF):
-        r = rows[node]
-        go_left = x[r, tree.feature[node]] <= tree.threshold[node]
-        assert min(go_left.sum(), (~go_left).sum()) >= min_leaf
-        found = naive_best_split(x[r], cw[r], config)
-        best = 0.0 if found is None else found[0]
-        assert abs(split_decrease(cw[r], go_left) - best) <= 1e-9 * cw[r].sum()
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,29 +232,6 @@ def test_code_and_threshold_routing_agree(seed, n, n_features, tied, subset, min
         f, r = tree.feature[node], rows[node]
         go_left = x[r, f] <= tree.threshold[node]
         assert codes[f, r][go_left].max() < codes[f, r][~go_left].min()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 50),
-    n_features=st.integers(1, 4),
-    n_labels=st.sampled_from([2, 3]),
-    max_splits=st.integers(1, 19),
-)
-def test_duplicated_rows_equal_doubled_weights(seed, n, n_features, n_labels, max_splits):
-    """With min_leaf=1, every row twice grows bit for bit the tree of every row
-    once at weight 2: both see the same integer class-weight sums."""
-    rng = np.random.default_rng(seed)
-    x = rng.integers(-3, 4, size=(n, n_features)).astype(np.float64)  # tied values
-    labels = rng.integers(0, n_labels, size=n)
-    config = TreeConfig(max_splits=max_splits, min_leaf=1)
-    twice = train_tree(np.vstack([x, x]), np.concatenate([labels, labels]), None, config,
-                       n_labels=n_labels)
-    doubled = train_tree(x, labels, np.full(n, 2.0), config, n_labels=n_labels)
-    for name in ("feature", "threshold", "left", "right", "confidence"):
-        a, b = getattr(twice, name), getattr(doubled, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -229,7 +229,7 @@ def naive_best_split(x, cw, config):
     return best
 
 
-def naive_train_tree(x, labels, weights=None, config=TreeConfig(), n_labels=None):
+def naive_train_tree(x, labels, config=TreeConfig(), n_labels=None):
     """Best-first tree growth that argsorts every feature at every node.
 
     The reference for train_tree: same splits, same tie-breaks, same floats.
@@ -237,13 +237,10 @@ def naive_train_tree(x, labels, weights=None, config=TreeConfig(), n_labels=None
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n = x.shape[0]
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=np.float64)
     if n_labels is None:
         n_labels = int(labels.max()) + 1
     cw_all = np.zeros((n, n_labels))
-    cw_all[np.arange(n), labels] = weights
+    cw_all[np.arange(n), labels] = 1.0
 
     feature, threshold, left, right, confidence, node_rows = [], [], [], [], [], {}
 
@@ -254,8 +251,7 @@ def naive_train_tree(x, labels, weights=None, config=TreeConfig(), n_labels=None
         left.append(-1)
         right.append(-1)
         totals = cw_all[rows].sum(axis=0)
-        total = totals.sum()
-        confidence.append(totals / total if total > 0 else np.full(n_labels, 1.0 / n_labels))
+        confidence.append(totals / totals.sum())
         node_rows[node_id] = rows
         return node_id
 
