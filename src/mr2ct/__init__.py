@@ -8,7 +8,6 @@ regression predicts the CT intensity from the raw features.
 __version__ = "0.1.0"
 
 from .boosting import (
-    BoostConfig,
     BoostedEnsemble,
     init_mislabel,
     pseudo_loss,
@@ -47,7 +46,6 @@ from .features import (
 )
 from .labeling import label_tissue, label_tissue_many
 from .mixture import (
-    EmConfig,
     MixtureModel,
     conditional_expectation,
     conditional_expectation_many,
@@ -69,5 +67,5 @@ from .pipeline import (
     save_model,
     train_pipeline,
 )
-from .tree import DecisionTree, TreeConfig, train_tree
+from .tree import DecisionTree, train_tree
 from .volume import PatientDataset, Volume, load_patient, read_volume, write_volume

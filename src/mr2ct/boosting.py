@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import BoostingError, ModelError
 from .labeling import minority_label
 from .seeding import derive_seed
-from .tree import DecisionTree, TreeConfig, bin_features, train_tree
+from .tree import DecisionTree, bin_features, take_rows, train_tree
 
 _RETRY_BUDGET = 3
 _EPS_MIN = 1e-10
@@ -137,18 +138,6 @@ def rus_resample(
 
 
 @dataclass(frozen=True)
-class BoostConfig:
-    n_learners: int = 150
-    target_ratio: float = 1.0
-
-    def __post_init__(self):
-        if self.n_learners < 1:
-            raise ValueError("n_learners must be >= 1")
-        if not self.target_ratio > 0:
-            raise ValueError("target_ratio must be > 0")
-
-
-@dataclass(frozen=True)
 class Learner:
     tree: DecisionTree
     alpha: float
@@ -233,12 +222,11 @@ class BoostedEnsemble:
 def train_rusboost(
     x: np.ndarray,
     labels: np.ndarray,
-    tree_config: TreeConfig = TreeConfig(),
-    boost_config: BoostConfig = BoostConfig(),
+    config: RunConfig = RunConfig(),
     seed: int = 0,
     n_labels: int | None = None,
 ) -> BoostedEnsemble:
-    """Run the full boosting loop and return the retained learners.
+    """Run config.trees boosting rounds and return the retained learners.
 
     The features are binned once here, and every round's tree trains on its
     resample's codes at unit weights.  Each round records the training error
@@ -259,25 +247,20 @@ def train_rusboost(
     rounds: list[BoostRound] = []
     votes = np.zeros((x.shape[0], n_labels))
     train_error = None
-    for j in range(boost_config.n_learners):
+    for j in range(config.trees):
         selection = mislabel.sum(axis=1)
         chosen: tuple[DecisionTree, np.ndarray, float, float] | None = None
         retries = 0
         resample_size = 0
         for attempt in range(_RETRY_BUDGET + 1):
             idx = rus_resample(
-                labels,
-                selection,
-                boost_config.target_ratio,
-                seed=derive_seed(seed, j, attempt),
+                labels, selection, config.rus_ratio, seed=derive_seed(seed, j, attempt)
             )
             resample_size = idx.shape[0]
-            # Gathered along x.T's contiguous rows, the resample comes out
-            # column-major; x[idx] on a column-major x is several times slower.
             tree = train_tree(
-                np.take(x.T, idx, axis=1).T,
+                take_rows(x, idx),
                 labels[idx],
-                config=tree_config,
+                config=config,
                 n_labels=n_labels,
                 codes=np.take(codes, idx, axis=1),
             )

@@ -4,7 +4,9 @@ Subcommands: phantom (synthetic cohort), train (cohort -> model bundle),
 predict (model + MR volumes -> CT estimate), evaluate (leave-one-out
 report), cv-classifier (10-fold classification metrics).  Each subcommand
 returns the files it wrote under --out; main then writes a manifest.json with
-the resolved config, seed, and the checksum of every one of those files.
+the checksum of every one of those files and, for the subcommands that take
+run keys (all but predict, which reads its settings from the bundle), the
+resolved config and seed.
 
 Exit codes: 0 success, 2 usage, 3 config, 4 data/format, 5 feature layout,
 6 estimation, 1 unexpected.
@@ -138,7 +140,7 @@ def _cmd_train(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     return written
 
 
-def _cmd_predict(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_predict(args, cfg: None, out_dir: Path) -> list[Path]:
     model = load_model(args.model)
     mr_paths, _, mask_path = _patient_dir_paths(Path(args.patient))
     channels = tuple(read_volume(p) for p in mr_paths)
@@ -232,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--patient", required=True, help="directory with mr*.hdr and mask.hdr")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation over a cohort")
@@ -256,17 +257,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-        cfg = load_run_config(args.config, overrides)
+        cfg = None
+        if "config" in args:  # predict takes no run keys
+            overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+            cfg = load_run_config(args.config, overrides)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         written = args.func(args, cfg, out_dir)
-        _write_json(out_dir / "manifest.json", {
+        manifest = {
             "command": args.command,
-            "config": asdict(cfg),
-            "seed": cfg.seed,
             "artifacts": {str(p.relative_to(out_dir)): _sha256(p) for p in sorted(written)},
-        })
+        }
+        if cfg is not None:
+            manifest.update(config=asdict(cfg), seed=cfg.seed)
+        _write_json(out_dir / "manifest.json", manifest)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,11 +2,12 @@
 
 The fields of RunConfig are the only list of run keys, and RunConfig checks
 them all when it is built: each key ``a_b`` is the flag ``--a-b``, and file
-and flag values go through one parse chosen by the field's type.  Config
-files hold one ``key = value`` pair per line; ``#`` starts a comment.
-Command-line flags override file values, which override the defaults.  The
-environment variable MR2CT_CONFIG names a default config file used when no
---config flag is given.
+and flag values go through one parse chosen by the field's type.  The tree,
+boosting and mixture layers take a RunConfig too, and read their parameters
+from it under the same names.  Config files hold one ``key = value`` pair
+per line; ``#`` starts a comment.  Command-line flags override file values,
+which override the defaults.  The environment variable MR2CT_CONFIG names a
+default config file used when no --config flag is given.
 """
 
 import math
@@ -14,12 +15,9 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .boosting import BoostConfig
 from .errors import ConfigError
 from .features import neighbor_offsets
 from .labeling import DEFAULT_THRESHOLD_HU
-from .mixture import EmConfig
-from .tree import TreeConfig
 from .volume import FLOAT32_MAX
 
 ENV_CONFIG = "MR2CT_CONFIG"
@@ -44,13 +42,18 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Raise ConfigError on the first invalid field; the EM, tree and
-        boosting configs check the fields they are built from."""
+        """Raise ConfigError, naming the key, on the first invalid field."""
         try:
-            self.em, self.tree, self.boost
             neighbor_offsets(self.order)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for key, least in (("trees", 1), ("max_splits", 1), ("min_leaf", 1), ("em_restarts", 1),
+                           ("em_max_iter", 1), ("gmm_max_rows", 0), ("cv_folds", 2), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}")
+        for key in ("rus_ratio", "em_tol", "window_hu"):
+            if not getattr(self, key) > 0:  # NaN fails too
+                raise ConfigError(f"{key} must be > 0")
         if not math.isfinite(self.threshold_hu):
             raise ConfigError("threshold_hu must be finite")
         # The fill value lands in a float32 output volume, which must be finite.
@@ -58,27 +61,6 @@ class RunConfig:
             raise ConfigError(f"fill_hu must be finite in float32, got {self.fill_hu!r}")
         if len(self.j_candidates) == 0 or any(j < 1 for j in self.j_candidates):
             raise ConfigError("j_candidates must be a non-empty list of counts >= 1")
-        if self.gmm_max_rows < 0:
-            raise ConfigError("gmm_max_rows must be >= 0")
-        if self.cv_folds < 2:
-            raise ConfigError("cv_folds must be >= 2")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if not self.window_hu > 0:
-            raise ConfigError("window_hu must be positive")
-
-    @property
-    def em(self) -> EmConfig:
-        return EmConfig(max_iter=self.em_max_iter, rel_tol=self.em_tol,
-                        n_restarts=self.em_restarts)
-
-    @property
-    def tree(self) -> TreeConfig:
-        return TreeConfig(max_splits=self.max_splits, min_leaf=self.min_leaf)
-
-    @property
-    def boost(self) -> BoostConfig:
-        return BoostConfig(n_learners=self.trees, target_ratio=self.rus_ratio)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -21,6 +21,7 @@ from .errors import DataError, FitError, Mr2ctError
 from .labeling import minority_label
 from .pipeline import predict_ct, train_pipeline
 from .seeding import derive_seed, rng_for
+from .tree import take_rows
 from .volume import PatientDataset
 
 
@@ -103,7 +104,8 @@ def kfold_cv(
 ) -> tuple[ClassificationMetrics, list[FoldResult]]:
     """Voxel-level k-fold cross-validation of a classifier factory.
 
-    train_fn(x_train, t_train, fold_seed) must return a predict callable.
+    train_fn(x_train, t_train, fold_seed) must return a predict callable;
+    both are handed column-major rows of x, the layout the classifier reads.
     Folds come from a seeded shuffle split into k near-equal blocks; if any
     fold leaves the training side without one of the classes, the partition
     is redrawn once before giving up.
@@ -140,8 +142,10 @@ def kfold_cv(
     for i, fold in enumerate(folds):
         held = np.ones(n, dtype=bool)
         held[fold] = False
-        predictor = train_fn(x[held], labels[held], derive_seed(seed, 1000 + i))
-        pred = np.asarray(predictor(x[fold]), dtype=np.int64)
+        predictor = train_fn(
+            take_rows(x, np.flatnonzero(held)), labels[held], derive_seed(seed, 1000 + i)
+        )
+        pred = np.asarray(predictor(take_rows(x, fold)), dtype=np.int64)
         wrong = int(np.sum(pred != labels[fold]))
         n_wrong += wrong
         counts = confusion_counts(labels[fold], pred, positive)

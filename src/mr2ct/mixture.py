@@ -27,10 +27,10 @@ component has collapsed and L^-1 has entries near 1e45.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import FitError, ModelError, SelectionError
 from .seeding import derive_seed
 
@@ -202,26 +202,6 @@ def conditional_expectation(model: MixtureModel, x: np.ndarray) -> tuple[float, 
     return float(y[0]), betas[0]
 
 
-@dataclass(frozen=True)
-class EmConfig:
-    """EM fitting knobs.
-
-    Convergence stops when the log-likelihood improves by less than rel_tol
-    relative to its magnitude, or after max_iter iterations; both are
-    recorded in the fit report.
-    """
-
-    max_iter: int = 500
-    rel_tol: float = 1e-6
-    n_restarts: int = 5
-
-    def __post_init__(self):
-        if self.max_iter < 1 or self.n_restarts < 1:
-            raise ValueError("max_iter and n_restarts must be >= 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
-
-
 @dataclass
 class EmFitReport:
     n_requested: int
@@ -278,7 +258,7 @@ def _regularize(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _em_once(
-    v: np.ndarray, n_components: int, config: EmConfig, rng: np.random.Generator
+    v: np.ndarray, n_components: int, config: RunConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool, bool]:
     n, dim = v.shape
     vt = np.ascontiguousarray(v.T)
@@ -294,13 +274,13 @@ def _em_once(
     degenerate = False
     converged = False
     prev_ll = -np.inf
-    for _ in range(config.max_iter):
+    for _ in range(config.em_max_iter):
         resp = _log_gaussians(vt, means, chols)
         resp += np.log(weights)[:, None]
         lse = _logsumexp(resp)
         ll = float(lse.sum())
         history.append(ll)
-        if ll - prev_ll < config.rel_tol * max(1.0, abs(prev_ll)) and len(history) > 1:
+        if ll - prev_ll < config.em_tol * max(1.0, abs(prev_ll)) and len(history) > 1:
             converged = True
             break
         prev_ll = ll
@@ -336,17 +316,18 @@ def _training_mse(weights, means, covs, v) -> float:
 def em_fit(
     samples: np.ndarray,
     n_components: int,
-    config: EmConfig = EmConfig(),
+    config: RunConfig = RunConfig(),
     seed: int = 0,
 ) -> tuple[MixtureModel, EmFitReport]:
     """Fit a mixture to joint (y, x) rows by EM with seeded restarts.
 
-    Runs config.n_restarts independent EM runs and keeps the restart whose
+    Runs config.em_restarts independent EM runs and keeps the restart whose
     conditional prediction of y from x has the smallest training mean squared
-    error.  The kept run's log-likelihood history is monotone up to the
-    convergence tolerance.  Components whose weight collapses or whose
-    covariance stays singular after ridging are dropped and the fit is
-    flagged degenerate rather than aborted.
+    error.  A run stops when the log-likelihood improves by less than
+    config.em_tol relative to its magnitude, or after config.em_max_iter
+    iterations; its history is monotone up to that tolerance.  Components
+    whose weight collapses or whose covariance stays singular after ridging
+    are dropped and the fit is flagged degenerate rather than aborted.
     """
     v = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n, dim = v.shape
@@ -362,7 +343,7 @@ def em_fit(
     runs: list[tuple | None] = []
     scores: list[float] = []
     failures: list[str] = []
-    for r in range(config.n_restarts):
+    for r in range(config.em_restarts):
         rng = np.random.default_rng(derive_seed(seed, r))
         try:
             run = _em_once(v, n_components, config, rng)
@@ -407,11 +388,11 @@ class SelectionReport:
 def select_model(
     samples_train: np.ndarray,
     samples_val: np.ndarray,
-    j_candidates: Sequence[int],
-    config: EmConfig = EmConfig(),
+    config: RunConfig = RunConfig(),
     seed: int = 0,
 ) -> tuple[MixtureModel, int, SelectionReport]:
-    """Fit every candidate component count and keep the best validation score.
+    """Fit every component count in config.j_candidates and keep the best
+    validation score.
 
     Candidates are fitted on the training split with em_fit (restarts decided
     by training MSE) and scored on the validation split by the mean squared
@@ -419,9 +400,7 @@ def select_model(
     the first candidate on a tie.  Returns the winning model, its component
     count, and the per-candidate score report.
     """
-    candidates = [int(j) for j in j_candidates]
-    if not candidates:
-        raise SelectionError("candidate list is empty")
+    candidates = [int(j) for j in config.j_candidates]
     val = np.atleast_2d(np.asarray(samples_val, dtype=np.float64))
     if val.shape[0] == 0:
         raise SelectionError("validation set is empty")

@@ -102,11 +102,7 @@ def train_classifier_fold(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """kfold_cv trainer: fit the configured classifier on one fold's rows and
     return its predict.  Bind config with functools.partial."""
-    ensemble = train_rusboost(
-        x, labels, tree_config=config.tree, boost_config=config.boost,
-        seed=fold_seed, n_labels=N_CLASSES,
-    )
-    return ensemble.predict
+    return train_rusboost(x, labels, config, seed=fold_seed, n_labels=N_CLASSES).predict
 
 
 def train_pipeline(
@@ -159,11 +155,7 @@ def train_pipeline(
             train_rows, config.gmm_max_rows, derive_seed(seed, _SALT_SUBSAMPLE, k)
         )
         model, j_star, report = select_model(
-            joint[train_rows],
-            joint[val_rows],
-            config.j_candidates,
-            config=config.em,
-            seed=derive_seed(seed, _SALT_GMM, k),
+            joint[train_rows], joint[val_rows], config, seed=derive_seed(seed, _SALT_GMM, k)
         )
         regressors.append(model)
         selection_reports.append(report)
@@ -173,8 +165,7 @@ def train_pipeline(
     ensemble = train_rusboost(
         table.features,
         table.t.astype(np.int64),
-        tree_config=config.tree,
-        boost_config=config.boost,
+        config,
         seed=derive_seed(seed, _SALT_BOOST),
         n_labels=N_CLASSES,
     )

@@ -40,22 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DataError, ModelError
 
 LEAF = -1
 N_BINS = 256  # bins per feature, so that codes fit uint8
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    max_splits: int = 400
-    min_leaf: int = 5
-
-    def __post_init__(self):
-        if self.max_splits < 1:
-            raise ValueError("max_splits must be >= 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -173,6 +162,15 @@ class DecisionTree:
         )
 
 
+def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """x[rows] as a column-major array, whatever the layout of x.
+
+    Gathered along x.T's contiguous rows; x[rows] would be row-major, and on
+    a column-major x several times slower.
+    """
+    return np.take(x.T, rows, axis=1).T
+
+
 def bin_features(x: np.ndarray) -> np.ndarray:
     """(features, rows) uint8 bin codes of the columns of x, from one argsort each.
 
@@ -236,7 +234,7 @@ def _best_cut(
 def train_tree(
     x: np.ndarray,
     labels: np.ndarray,
-    config: TreeConfig = TreeConfig(),
+    config: RunConfig = RunConfig(),
     n_labels: int | None = None,
     *,
     codes: np.ndarray | None = None,

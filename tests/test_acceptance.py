@@ -11,10 +11,7 @@ import time
 import numpy as np
 
 from mr2ct import (
-    BoostConfig,
-    EmConfig,
     RunConfig,
-    TreeConfig,
     conditional_expectation,
     default_phantom_spec,
     em_fit,
@@ -56,7 +53,7 @@ def test_criterion_1_em_monotonicity():
         dim = int(rng.integers(2, 6))
         truth = random_mixture(n_components, dim, rng, mean_spread=3.0)
         data = sample_joint(truth.weights, truth.means, truth.covariances, 2000, rng)
-        _, report = em_fit(data, n_components, EmConfig(n_restarts=1), seed=i)
+        _, report = em_fit(data, n_components, RunConfig(em_restarts=1), seed=i)
         diffs = np.diff(report.log_likelihood)
         if diffs.size:
             worst = max(worst, float(-diffs.min()))
@@ -122,8 +119,8 @@ def test_criterion_4_model_order_selection():
         rng = np.random.default_rng([2, s])
         train = sample_joint(weights, means, covs, 400, rng)
         val = sample_joint(weights, means, covs, 10_000, rng)
-        _, j_star, _ = select_model(train, val, [1, 2, 3],
-                                    EmConfig(n_restarts=4), seed=s)
+        _, j_star, _ = select_model(train, val,
+                                    RunConfig(j_candidates=(1, 2, 3), em_restarts=4), seed=s)
         hits += j_star == 2
     check(4, f"validation selection picked the generating order on {hits}/5 seeds",
           hits >= 4, time.time() - start, 120.0)
@@ -151,9 +148,8 @@ def test_criterion_5_boosting_behavior():
     start = time.time()
     x_train, t_train = _imbalanced_gaussians(3000, 0.1849, [1005, 1])
     x_test, t_test = _imbalanced_gaussians(6000, 0.1849, [1005, 2])
-    tree_cfg = TreeConfig(max_splits=8, min_leaf=5)
-    ensemble = train_rusboost(x_train, t_train, tree_cfg,
-                              BoostConfig(n_learners=30), seed=0)
+    tree_cfg = RunConfig(max_splits=8, min_leaf=5, trees=30)
+    ensemble = train_rusboost(x_train, t_train, tree_cfg, seed=0)
     err_1 = float(np.mean(ensemble.predict(x_train, n_learners=1) != t_train))
     err_30 = float(np.mean(ensemble.predict(x_train) != t_train))
     single = train_tree(x_train, t_train, config=tree_cfg)

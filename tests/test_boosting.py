@@ -6,10 +6,9 @@ import pytest
 
 import mr2ct.boosting as boosting_module
 from mr2ct import (
-    BoostConfig,
     BoostedEnsemble,
     BoostingError,
-    TreeConfig,
+    RunConfig,
     init_mislabel,
     pseudo_loss,
     rus_resample,
@@ -186,22 +185,19 @@ class TestTrainRusboost:
         rng = np.random.default_rng(2)
         x = np.vstack([rng.normal(0, 0.3, (80, 2)), rng.normal(4, 0.3, (20, 2))])
         labels = np.concatenate([np.zeros(80, dtype=int), np.ones(20, dtype=int)])
-        ens = train_rusboost(x, labels, TreeConfig(max_splits=8, min_leaf=1),
-                             BoostConfig(n_learners=10), seed=0)
+        ens = train_rusboost(x, labels, RunConfig(max_splits=8, min_leaf=1, trees=10), seed=0)
         assert np.mean(ens.predict(x) != labels) == 0.0
 
     def test_single_learner_matches_its_tree(self):
         x, labels = imbalanced_gaussians(300, 0.2, seed=3)
-        ens = train_rusboost(x, labels, TreeConfig(max_splits=10, min_leaf=2),
-                             BoostConfig(n_learners=1), seed=1)
+        ens = train_rusboost(x, labels, RunConfig(max_splits=10, min_leaf=2, trees=1), seed=1)
         assert ens.n_learners == 1
         tree_pred = np.argmax(ens.learners[0].tree.confidence_matrix(x), axis=1)
         np.testing.assert_array_equal(ens.predict(x), tree_pred)
 
     def test_more_learners_do_not_hurt_training_error(self):
         x, labels = imbalanced_gaussians(600, 0.1849, seed=4)
-        ens = train_rusboost(x, labels, TreeConfig(max_splits=6, min_leaf=2),
-                             BoostConfig(n_learners=30), seed=2)
+        ens = train_rusboost(x, labels, RunConfig(max_splits=6, min_leaf=2, trees=30), seed=2)
         err_1 = np.mean(ens.predict(x, n_learners=1) != labels)
         err_30 = np.mean(ens.predict(x) != labels)
         assert err_30 <= err_1
@@ -221,8 +217,7 @@ class TestTrainRusboost:
 
         monkeypatch.setattr(boosting_module, "train_tree", flaky)
         x, labels = imbalanced_gaussians(300, 0.2, seed=12)
-        ens = train_rusboost(x, labels, TreeConfig(max_splits=4, min_leaf=2),
-                             BoostConfig(n_learners=8), seed=6)
+        ens = train_rusboost(x, labels, RunConfig(max_splits=4, min_leaf=2, trees=8), seed=6)
         assert [r.skipped for r in ens.rounds] == [False, True] + [False] * 6
         assert ens.rounds[1].train_error == ens.rounds[0].train_error
         kept = [r for r in ens.rounds if not r.skipped]
@@ -233,8 +228,7 @@ class TestTrainRusboost:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(200, 2))
         labels = rng.integers(0, 2, size=200)  # pure noise
-        ens = train_rusboost(x, labels, TreeConfig(max_splits=3, min_leaf=5),
-                             BoostConfig(n_learners=15), seed=3)
+        ens = train_rusboost(x, labels, RunConfig(max_splits=3, min_leaf=5, trees=15), seed=3)
         kept = [r for r in ens.rounds if not r.skipped]
         assert len(kept) == ens.n_learners
         for r, lr in zip(kept, ens.learners):
@@ -249,16 +243,16 @@ class TestTrainRusboost:
 
     def test_fixed_seed_reproducible(self):
         x, labels = imbalanced_gaussians(250, 0.2, seed=6)
-        cfg = TreeConfig(max_splits=5, min_leaf=2)
-        a = train_rusboost(x, labels, cfg, BoostConfig(n_learners=5), seed=7)
-        b = train_rusboost(x, labels, cfg, BoostConfig(n_learners=5), seed=7)
+        cfg = RunConfig(max_splits=5, min_leaf=2, trees=5)
+        a = train_rusboost(x, labels, cfg, seed=7)
+        b = train_rusboost(x, labels, cfg, seed=7)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_different_seed_differs(self):
         x, labels = imbalanced_gaussians(250, 0.2, seed=6)
-        cfg = TreeConfig(max_splits=5, min_leaf=2)
-        a = train_rusboost(x, labels, cfg, BoostConfig(n_learners=5), seed=7)
-        b = train_rusboost(x, labels, cfg, BoostConfig(n_learners=5), seed=8)
+        cfg = RunConfig(max_splits=5, min_leaf=2, trees=5)
+        a = train_rusboost(x, labels, cfg, seed=7)
+        b = train_rusboost(x, labels, cfg, seed=8)
         assert json.dumps(a.to_dict(), sort_keys=True) != json.dumps(b.to_dict(), sort_keys=True)
 
 
@@ -280,8 +274,7 @@ class TestPrediction:
     def test_vote_weight_rescaling_invariance(self):
         rng = np.random.default_rng(8)
         x, labels = imbalanced_gaussians(200, 0.25, seed=9)
-        ens = train_rusboost(x, labels, TreeConfig(max_splits=6, min_leaf=2),
-                             BoostConfig(n_learners=8), seed=4)
+        ens = train_rusboost(x, labels, RunConfig(max_splits=6, min_leaf=2, trees=8), seed=4)
         scale = 3.7  # alpha -> alpha**scale multiplies every vote weight by scale
         scaled = BoostedEnsemble(
             learners=tuple(Learner(tree=lr.tree, alpha=lr.alpha**scale) for lr in ens.learners),
@@ -300,8 +293,7 @@ class TestPrediction:
 class TestSerialization:
     def test_roundtrip(self):
         x, labels = imbalanced_gaussians(220, 0.2, seed=10)
-        ens = train_rusboost(x, labels, TreeConfig(max_splits=6, min_leaf=2),
-                             BoostConfig(n_learners=6), seed=5)
+        ens = train_rusboost(x, labels, RunConfig(max_splits=6, min_leaf=2, trees=6), seed=5)
         back = BoostedEnsemble.from_dict(json.loads(json.dumps(ens.to_dict(), sort_keys=True)))
         assert back.n_learners == ens.n_learners
         assert back.rounds == ()  # training diagnostics are not serialized

@@ -228,6 +228,33 @@ class TestPredict:
         labels = read_volume(predict_dir / "labels.hdr")
         assert set(np.unique(labels.data)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("flag", ["--fill-hu=0", "--trees=7", "--order=first",
+                                      "--config=run.cfg"])
+    def test_run_key_flag_is_usage_error(self, tmp_path, cohort_dir, model_dir, flag, capsys):
+        """predict takes its settings from the bundle, so it has no run-key flags."""
+        rc = main([
+            "predict", "--model", str(model_dir / "model.json"),
+            "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out"), flag,
+        ])
+        assert rc == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_ignores_config_env_and_records_no_config(self, tmp_path, cohort_dir, model_dir,
+                                                      predict_dir, monkeypatch):
+        """predict reads no config file, and its manifest records no config."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("trees = 0\n")
+        monkeypatch.setenv("MR2CT_CONFIG", str(cfg))
+        out = tmp_path / "out"
+        rc = main([
+            "predict", "--model", str(model_dir / "model.json"),
+            "--patient", str(cohort_dir / "phantom002"), "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["artifacts", "command"]
+        assert manifest == json.loads((predict_dir / "manifest.json").read_text())
+
     def test_channel_mismatch_exit_code(self, tmp_path, cohort_dir, model_dir):
         patient = cohort_dir / "phantom000"
         stripped = tmp_path / "stripped"
@@ -381,16 +408,24 @@ class TestConfigHandling:
         ("threshold_hu", "inf"),
         ("fill_hu", "-inf"),
         ("seed", "-1"),
+        ("max_splits", "0"),
+        ("min_leaf", "0"),
+        ("rus_ratio", "0"),
+        ("em_restarts", "0"),
+        ("em_max_iter", "0"),
+        ("em_tol", "0"),
     ], ids=lambda v: v.replace("_", "-"))
     def test_invalid_config_value(self, tmp_path, key, value, capsys):
-        """A bad value exits 3 alike from a flag and from a config file."""
+        """A bad value exits 3 alike from a flag and from a config file, with
+        a message that names the key."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = {value}\n")
         flag = f"--{key.replace('_', '-')}={value}"
         for source in ([flag], ["--config", str(cfg)]):
             rc = main(["phantom", "--out", str(tmp_path / "x"), *source])
             assert rc == EXIT_CONFIG
-            assert capsys.readouterr().err.startswith("config error:")
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and key in err
 
     def test_negative_exponent_values(self, tmp_path, capsys):
         """A negative number in exponent notation is a flag's value, not an option."""

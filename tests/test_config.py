@@ -2,6 +2,7 @@
 loads back equal from `key = value` lines and from command-line flags."""
 
 import argparse
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -11,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mr2ct import BoostConfig, BoostingError, EmConfig, rus_resample
+from mr2ct import (
+    BoostingError,
+    ConfigError,
+    em_fit,
+    rus_resample,
+    select_model,
+    train_rusboost,
+    train_tree,
+)
 from mr2ct.cli import _add_config_flags, build_parser
 from mr2ct.config import RunConfig, load_run_config
 
@@ -100,11 +109,18 @@ def test_flag_round_trip(cfg, cfg_path):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: BoostConfig(n_learners=1, target_ratio=float("nan")),
-    lambda: EmConfig(rel_tol=float("nan")),
+    lambda: RunConfig(rus_ratio=float("nan")),
+    lambda: RunConfig(em_tol=float("nan")),
     lambda: rus_resample(np.array([0, 1, 0, 1]), np.ones(4), float("nan"), seed=0),
-], ids=["boost-target-ratio", "em-rel-tol", "rus-resample-target-ratio"])
+], ids=["rus-ratio", "em-tol", "rus-resample-target-ratio"])
 def test_library_rejects_nan(build):
     """Library callers get the NaN checks the CLI parse makes."""
-    with pytest.raises((ValueError, BoostingError), match="> 0"):
+    with pytest.raises((ConfigError, BoostingError), match="> 0"):
         build()
+
+
+@pytest.mark.parametrize("fn", [train_tree, train_rusboost, em_fit, select_model])
+def test_library_defaults_are_run_defaults(fn):
+    """Each trained layer reads its parameters from a RunConfig that defaults
+    to the run defaults, so a library call and a default run agree."""
+    assert inspect.signature(fn).parameters["config"].default == RunConfig()

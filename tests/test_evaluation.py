@@ -119,6 +119,28 @@ class TestKfold:
         assert metrics.tp == int(labels.sum())
         assert sum(f.n for f in folds) == 300
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_folds_are_column_major_rows(self, order):
+        """The trainer and the predictor get column-major copies of the
+        fold's rows, whatever the layout of x: the classifier reads columns."""
+        x, labels = self.labels_with_fraction(90, 0.3, seed=5)
+        x = np.asarray(np.column_stack([x, x[:, ::-1]]), order=order)
+        seen = []
+
+        def train_fn(x_train, _t, _seed):
+            seen.append(x_train)
+
+            def predict(q):
+                seen.append(q)
+                return np.zeros(q.shape[0], dtype=int)
+            return predict
+
+        kfold_cv(x, labels, train_fn, k=3, seed=0)
+        assert len(seen) == 6 and all(a.flags.f_contiguous for a in seen)
+        trained, held = seen[::2], seen[1::2]
+        assert all(a.shape == (60, 4) for a in trained)
+        assert sorted(map(tuple, np.vstack(held))) == sorted(map(tuple, x))
+
     def test_missing_class_raises_after_redraw(self):
         x = np.random.default_rng(4).normal(size=(6, 2))
         labels = np.array([0, 0, 0, 0, 0, 1])

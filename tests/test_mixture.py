@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mr2ct import (
-    EmConfig,
     FitError,
     MixtureModel,
     ModelError,
+    RunConfig,
     SelectionError,
     conditional_expectation,
     conditional_expectation_many,
@@ -203,7 +203,7 @@ class TestEmFit:
     def test_single_component_is_mle(self):
         rng = np.random.default_rng(3)
         data = rng.multivariate_normal([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]], size=500)
-        model, report = em_fit(data, 1, EmConfig(n_restarts=2), seed=0)
+        model, report = em_fit(data, 1, RunConfig(em_restarts=2), seed=0)
         np.testing.assert_allclose(model.means[0], data.mean(axis=0), atol=1e-9)
         np.testing.assert_allclose(model.covariances[0],
                                    np.cov(data, rowvar=False, bias=True), atol=1e-9)
@@ -213,7 +213,7 @@ class TestEmFit:
         rng = np.random.default_rng(4)
         weights, means, covs = two_component_truth()
         data = sample_joint(weights, means, covs, 1500, rng)
-        _, report = em_fit(data, 2, EmConfig(n_restarts=3), seed=5)
+        _, report = em_fit(data, 2, RunConfig(em_restarts=3), seed=5)
         diffs = np.diff(report.log_likelihood)
         assert np.all(diffs >= -1e-9)
 
@@ -243,7 +243,7 @@ class TestEmFit:
         spread = rng.normal(size=(30, 2))
         point = np.tile([50.0, 50.0], (300, 1))
         data = np.vstack([spread, point])
-        model, report = em_fit(data, 2, EmConfig(n_restarts=2), seed=3)
+        model, report = em_fit(data, 2, RunConfig(em_restarts=2), seed=3)
         assert report.degenerate
         assert model.n_components < 2
 
@@ -259,7 +259,7 @@ class TestEmFit:
     def test_restart_scores_reported(self):
         rng = np.random.default_rng(13)
         data = sample_joint(*two_component_truth(), 400, rng)
-        _, report = em_fit(data, 2, EmConfig(n_restarts=4), seed=0)
+        _, report = em_fit(data, 2, RunConfig(em_restarts=4), seed=0)
         assert len(report.restart_scores) == 4
         assert report.best_restart == int(np.argmin(report.restart_scores))
 
@@ -310,7 +310,7 @@ def test_em_once_matches_naive_oracle(seed, dim, n_components, max_iter, point_m
     fixed (derandomize) rather than drawn afresh on every run.
     """
     v = _mixture_rows(seed, dim, n_components, point_mass)
-    config = EmConfig(max_iter=max_iter)
+    config = RunConfig(em_max_iter=max_iter)
     runs = []
     for em in (_em_once, naive_em_once):
         # A collapsing component passes through subnormal covariances, whose
@@ -341,7 +341,7 @@ def test_em_once_collapse_does_not_warn(seed, dim):
     1e150, so its squared Mahalanobis terms (and, at seed 200, their sums)
     overflow to inf, a density of zero, without a RuntimeWarning."""
     weights, _, _, _, _, degenerate = _em_once(
-        _mixture_rows(seed, dim, 2, point_mass=True), 2, EmConfig(max_iter=20),
+        _mixture_rows(seed, dim, 2, point_mass=True), 2, RunConfig(em_max_iter=20),
         np.random.default_rng(seed),
     )
     assert degenerate and len(weights) == 1
@@ -353,21 +353,22 @@ class TestSelectModel:
         weights, means, covs = two_component_truth()
         train = sample_joint(weights, means, covs, 600, rng)
         val = sample_joint(weights, means, covs, 3000, rng)
-        _, j_star, report = select_model(train, val, [1, 2, 3], seed=2)
+        _, j_star, report = select_model(train, val, RunConfig(j_candidates=(1, 2, 3)), seed=2)
         assert j_star == 2
         assert report.scores[1] < report.scores[0]
 
     def test_single_candidate(self):
         rng = np.random.default_rng(15)
         data = sample_joint(*two_component_truth(), 500, rng)
-        model, j_star, _ = select_model(data[:400], data[400:], [2], seed=0)
+        model, j_star, _ = select_model(data[:400], data[400:], RunConfig(j_candidates=(2,)),
+                                        seed=0)
         assert j_star == 2
         assert model.n_components == 2
 
     def test_scores_reported_per_candidate(self):
         rng = np.random.default_rng(16)
         data = sample_joint(*two_component_truth(), 700, rng)
-        _, _, report = select_model(data[:500], data[500:], [1, 2], seed=0)
+        _, _, report = select_model(data[:500], data[500:], RunConfig(j_candidates=(1, 2)), seed=0)
         assert len(report.scores) == 2
         assert all(np.isfinite(s) for s in report.scores)
 
@@ -375,7 +376,7 @@ class TestSelectModel:
         rng = np.random.default_rng(17)
         data = rng.normal(size=(30, 2))
         with pytest.raises(SelectionError):
-            select_model(data[:20], data[20:], [50, 60], seed=0)
+            select_model(data[:20], data[20:], RunConfig(j_candidates=(50, 60)), seed=0)
 
 
 class TestSerialization:

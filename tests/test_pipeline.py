@@ -26,7 +26,7 @@ from mr2ct.config import load_run_config
 from mr2ct.features import FeatureLayout
 from mr2ct.mixture import conditional_expectation_many
 from mr2ct.pipeline import PipelineModel, model_from_dict, model_to_dict
-from mr2ct.tree import TreeConfig, train_tree
+from mr2ct.tree import train_tree
 from mr2ct.volume import FLOAT32_MAX
 
 from conftest import fast_config
@@ -327,7 +327,7 @@ def test_bundle_roundtrip_property(seed, n_channels, order, n_trees, components,
     for _ in range(n_trees):
         x = rng.normal(size=(40, layout.n_combined))
         labels = np.arange(40) % 2
-        tree = train_tree(x, labels, config=TreeConfig(max_splits=4, min_leaf=1), n_labels=2)
+        tree = train_tree(x, labels, config=RunConfig(max_splits=4, min_leaf=1), n_labels=2)
         learners.append(Learner(tree=tree, alpha=float(rng.uniform(0.01, 1.0))))
     model = PipelineModel(
         classifier=BoostedEnsemble(

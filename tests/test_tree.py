@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mr2ct import DataError, TreeConfig, train_tree
+from mr2ct import DataError, RunConfig, train_tree
 from mr2ct.errors import ModelError
 from mr2ct.tree import LEAF, N_BINS, DecisionTree, bin_features
 
@@ -17,7 +17,7 @@ def training_error(tree, x, labels):
 class TestTrainTree:
     def test_separable_pair(self):
         tree = train_tree(np.array([[0.0], [1.0]]), np.array([0, 1]),
-                          config=TreeConfig(min_leaf=1))
+                          config=RunConfig(min_leaf=1))
         assert tree.n_splits == 1
         assert tree.threshold[0] == 0.5
         np.testing.assert_array_equal(tree.confidence_matrix(np.atleast_2d([0.9]))[0], [0.0, 1.0])
@@ -46,7 +46,7 @@ class TestTrainTree:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(200, 2))
         labels = (x[:, 0] + 0.3 * rng.normal(size=200) > 0).astype(int)
-        tree = train_tree(x, labels, config=TreeConfig(max_splits=100, min_leaf=5))
+        tree = train_tree(x, labels, config=RunConfig(max_splits=100, min_leaf=5))
         leaf_of = tree.leaf_index(x)
         for leaf in np.flatnonzero(tree.feature == LEAF):
             assert np.sum(leaf_of == leaf) >= 5
@@ -55,7 +55,7 @@ class TestTrainTree:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(300, 3))
         labels = rng.integers(0, 2, size=300)
-        tree = train_tree(x, labels, config=TreeConfig(max_splits=7, min_leaf=1))
+        tree = train_tree(x, labels, config=RunConfig(max_splits=7, min_leaf=1))
         assert tree.n_splits <= 7
 
     def test_empty_input_rejected(self):
@@ -64,23 +64,23 @@ class TestTrainTree:
 
     def test_feature_tiebreak_lowest_index(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
-        tree = train_tree(x, np.array([0, 1]), config=TreeConfig(min_leaf=1))
+        tree = train_tree(x, np.array([0, 1]), config=RunConfig(min_leaf=1))
         assert tree.feature[0] == 0
 
     def test_threshold_tiebreak_lowest(self):
         # splits at 0.5 and 2.5 give equal impurity decrease
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         labels = np.array([0, 1, 1, 0])
-        tree = train_tree(x, labels, config=TreeConfig(max_splits=1, min_leaf=1))
+        tree = train_tree(x, labels, config=RunConfig(max_splits=1, min_leaf=1))
         assert tree.threshold[0] == 0.5
 
     def test_duplicating_samples_keeps_structure(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(80, 2))
         labels = (x.sum(axis=1) > 0).astype(int)
-        a = train_tree(x, labels, config=TreeConfig(max_splits=15, min_leaf=1))
+        a = train_tree(x, labels, config=RunConfig(max_splits=15, min_leaf=1))
         b = train_tree(np.vstack([x, x]), np.concatenate([labels, labels]),
-                       config=TreeConfig(max_splits=15, min_leaf=1))
+                       config=RunConfig(max_splits=15, min_leaf=1))
         np.testing.assert_array_equal(a.feature, b.feature)
         np.testing.assert_array_equal(a.threshold, b.threshold)
         np.testing.assert_allclose(a.confidence, b.confidence, atol=1e-12)
@@ -89,16 +89,16 @@ class TestTrainTree:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(150, 3))
         labels = rng.integers(0, 3, size=150)
-        tree = train_tree(x, labels, config=TreeConfig(max_splits=30, min_leaf=2))
+        tree = train_tree(x, labels, config=RunConfig(max_splits=30, min_leaf=2))
         np.testing.assert_allclose(tree.confidence.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_error_chain_leaf_stump_tree(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(250, 2))
         labels = ((x[:, 0] > 0.2) ^ (x[:, 1] < -0.1)).astype(int)
-        leaf = train_tree(x, labels, config=TreeConfig(max_splits=1, min_leaf=250))
-        stump = train_tree(x, labels, config=TreeConfig(max_splits=1, min_leaf=1))
-        tree = train_tree(x, labels, config=TreeConfig(max_splits=60, min_leaf=1))
+        leaf = train_tree(x, labels, config=RunConfig(max_splits=1, min_leaf=250))
+        stump = train_tree(x, labels, config=RunConfig(max_splits=1, min_leaf=1))
+        tree = train_tree(x, labels, config=RunConfig(max_splits=60, min_leaf=1))
         e_leaf = training_error(leaf, x, labels)
         e_stump = training_error(stump, x, labels)
         e_tree = training_error(tree, x, labels)
@@ -108,7 +108,7 @@ class TestTrainTree:
         x = np.array([[0.0], [1.0], [np.nan], [3.0]])
         labels = np.array([0, 0, 1, 1])
         with pytest.raises(DataError, match="finite"):
-            train_tree(x, labels, config=TreeConfig(min_leaf=1))
+            train_tree(x, labels, config=RunConfig(min_leaf=1))
 
     def test_codes_must_match_x(self):
         x = np.arange(8.0).reshape(4, 2)
@@ -150,7 +150,7 @@ def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tie
         multiplicity = rng.integers(0, 4, size=labels.size)
         multiplicity[0] = max(multiplicity[0], 1)  # at least one row
         x, labels = np.repeat(x, multiplicity, axis=0), np.repeat(labels, multiplicity)
-    config = TreeConfig(max_splits=max_splits, min_leaf=min_leaf)
+    config = RunConfig(max_splits=max_splits, min_leaf=min_leaf)
     expected = naive_train_tree(x, labels, config, n_labels=n_labels)
     assert train_tree(x, labels, config, n_labels=n_labels).to_dict() == expected.to_dict()
 
@@ -225,7 +225,7 @@ def test_code_and_threshold_routing_agree(seed, n, n_features, tied, subset, min
     if subset:
         idx = np.sort(rng.choice(n, size=max(2, n // 2)))
         x, labels, codes = x[idx], labels[idx], codes[:, idx]
-    tree = train_tree(x, labels, config=TreeConfig(max_splits=max_splits, min_leaf=min_leaf),
+    tree = train_tree(x, labels, config=RunConfig(max_splits=max_splits, min_leaf=min_leaf),
                       n_labels=2, codes=codes)
     rows = node_rows(tree, x)
     for node in np.flatnonzero(tree.feature != LEAF):
@@ -250,7 +250,7 @@ def test_routing_matches_level_synchronous_oracle(seed, n, n_features, duplicate
     labels = rng.integers(0, 2, size=n)
     if duplicated:
         x, labels = np.vstack([x, x[::2]]), np.concatenate([labels, labels[::2]])
-    tree = train_tree(x, labels, config=TreeConfig(max_splits=max_splits, min_leaf=min_leaf),
+    tree = train_tree(x, labels, config=RunConfig(max_splits=max_splits, min_leaf=min_leaf),
                       n_labels=2)
     # Every training row with each split feature set exactly to the split's
     # threshold, to its float neighbors and to NaN, plus scattered NaNs.
@@ -280,7 +280,7 @@ def test_routing_matches_level_synchronous_oracle(seed, n, n_features, duplicate
 class TestRouting:
     def test_dimension_mismatch(self):
         tree = train_tree(np.array([[0.0], [1.0]]), np.array([0, 1]),
-                          config=TreeConfig(min_leaf=1))
+                          config=RunConfig(min_leaf=1))
         with pytest.raises(ModelError):
             tree.confidence_matrix(np.atleast_2d([0.0, 1.0]))
 
@@ -288,7 +288,7 @@ class TestRouting:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(400, 3))
         labels = ((x[:, 0] + x[:, 1] ** 2 - x[:, 2]) > 0).astype(int)
-        tree = train_tree(x, labels, config=TreeConfig(max_splits=50, min_leaf=3))
+        tree = train_tree(x, labels, config=RunConfig(max_splits=50, min_leaf=3))
         probes = rng.normal(size=(1000, 3))
 
         def walk(row):
@@ -309,7 +309,7 @@ class TestSerialization:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(100, 2))
         labels = (x[:, 0] > 0).astype(int)
-        tree = train_tree(x, labels, config=TreeConfig(max_splits=10, min_leaf=2))
+        tree = train_tree(x, labels, config=RunConfig(max_splits=10, min_leaf=2))
         back = DecisionTree.from_dict(tree.to_dict())
         np.testing.assert_array_equal(back.feature, tree.feature)
         np.testing.assert_array_equal(
@@ -332,7 +332,7 @@ class TestSerialization:
     def test_malformed_tree_rejected(self, key, node, value):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(60, 2))
-        d = train_tree(x, (x[:, 0] > 0).astype(int), config=TreeConfig(max_splits=3)).to_dict()
+        d = train_tree(x, (x[:, 0] > 0).astype(int), config=RunConfig(max_splits=3)).to_dict()
         d[key][node] = value
         with pytest.raises(ModelError):
             DecisionTree.from_dict(d)

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from mr2ct import FitError, MixtureModel, TreeConfig
+from mr2ct import FitError, MixtureModel, RunConfig
 from mr2ct.mixture import _DROP_WEIGHT, _RIDGE_SCALE, _kmeanspp_means
 from mr2ct.features import neighbor_offsets
 from mr2ct.tree import DecisionTree
@@ -87,7 +87,7 @@ def naive_em_once(v, n_components, config, rng):
     covs = np.repeat(pooled[None, :, :], n_components, axis=0)
     weights = np.full(n_components, 1.0 / n_components)
     history, converged, degenerate, prev_ll = [], False, False, -np.inf
-    for _ in range(config.max_iter):
+    for _ in range(config.em_max_iter):
         logp = np.empty((n, len(weights)))
         for j, cov in enumerate(covs):
             chol = np.linalg.cholesky(cov)
@@ -100,7 +100,7 @@ def naive_em_once(v, n_components, config, rng):
         lse = np.log(np.exp(logp - amax).sum(axis=1)) + amax[:, 0]
         ll = float(lse.sum())
         history.append(ll)
-        if ll - prev_ll < config.rel_tol * max(1.0, abs(prev_ll)) and len(history) > 1:
+        if ll - prev_ll < config.em_tol * max(1.0, abs(prev_ll)) and len(history) > 1:
             converged = True
             break
         prev_ll = ll
@@ -229,7 +229,7 @@ def naive_best_split(x, cw, config):
     return best
 
 
-def naive_train_tree(x, labels, config=TreeConfig(), n_labels=None):
+def naive_train_tree(x, labels, config=RunConfig(), n_labels=None):
     """Best-first tree growth that argsorts every feature at every node.
 
     The reference for train_tree: same splits, same tie-breaks, same floats.
