@@ -212,11 +212,13 @@ class BoostedEnsemble:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostedEnsemble":
+        n_labels, n_features = int(d["n_labels"]), int(d["n_features"])
         learners = tuple(
-            Learner(tree=DecisionTree.from_dict(entry["tree"]), alpha=float(entry["alpha"]))
+            Learner(tree=DecisionTree.from_dict(entry["tree"], n_features, n_labels),
+                    alpha=float(entry["alpha"]))
             for entry in d["learners"]
         )
-        return cls(learners=learners, n_labels=int(d["n_labels"]), n_features=int(d["n_features"]))
+        return cls(learners=learners, n_labels=n_labels, n_features=n_features)
 
 
 def train_rusboost(
@@ -270,27 +272,21 @@ def train_rusboost(
                 chosen = (tree, conf, eps, eps_raw)
                 break
             retries += 1
-        if chosen is None:
-            rounds.append(
-                BoostRound(
-                    index=j, eps=None, eps_raw=None, alpha=None,
-                    retries=retries, skipped=True,
-                    resample_size=resample_size, underflow=False, train_error=train_error,
-                )
-            )
-            continue
-        tree, conf, eps, eps_raw = chosen
-        eps = max(eps, _EPS_MIN)
-        alpha = eps / (1.0 - eps)
-        mislabel, underflow = update_mislabel(mislabel, conf, labels, alpha)
-        learners.append(Learner(tree=tree, alpha=alpha))
-        # The same sum, in the same order, as BoostedEnsemble.scores.
-        votes += conf * np.log(1.0 / alpha)
-        train_error = float(np.mean(np.argmax(votes, axis=1) != labels))
+        eps = eps_raw = alpha = None  # a skipped round records none of them
+        underflow = False
+        if chosen is not None:
+            tree, conf, eps, eps_raw = chosen
+            eps = max(eps, _EPS_MIN)
+            alpha = eps / (1.0 - eps)
+            mislabel, underflow = update_mislabel(mislabel, conf, labels, alpha)
+            learners.append(Learner(tree=tree, alpha=alpha))
+            # The same sum, in the same order, as BoostedEnsemble.scores.
+            votes += conf * np.log(1.0 / alpha)
+            train_error = float(np.mean(np.argmax(votes, axis=1) != labels))
         rounds.append(
             BoostRound(
                 index=j, eps=eps, eps_raw=eps_raw, alpha=alpha,
-                retries=retries, skipped=False,
+                retries=retries, skipped=chosen is None,
                 resample_size=resample_size, underflow=underflow, train_error=train_error,
             )
         )

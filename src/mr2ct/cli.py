@@ -3,10 +3,11 @@
 Subcommands: phantom (synthetic cohort), train (cohort -> model bundle),
 predict (model + MR volumes -> CT estimate), evaluate (leave-one-out
 report), cv-classifier (10-fold classification metrics).  Each subcommand
+takes the run keys that can change its output, RUN_KEYS, as flags; predict
+takes none, as it reads its settings from the bundle.  Each subcommand
 returns the files it wrote under --out; main then writes a manifest.json with
-the checksum of every one of those files and, for the subcommands that take
-run keys (all but predict, which reads its settings from the bundle), the
-resolved config and seed.
+the checksum of every one of those files, the resolved values of the
+subcommand's run keys, and for predict the bundle and patient it read.
 
 Exit codes: 0 success, 2 usage, 3 config, 4 data/format, 5 feature layout,
 6 estimation, 1 unexpected.
@@ -196,12 +197,23 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """--config plus one flag per RunConfig field; values are parsed, and
+# The run keys each subcommand reads.  evaluate scores only masked voxels, so
+# fill_hu cannot change its output.
+RUN_KEYS = {
+    "phantom": ("seed",),
+    "train": tuple(f.name for f in fields(RunConfig) if f.name not in ("window_hu", "cv_folds")),
+    "evaluate": tuple(f.name for f in fields(RunConfig) if f.name not in ("fill_hu", "cv_folds")),
+    "cv-classifier": ("threshold_hu", "order", "trees", "max_splits", "min_leaf",
+                      "rus_ratio", "cv_folds", "seed"),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """--config plus one flag per run key of command; values are parsed, and
     checked, by load_run_config like config file values."""
     parser.add_argument("--config", help="config file (key = value lines)")
-    for f in fields(RunConfig):
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None)
+    for key in RUN_KEYS[command]:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,13 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minority-fraction", type=float, default=0.1849,
                    dest="minority_fraction")
     p.add_argument("--noise-scale", type=float, default=3.0, dest="noise_scale")
-    _add_config_flags(p)
+    _add_config_flags(p, "phantom")
     p.set_defaults(func=_cmd_phantom)
 
     p = sub.add_parser("train", help="train a model on a cohort directory")
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "train")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict a CT volume for one patient")
@@ -239,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="leave-one-out evaluation over a cohort")
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "evaluate")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("cv-classifier", help="k-fold CV of the tissue classifier")
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "cv-classifier")
     p.set_defaults(func=_cmd_cv_classifier)
     return parser
 
@@ -257,10 +269,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
+        keys = RUN_KEYS.get(args.command, ())
         cfg = None
-        if "config" in args:  # predict takes no run keys
-            overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-            cfg = load_run_config(args.config, overrides)
+        if keys:  # predict takes no run keys
+            cfg = load_run_config(args.config, {k: getattr(args, k) for k in keys})
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         written = args.func(args, cfg, out_dir)
@@ -269,7 +281,11 @@ def main(argv: list[str] | None = None) -> int:
             "artifacts": {str(p.relative_to(out_dir)): _sha256(p) for p in sorted(written)},
         }
         if cfg is not None:
-            manifest.update(config=asdict(cfg), seed=cfg.seed)
+            manifest["config"] = {k: getattr(cfg, k) for k in keys}
+        else:
+            model = Path(args.model).resolve()
+            manifest["inputs"] = {"model": str(model), "model_sha256": _sha256(model),
+                                  "patient": str(Path(args.patient).resolve())}
         _write_json(out_dir / "manifest.json", manifest)
         return EXIT_OK
     except ConfigError as exc:

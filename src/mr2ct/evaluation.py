@@ -138,7 +138,6 @@ def kfold_cv(
     positive = minority_label(labels)
     totals = np.zeros(4, dtype=np.int64)
     fold_results = []
-    n_wrong = 0
     for i, fold in enumerate(folds):
         held = np.ones(n, dtype=bool)
         held[fold] = False
@@ -147,7 +146,6 @@ def kfold_cv(
         )
         pred = np.asarray(predictor(take_rows(x, fold)), dtype=np.int64)
         wrong = int(np.sum(pred != labels[fold]))
-        n_wrong += wrong
         counts = confusion_counts(labels[fold], pred, positive)
         totals += np.asarray(counts)
         fold_results.append(

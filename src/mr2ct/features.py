@@ -36,24 +36,14 @@ SECOND_ORDER = "second"
 
 
 def neighbor_offsets(order: str) -> tuple[tuple[int, int, int], ...]:
-    """(dz, dy, dx) offsets for the given neighborhood order, lexicographic."""
-    if order == SECOND_ORDER:
-        return tuple(
-            (dz, dy, dx)
-            for dz in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dx in (-1, 0, 1)
-            if (dz, dy, dx) != (0, 0, 0)
-        )
-    if order == FIRST_ORDER:
-        return tuple(
-            (dz, dy, dx)
-            for dz in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dx in (-1, 0, 1)
-            if abs(dz) + abs(dy) + abs(dx) == 1
-        )
-    raise ValueError(f"neighborhood order must be 'first' or 'second', got {order!r}")
+    """(dz, dy, dx) offsets for the given neighborhood order, lexicographic:
+    the axis neighbors (first order) or every shell neighbor (second)."""
+    if order not in (FIRST_ORDER, SECOND_ORDER):
+        raise ValueError(f"neighborhood order must be 'first' or 'second', got {order!r}")
+    reach = 1 if order == FIRST_ORDER else 3  # largest |dz| + |dy| + |dx|
+    steps = (-1, 0, 1)
+    return tuple((dz, dy, dx) for dz in steps for dy in steps for dx in steps
+                 if 0 < abs(dz) + abs(dy) + abs(dx) <= reach)
 
 
 @dataclass(frozen=True)

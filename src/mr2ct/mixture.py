@@ -304,12 +304,10 @@ def _em_once(
     return weights, means, covs, history, converged, degenerate
 
 
-def _training_mse(weights, means, covs, v) -> float:
-    model = MixtureModel(weights=weights, means=means, covariances=covs)
-    try:
-        y_hat, _ = conditional_expectation_many(model, v[:, 1:])
-    except ModelError:
-        return float("inf")
+def _conditional_mse(model: MixtureModel, v: np.ndarray) -> float:
+    """mean((y - E[y | x])^2) over joint rows v = (y, x), the score of EM
+    restarts on training rows and of component counts on validation rows."""
+    y_hat, _ = conditional_expectation_many(model, v[:, 1:])
     return float(np.mean((v[:, 0] - y_hat) ** 2))
 
 
@@ -346,19 +344,22 @@ def em_fit(
     for r in range(config.em_restarts):
         rng = np.random.default_rng(derive_seed(seed, r))
         try:
-            run = _em_once(v, n_components, config, rng)
+            weights, means, covs, *rest = _em_once(v, n_components, config, rng)
         except FitError as exc:
             runs.append(None)
             scores.append(float("inf"))
             failures.append(f"restart {r}: {exc}")
             continue
-        runs.append(run)
-        scores.append(_training_mse(run[0], run[1], run[2], v))
+        model = MixtureModel(weights=weights, means=means, covariances=covs)
+        runs.append((model, *rest))
+        try:
+            scores.append(_conditional_mse(model, v))
+        except ModelError:
+            scores.append(float("inf"))
     if all(run is None for run in runs):
         raise FitError("every EM restart failed: " + "; ".join(failures))
     best = int(np.argmin(scores))
-    weights, means, covs, history, converged, degenerate = runs[best]
-    model = MixtureModel(weights=weights, means=means, covariances=covs)
+    model, history, converged, degenerate = runs[best]
     report = EmFitReport(
         n_requested=n_components,
         n_components=model.n_components,
@@ -411,17 +412,13 @@ def select_model(
     for i, j in enumerate(candidates):
         try:
             model, rep = em_fit(samples_train, j, config=config, seed=derive_seed(seed, i))
-            y_hat, _ = conditional_expectation_many(model, val[:, 1:])
-            score = float(np.mean((val[:, 0] - y_hat) ** 2))
-            models.append(model)
-            reports.append(rep)
-            errors.append(None)
-            scores.append(score)
+            score, error = _conditional_mse(model, val), None
         except (FitError, ModelError) as exc:
-            models.append(None)
-            reports.append(None)
-            errors.append(str(exc))
-            scores.append(float("nan"))
+            model, rep, score, error = None, None, float("nan"), str(exc)
+        models.append(model)
+        reports.append(rep)
+        errors.append(error)
+        scores.append(score)
     if all(m is None for m in models):
         raise SelectionError(
             "every candidate failed to fit: " + "; ".join(e or "" for e in errors)

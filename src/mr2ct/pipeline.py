@@ -34,7 +34,7 @@ from .mixture import (
 from .seeding import derive_seed, rng_for
 from .volume import FLOAT32_MAX, PatientDataset, Volume, volume_like
 
-BUNDLE_FORMAT_VERSION = 4
+BUNDLE_FORMAT_VERSION = 5
 BUNDLE_KIND = "mr2ct-model-bundle"
 
 _SALT_VAL_PATIENT = 101

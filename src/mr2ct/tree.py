@@ -1,7 +1,9 @@
 """Confidence-rated binary decision trees.
 
 A tree routes a feature vector to a leaf whose confidence vector holds the
-class proportions of the training rows that reached it.
+class proportions of the training rows that reached it.  A split node's
+children are adjacent: train_tree appends them together, the left one first,
+so a tree stores only the left child's id.
 
 Split search uses histograms, the `hist` method of XGBoost (Chen & Guestrin,
 KDD 2016) and LightGBM (Ke et al., NeurIPS 2017).  bin_features codes each
@@ -45,6 +47,7 @@ from .errors import DataError, ModelError
 
 LEAF = -1
 N_BINS = 256  # bins per feature, so that codes fit uint8
+_DICT_KEYS = {"feature", "threshold", "left", "confidence"}
 
 
 @dataclass(frozen=True)
@@ -52,16 +55,16 @@ class DecisionTree:
     """Flat-array binary tree; node 0 is the root.
 
     feature[i] is the split feature of node i, or -1 for a leaf.  Routing
-    goes left when x[feature] <= threshold.  confidence[i] holds the
-    class proportions of the training rows at node i (leaves carry
-    the prediction; internal values are diagnostics).
+    goes to node left[i] when x[feature] <= threshold, else to left[i] + 1.
+    Only leaves hold confidences, the class proportions of their training
+    rows; a split node's row, like a leaf's threshold, is NaN, and a leaf's
+    left is -1.  A bundle stores n_features and n_labels once per ensemble.
     """
 
     feature: np.ndarray    # (nodes,) int32
     threshold: np.ndarray  # (nodes,) float64, nan at leaves
-    left: np.ndarray       # (nodes,) int32
-    right: np.ndarray      # (nodes,) int32
-    confidence: np.ndarray # (nodes, n_labels) float64
+    left: np.ndarray       # (nodes,) int32; the right child is left + 1
+    confidence: np.ndarray # (nodes, n_labels) float64, nan at split nodes
     n_features: int
     n_labels: int
 
@@ -75,7 +78,7 @@ class DecisionTree:
         if (
             n == 0
             or self.feature.shape != (n,)
-            or any(a.shape != (n,) for a in (self.threshold, self.left, self.right))
+            or any(a.shape != (n,) for a in (self.threshold, self.left))
             or self.confidence.shape != (n, self.n_labels)
         ):
             raise ModelError("tree arrays must hold one entry per node")
@@ -85,14 +88,13 @@ class DecisionTree:
             raise ModelError(f"split features must lie in [0, {self.n_features})")
         if np.any(np.isnan(self.threshold[internal])):
             raise ModelError("split nodes must have a threshold")
-        for child in (self.left, self.right):
-            if np.any(child[~internal] != LEAF):
-                raise ModelError(f"leaf children must be {LEAF}")
-            if np.any(child[internal] <= ids) or np.any(child[internal] >= n):
-                raise ModelError("child ids must exceed their parent's and lie below n_nodes")
-        conf = self.confidence
+        if np.any(self.left[~internal] != LEAF):
+            raise ModelError(f"leaf children must be {LEAF}")
+        if np.any(self.left[internal] <= ids) or np.any(self.left[internal] >= n - 1):
+            raise ModelError("child ids must exceed their parent's and lie below n_nodes")
+        conf = self.confidence[~internal]
         if not (np.all((conf >= 0) & (conf <= 1)) and np.all(np.abs(conf.sum(axis=1) - 1) <= 1e-9)):
-            raise ModelError("node confidences must lie in [0, 1] and sum to 1")
+            raise ModelError("leaf confidences must lie in [0, 1] and sum to 1")
 
     @property
     def n_nodes(self) -> int:
@@ -128,7 +130,7 @@ class DecisionTree:
                 # NaN compares False, so it goes right.
                 go_left = cols[:, f].take(rows) <= self.threshold[node]
                 stack.append((self.left[node], rows[go_left]))
-                stack.append((self.right[node], rows[~go_left]))
+                stack.append((self.left[node] + 1, rows[~go_left]))
         return out
 
     def confidence_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -136,29 +138,31 @@ class DecisionTree:
         return self.confidence[self.leaf_index(x)]
 
     def to_dict(self) -> dict:
+        """Tree arrays as lists; a leaf's threshold and a split node's
+        confidence row, both NaN, are null."""
+        split = (self.feature != LEAF).tolist()
         return {
-            "n_features": self.n_features,
-            "n_labels": self.n_labels,
             "feature": self.feature.tolist(),
-            "threshold": [None if np.isnan(t) else t for t in self.threshold.tolist()],
+            "threshold": [t if s else None for s, t in zip(split, self.threshold.tolist())],
             "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "confidence": self.confidence.tolist(),
+            "confidence": [None if s else c for s, c in zip(split, self.confidence.tolist())],
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        threshold = np.array(
-            [np.nan if t is None else float(t) for t in d["threshold"]], dtype=np.float64
-        )
+    def from_dict(cls, d: dict, n_features: int, n_labels: int) -> "DecisionTree":
+        """The tree of to_dict's d; n_features and n_labels are the ensemble's.
+
+        Other keys, such as a format-4 tree's right array, raise ModelError."""
+        if d.keys() != _DICT_KEYS:
+            raise ModelError(f"tree keys must be {sorted(_DICT_KEYS)}, got {sorted(d)}")
         return cls(
             feature=np.asarray(d["feature"], dtype=np.int32),
-            threshold=threshold,
+            threshold=np.array([np.nan if t is None else t for t in d["threshold"]], dtype=float),
             left=np.asarray(d["left"], dtype=np.int32),
-            right=np.asarray(d["right"], dtype=np.int32),
-            confidence=np.asarray(d["confidence"], dtype=np.float64),
-            n_features=int(d["n_features"]),
-            n_labels=int(d["n_labels"]),
+            confidence=np.array([[np.nan] * n_labels if c is None else c
+                                 for c in d["confidence"]], dtype=float),
+            n_features=n_features,
+            n_labels=n_labels,
         )
 
 
@@ -273,7 +277,6 @@ def train_tree(
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
-    right: list[int] = []
     confidence: list[np.ndarray] = []
     heap: list[tuple[float, int, int, int]] = []
     pending: dict[int, np.ndarray] = {}  # heap node -> its rows
@@ -284,7 +287,6 @@ def train_tree(
         feature.append(LEAF)
         threshold.append(np.nan)
         left.append(LEAF)
-        right.append(LEAF)
         totals = np.bincount(labels[rows], minlength=n_labels)
         confidence.append(totals / rows.size)
         if rows.size < 2 * config.min_leaf or np.count_nonzero(totals > 0) <= 1:
@@ -313,15 +315,15 @@ def train_tree(
             thr = below  # adjacent floats: keep the partition exact
         feature[node_id] = f
         threshold[node_id] = float(thr)
+        confidence[node_id] = np.full(n_labels, np.nan)  # only leaves vote
         left[node_id] = new_node(rows[go_left])
-        right[node_id] = new_node(rows[~go_left])
+        new_node(rows[~go_left])  # the right child, left + 1
         splits_done += 1
 
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
         confidence=np.vstack(confidence),
         n_features=n_features,
         n_labels=n_labels,

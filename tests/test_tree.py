@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,7 +92,9 @@ class TestTrainTree:
         x = rng.normal(size=(150, 3))
         labels = rng.integers(0, 3, size=150)
         tree = train_tree(x, labels, config=RunConfig(max_splits=30, min_leaf=2))
-        np.testing.assert_allclose(tree.confidence.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        is_leaf = tree.feature == LEAF
+        np.testing.assert_allclose(tree.confidence[is_leaf].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.isnan(tree.confidence[~is_leaf]))  # only leaves vote
 
     def test_error_chain_leaf_stump_tree(self):
         rng = np.random.default_rng(6)
@@ -152,7 +156,9 @@ def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tie
         x, labels = np.repeat(x, multiplicity, axis=0), np.repeat(labels, multiplicity)
     config = RunConfig(max_splits=max_splits, min_leaf=min_leaf)
     expected = naive_train_tree(x, labels, config, n_labels=n_labels)
-    assert train_tree(x, labels, config, n_labels=n_labels).to_dict() == expected.to_dict()
+    got = train_tree(x, labels, config, n_labels=n_labels)
+    assert got.to_dict() == expected.to_dict()
+    np.testing.assert_array_equal(got.confidence, expected.confidence)  # NaN at split nodes
 
 
 def node_rows(tree, x):
@@ -163,7 +169,7 @@ def node_rows(tree, x):
         if f != LEAF:
             go_left = x[rows[node], f] <= tree.threshold[node]
             rows[tree.left[node]] = rows[node][go_left]
-            rows[tree.right[node]] = rows[node][~go_left]
+            rows[tree.left[node] + 1] = rows[node][~go_left]
     return rows
 
 
@@ -297,7 +303,7 @@ class TestRouting:
                 if row[tree.feature[node]] <= tree.threshold[node]:
                     node = tree.left[node]
                 else:
-                    node = tree.right[node]
+                    node = tree.left[node] + 1
             return node
 
         expected = np.array([walk(row) for row in probes])
@@ -310,7 +316,7 @@ class TestSerialization:
         x = rng.normal(size=(100, 2))
         labels = (x[:, 0] > 0).astype(int)
         tree = train_tree(x, labels, config=RunConfig(max_splits=10, min_leaf=2))
-        back = DecisionTree.from_dict(tree.to_dict())
+        back = DecisionTree.from_dict(tree.to_dict(), tree.n_features, tree.n_labels)
         np.testing.assert_array_equal(back.feature, tree.feature)
         np.testing.assert_array_equal(
             back.threshold[~np.isnan(back.threshold)],
@@ -323,16 +329,58 @@ class TestSerialization:
         )
 
     @pytest.mark.parametrize("key, node, value", [
-        ("left", 0, 0),                # a cycle back to the root
-        ("right", 0, 99),              # a child beyond the last node
-        ("left", -1, 0),               # a leaf with a child
-        ("feature", 0, 2),             # a feature the tree does not have
-        ("confidence", 0, [0.7, 0.7]), # proportions that do not sum to 1
+        ("left", 0, 0),                 # a cycle back to the root
+        ("left", 0, "last"),            # a right child beyond the last node
+        ("left", -1, 0),                # a leaf with a child
+        ("feature", 0, 2),              # a feature the tree does not have
+        ("confidence", -1, [0.7, 0.7]), # leaf proportions that do not sum to 1
+        ("confidence", -1, None),       # a leaf without proportions
     ])
     def test_malformed_tree_rejected(self, key, node, value):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(60, 2))
         d = train_tree(x, (x[:, 0] > 0).astype(int), config=RunConfig(max_splits=3)).to_dict()
-        d[key][node] = value
+        assert d["feature"][0] != LEAF and d["feature"][-1] == LEAF
+        d[key][node] = len(d["feature"]) - 1 if value == "last" else value
         with pytest.raises(ModelError):
-            DecisionTree.from_dict(d)
+            DecisionTree.from_dict(d, 2, 2)
+
+    def test_split_node_confidences_are_null(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(60, 2))
+        tree = train_tree(x, (x[:, 0] > 0).astype(int), config=RunConfig(max_splits=3))
+        d = tree.to_dict()
+        assert sorted(d) == ["confidence", "feature", "left", "threshold"]
+        for f, row in zip(d["feature"], d["confidence"]):
+            assert (row is None) == (f != LEAF)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    n_features=st.integers(1, 3),
+    n_labels=st.sampled_from([2, 3]),
+    repeated=st.booleans(),
+    min_leaf=st.integers(1, 5),
+    max_splits=st.integers(1, 20),
+)
+def test_dict_roundtrip_property(seed, n, n_features, n_labels, repeated, min_leaf, max_splits):
+    """A trained tree survives to_dict and from_dict bit for bit, NaN in the
+    same places, and routes every probe alike."""
+    rng = np.random.default_rng(seed)
+    x = np.round(2 * rng.normal(size=(n, n_features))) / 2
+    labels = rng.integers(0, n_labels, size=n)
+    if repeated:
+        multiplicity = rng.integers(1, 4, size=n)
+        x, labels = np.repeat(x, multiplicity, axis=0), np.repeat(labels, multiplicity)
+    tree = train_tree(x, labels, RunConfig(max_splits=max_splits, min_leaf=min_leaf),
+                      n_labels=n_labels)
+    back = DecisionTree.from_dict(json.loads(json.dumps(tree.to_dict())),
+                                  tree.n_features, tree.n_labels)
+    for name in ("feature", "threshold", "left", "confidence"):
+        a, b = getattr(tree, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    probes = np.vstack([x, rng.normal(size=(50, n_features)),
+                        np.where(rng.random(x.shape) < 0.3, np.nan, x)])
+    np.testing.assert_array_equal(back.leaf_index(probes), tree.leaf_index(probes))

@@ -242,14 +242,13 @@ def naive_train_tree(x, labels, config=RunConfig(), n_labels=None):
     cw_all = np.zeros((n, n_labels))
     cw_all[np.arange(n), labels] = 1.0
 
-    feature, threshold, left, right, confidence, node_rows = [], [], [], [], [], {}
+    feature, threshold, left, confidence, node_rows = [], [], [], [], {}
 
     def new_node(rows):
         node_id = len(feature)
         feature.append(-1)
         threshold.append(np.nan)
         left.append(-1)
-        right.append(-1)
         totals = cw_all[rows].sum(axis=0)
         confidence.append(totals / totals.sum())
         node_rows[node_id] = rows
@@ -277,8 +276,8 @@ def naive_train_tree(x, labels, config=RunConfig(), n_labels=None):
         go_left = x[rows, f] <= thr
         left_id = new_node(rows[go_left])
         right_id = new_node(rows[~go_left])
-        feature[node_id], threshold[node_id] = f, thr
-        left[node_id], right[node_id] = left_id, right_id
+        feature[node_id], threshold[node_id], left[node_id] = f, thr, left_id
+        confidence[node_id] = np.full(n_labels, np.nan)
         splits_done += 1
         consider(left_id)
         consider(right_id)
@@ -287,7 +286,6 @@ def naive_train_tree(x, labels, config=RunConfig(), n_labels=None):
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
         confidence=np.vstack(confidence),
         n_features=x.shape[1],
         n_labels=n_labels,
@@ -305,7 +303,7 @@ def naive_leaf_index(tree, x):
             return node
         cur = node[pending]
         go_left = x[pending, feat[pending]] <= tree.threshold[cur]
-        node[pending] = np.where(go_left, tree.left[cur], tree.right[cur])
+        node[pending] = np.where(go_left, tree.left[cur], tree.left[cur] + 1)
 
 
 def naive_neighbor_matrix(channels, flat_idx, dims, order):
