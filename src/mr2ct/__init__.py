@@ -41,7 +41,6 @@ from .features import (
     SampleTable,
     assemble,
     export_csv,
-    extract_features,
     neighbor_offsets,
 )
 from .labeling import label_tissue, label_tissue_many

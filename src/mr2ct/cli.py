@@ -24,8 +24,6 @@ from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .boosting import BoostingError
 from .config import RunConfig, load_run_config
@@ -176,7 +174,7 @@ def _cmd_cv_classifier(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     patients = _load_cohort(Path(args.cohort))
     table = assemble(patients, order=cfg.order, threshold=cfg.threshold_hu)
     metrics, folds = kfold_cv(
-        table.features, table.t.astype(np.int64),
+        table.features, table.t,
         partial(train_classifier_fold, config=cfg), k=cfg.cv_folds, seed=cfg.seed,
     )
     payload = {"metrics": metrics.to_dict(), "folds": [asdict(f) for f in folds]}

@@ -1,4 +1,4 @@
-"""Neighborhood feature extraction and multi-patient sample assembly.
+"""Neighborhood feature extraction and the cohort sample table.
 
 Each masked voxel yields one row: the d raw channel intensities at the voxel
 (x), the channel intensities at its 6 axis-adjacent (first order) or 26
@@ -16,6 +16,9 @@ Extraction fills one column-major (Fortran order) feature matrix per call:
 the d raw channel columns first, then the channel-major neighbor columns.
 That is the classifier's column order and export_csv's; x is the view of
 its first d columns, which is all the mixture regression reads.
+
+Only assemble makes a SampleTable: it allocates the cohort table once and
+fills it patient by patient, so no two patients' matrices exist at once.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import DataError
 from .labeling import DEFAULT_THRESHOLD_HU, label_tissue_many
-from .volume import PatientDataset, Volume
+from .volume import PatientDataset, Volume, mask_indices
 
 FIRST_ORDER = "first"
 SECOND_ORDER = "second"
@@ -83,29 +86,19 @@ class FeatureLayout:
 
 @dataclass(frozen=True)
 class SampleTable:
-    """Flat per-voxel sample table shared by training and evaluation.
+    """Flat per-voxel sample table, built only by assemble().
 
-    Rows follow ascending voxel index within each patient and patient order
-    as given to assemble().
+    Patient i's rows are starts[i]:starts[i + 1], in ascending voxel index;
+    patients follow the order given to assemble().
     """
 
     layout: FeatureLayout
-    patient_ids: np.ndarray  # (n,) str
+    patient_ids: tuple[str, ...]  # one per patient
+    starts: np.ndarray       # (patients + 1,) int64 row offsets
     voxel_index: np.ndarray  # (n,) int64 flat index, x-fastest
     features: np.ndarray     # (n, d + d * n_offsets) raw then neighbor intensities
     y: np.ndarray            # (n,) CT intensity in HU
     t: np.ndarray            # (n,) int8 class label
-
-    def __post_init__(self):
-        n = self.y.shape[0]
-        shapes_ok = (
-            self.patient_ids.shape == (n,)
-            and self.voxel_index.shape == (n,)
-            and self.features.shape == (n, self.layout.n_combined)
-            and self.t.shape == (n,)
-        )
-        if not shapes_ok:
-            raise DataError("sample table arrays are inconsistent with the layout")
 
     def __len__(self) -> int:
         return self.y.shape[0]
@@ -141,7 +134,7 @@ def extract_feature_matrix(
     raw then neighbor columns, so each feature column is contiguous for
     tree routing; raw is the view of its first len(channels) columns.
     """
-    flat_idx = np.flatnonzero(mask.data == 1.0).astype(np.int64)
+    flat_idx = mask_indices(mask)
     nx, ny, nz = mask.dims
     offsets = neighbor_offsets(order)
     d = len(channels)
@@ -155,51 +148,49 @@ def extract_feature_matrix(
     return flat_idx, features[:, :d], features
 
 
-def extract_features(
-    patient: PatientDataset,
-    order: str = SECOND_ORDER,
-    threshold: float = DEFAULT_THRESHOLD_HU,
-) -> SampleTable:
-    """One sample row per mask-1 voxel of the patient.
-
-    Raises DataError when the mask selects no voxels: silently returning an
-    empty table would hide upstream masking bugs.
-    """
-    flat_idx, _, features = extract_feature_matrix(patient.mr_channels, patient.mask, order)
-    if flat_idx.size == 0:
-        raise DataError(f"patient {patient.patient_id!r}: mask selects no voxels")
-    y = patient.ct.data[flat_idx].astype(np.float64)
-    t = label_tissue_many(y, threshold)
-    layout = FeatureLayout(n_channels=patient.n_channels, order=order)
-    pid = np.full(flat_idx.size, patient.patient_id, dtype=object)
-    return SampleTable(
-        layout=layout, patient_ids=pid, voxel_index=flat_idx, features=features, y=y, t=t
-    )
-
-
 def assemble(
     patients: Sequence[PatientDataset],
     order: str = SECOND_ORDER,
     threshold: float = DEFAULT_THRESHOLD_HU,
 ) -> SampleTable:
-    """Row-concatenation of per-patient sample tables, in the given order."""
+    """One sample row per mask-1 voxel of each patient, in the given order.
+
+    A mask that selects no voxels raises DataError: silently returning no
+    rows would hide upstream masking bugs."""
     if not patients:
         raise DataError("assemble needs at least one patient")
     d = patients[0].n_channels
-    for p in patients[1:]:
+    layout = FeatureLayout(n_channels=d, order=order)
+    sizes = [0]
+    for p in patients:
         if p.n_channels != d:
             raise DataError(
                 f"inconsistent channel counts: {d} vs {p.n_channels} "
                 f"(patient {p.patient_id!r})"
             )
-    tables = [extract_features(p, order=order, threshold=threshold) for p in patients]
+        sizes.append(mask_indices(p.mask).size)
+        if sizes[-1] == 0:
+            raise DataError(f"patient {p.patient_id!r}: mask selects no voxels")
+    starts = np.cumsum(sizes, dtype=np.int64)
+    n = int(starts[-1])
+    voxel_index = np.empty(n, dtype=np.int64)
+    features = np.empty((n, layout.n_combined), dtype=np.float64, order="F")
+    y = np.empty(n, dtype=np.float64)
+    for p, lo, hi in zip(patients, starts[:-1], starts[1:]):
+        # Unpacked straight into the table, the raw view onto its own columns:
+        # a name for a returned array would keep this patient's matrix alive.
+        voxel_index[lo:hi], features[lo:hi, :d], features[lo:hi] = extract_feature_matrix(
+            p.mr_channels, p.mask, order
+        )
+        y[lo:hi] = p.ct.data[voxel_index[lo:hi]]
     return SampleTable(
-        layout=tables[0].layout,
-        patient_ids=np.concatenate([t.patient_ids for t in tables]),
-        voxel_index=np.concatenate([t.voxel_index for t in tables]),
-        features=np.concatenate([t.features for t in tables]),
-        y=np.concatenate([t.y for t in tables]),
-        t=np.concatenate([t.t for t in tables]),
+        layout=layout,
+        patient_ids=tuple(p.patient_id for p in patients),
+        starts=starts,
+        voxel_index=voxel_index,
+        features=features,
+        y=y,
+        t=label_tissue_many(y, threshold),
     )
 
 
@@ -209,9 +200,10 @@ def export_csv(table: SampleTable, path: str | Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.column_names())
+        row_ids = np.repeat(table.patient_ids, np.diff(table.starts))
         for i in range(len(table)):
             row = (
-                [table.patient_ids[i], int(table.voxel_index[i])]
+                [row_ids[i], int(table.voxel_index[i])]
                 + [repr(v) for v in table.features[i].tolist()]
                 + [repr(float(table.y[i])), int(table.t[i])]
             )

@@ -23,7 +23,7 @@ from .errors import DataError
 from .mixture import MixtureModel
 from .pipeline import regress_by_label
 from .seeding import derive_seed
-from .volume import PatientDataset, Volume
+from .volume import PatientDataset, Volume, check_mask, mask_indices
 
 DEFAULT_MINORITY_FRACTION = 0.1849
 
@@ -120,7 +120,8 @@ def oracle_predict_ct(
     fill_value: float = -1000.0,
 ) -> Volume:
     """CT estimate from the true labels and true per-class conditionals."""
-    idx = np.flatnonzero(mask.data == 1.0)
+    check_mask(mask)
+    idx = mask_indices(mask)
     x = np.column_stack([vol.data[idx].astype(np.float64) for vol in mr_channels])
     labels = true_labels.data[idx].astype(np.int64)
     return regress_by_label(class_models, labels, x, idx, mask, fill_value)

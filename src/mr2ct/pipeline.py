@@ -32,7 +32,7 @@ from .mixture import (
     select_model,
 )
 from .seeding import derive_seed, rng_for
-from .volume import FLOAT32_MAX, PatientDataset, Volume, volume_like
+from .volume import FLOAT32_MAX, PatientDataset, Volume, check_mask, volume_like
 
 BUNDLE_FORMAT_VERSION = 5
 BUNDLE_KIND = "mr2ct-model-bundle"
@@ -132,8 +132,8 @@ def train_pipeline(
         )
 
     val_pick = int(rng_for(seed, _SALT_VAL_PATIENT).integers(len(ordered)))
-    val_id = ordered[val_pick].patient_id
-    is_val = table.patient_ids == val_id
+    is_val = np.zeros(len(table), dtype=bool)
+    is_val[table.starts[val_pick]:table.starts[val_pick + 1]] = True
 
     joint = np.column_stack([table.y, table.x])
 
@@ -163,11 +163,7 @@ def train_pipeline(
 
     layout = table.layout
     ensemble = train_rusboost(
-        table.features,
-        table.t.astype(np.int64),
-        config,
-        seed=derive_seed(seed, _SALT_BOOST),
-        n_labels=N_CLASSES,
+        table.features, table.t, config, seed=derive_seed(seed, _SALT_BOOST), n_labels=N_CLASSES
     )
 
     model = PipelineModel(
@@ -183,7 +179,7 @@ def train_pipeline(
         n_rows=len(table),
         label_counts=counts.tolist(),
         minority_fraction=float(counts[1] / counts.sum()),
-        validation_patient=val_id,
+        validation_patient=table.patient_ids[val_pick],
         selection=selection_reports,
         classifier_training_error=ensemble.rounds[-1].train_error,
         boost_rounds=ensemble.rounds,
@@ -229,9 +225,7 @@ def predict_ct(
     for i, vol in enumerate(channels):
         if not vol.same_geometry(mask):
             raise DataError(f"MR channel {i} dims/spacing do not match the mask")
-    mask_vals = np.unique(mask.data)
-    if not np.all(np.isin(mask_vals, (0.0, 1.0))):
-        raise DataError("mask must contain exactly 0 or 1")
+    check_mask(mask)
     if len(channels) != model.layout.n_channels:
         raise FeatureLayoutError(
             f"model was trained on {model.layout.n_channels} channels, "
@@ -298,18 +292,26 @@ def model_from_dict(d: dict) -> PipelineModel:
         raise ModelError(f"malformed model bundle: {type(exc).__name__}: {exc}") from exc
 
 
+def _bundle_text(model: PipelineModel) -> str:
+    return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
+
+
 def save_model(model: PipelineModel, path: str | Path) -> None:
     """Write the bundle as deterministic JSON (same model, same bytes)."""
-    text = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(_bundle_text(model), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> PipelineModel:
-    """Read a bundle; an unreadable file raises DataError, bad content ModelError."""
+    """Read a bundle; an unreadable file raises DataError, bad content ModelError,
+    and so does a bundle whose model does not save back to the same bytes."""
     try:
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        d = json.loads(text)
     except OSError as exc:
         raise DataError(f"cannot read model bundle {path}: {exc}") from exc
     except ValueError as exc:  # also undecodable UTF-8
         raise ModelError(f"{path}: not a JSON model bundle: {exc}") from exc
-    return model_from_dict(d)
+    model = model_from_dict(d)
+    if _bundle_text(model) != text:
+        raise ModelError(f"{path}: the bundle does not save back to its own bytes")
+    return model

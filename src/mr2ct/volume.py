@@ -89,6 +89,18 @@ def volume_like(vol: Volume, data: np.ndarray) -> Volume:
     return Volume(dims=vol.dims, spacing=vol.spacing, data=data)
 
 
+def check_mask(mask: Volume, owner: str = "") -> None:
+    """Raise DataError, its message prefixed by owner, unless mask holds only 0 and 1."""
+    bad = np.unique(mask.data[(mask.data != 0.0) & (mask.data != 1.0)])
+    if bad.size:
+        raise DataError(f"{owner}mask must contain exactly 0 or 1, found {bad[:5].tolist()}")
+
+
+def mask_indices(mask: Volume) -> np.ndarray:
+    """Flat voxel indices with mask == 1, ascending."""
+    return np.flatnonzero(mask.data == 1.0)
+
+
 @dataclass(frozen=True)
 class PatientDataset:
     """One patient's co-registered volumes: d MR channels, CT target, binary mask."""
@@ -112,13 +124,7 @@ class PatientDataset:
             raise DataError(
                 f"patient {self.patient_id!r}: mask dims/spacing do not match CT"
             )
-        mask_vals = np.unique(self.mask.data)
-        if not np.all(np.isin(mask_vals, (0.0, 1.0))):
-            bad = [v for v in mask_vals.tolist() if v not in (0.0, 1.0)][:5]
-            raise DataError(
-                f"patient {self.patient_id!r}: mask must contain exactly 0 or 1, "
-                f"found {bad}"
-            )
+        check_mask(self.mask, f"patient {self.patient_id!r}: ")
         object.__setattr__(self, "mr_channels", channels)
         object.__setattr__(self, "patient_id", str(self.patient_id))
 
@@ -132,7 +138,7 @@ class PatientDataset:
 
     def masked_indices(self) -> np.ndarray:
         """Flat voxel indices with mask == 1, ascending."""
-        return np.flatnonzero(self.mask.data == 1.0)
+        return mask_indices(self.mask)
 
 
 def write_volume(header_path: str | Path, vol: Volume) -> tuple[Path, Path]:

@@ -62,13 +62,28 @@ def _three_label_classifier(bundle):
     _add_label(lr["tree"] for lr in bundle["classifier"]["learners"])
 
 
+def _canonical(bundle) -> str:
+    """Bundle text as save_model writes it, so that a corruption reaches its
+    own check and not the loader's saves-back-to-the-same-bytes check."""
+    return json.dumps(bundle, sort_keys=True, separators=(",", ":"))
+
+
+NOT_SAVED_BACK = "does not save back"
+
+
 def _edited(edit):
     """Bundle-text corruption that applies edit to the parsed bundle dict."""
     def corrupt(text):
         bundle = json.loads(text)
         edit(bundle)
-        return json.dumps(bundle)
+        return _canonical(bundle)
     return corrupt
+
+
+def _split_node_confidence(bundle):
+    tree = bundle["classifier"]["learners"][0]["tree"]
+    assert tree["feature"][0] != -1 and tree["confidence"][0] is None
+    tree["confidence"][0] = [0.5, 0.5]
 
 
 @pytest.fixture(scope="module")
@@ -288,19 +303,22 @@ class TestPredict:
         assert rc == EXIT_LAYOUT
 
     @pytest.mark.parametrize("child, value", [("left", 0), ("left", "last")])
-    def test_malformed_tree_exit_code(self, tmp_path, cohort_dir, model_dir, child, value):
+    def test_malformed_tree_exit_code(self, tmp_path, cohort_dir, model_dir, child, value,
+                                      capsys):
         # left[0] = 0 would make routing cycle forever if loading accepted it;
         # left[0] = n_nodes - 1 puts the right child beyond the last node.
         bundle = json.loads((model_dir / "model.json").read_text())
         tree = bundle["classifier"]["learners"][0]["tree"]
         assert tree["feature"][0] != -1
         tree[child][0] = len(tree["feature"]) - 1 if value == "last" else value
-        (tmp_path / "model.json").write_text(json.dumps(bundle))
+        (tmp_path / "model.json").write_text(_canonical(bundle))
         rc = main([
             "predict", "--model", str(tmp_path / "model.json"),
             "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out"),
         ])
         assert rc == EXIT_FIT
+        err = capsys.readouterr().err
+        assert "child ids must exceed" in err and NOT_SAVED_BACK not in err
 
     @pytest.mark.parametrize("corrupt", [
         _edited(lambda b: b.pop("classifier")),
@@ -339,7 +357,43 @@ class TestPredict:
             "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out"),
         ])
         assert rc == EXIT_FIT
-        assert "estimation error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "estimation error" in err and NOT_SAVED_BACK not in err
+
+    @pytest.mark.parametrize("corrupt", [
+        _edited(lambda b: b["classifier"].update(rounds=[])),
+        _edited(lambda b: b["classifier"]["learners"][0].update(stale=1)),
+        _edited(_split_node_confidence),
+        _edited(lambda b: b["classifier"]["learners"][0].update(alpha="0.5")),
+        _edited(lambda b: b.update(seed="3")),
+        _edited(lambda b: b["classifier"].update(n_labels=2.7)),
+        lambda text: json.dumps(json.loads(text), indent=2, sort_keys=True),
+    ], ids=["stale-classifier-key", "stale-learner-key", "split-node-confidence",
+            "alpha-string", "seed-string", "n-labels-fraction", "pretty-printed"])
+    def test_bundle_not_saved_back_exit_code(self, tmp_path, cohort_dir, model_dir, corrupt,
+                                             capsys):
+        """The loader's backstop: a bundle that builds a model but is not the
+        text saving that model writes."""
+        text = (model_dir / "model.json").read_text()
+        (tmp_path / "model.json").write_text(corrupt(text))
+        rc = main([
+            "predict", "--model", str(tmp_path / "model.json"),
+            "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == EXIT_FIT
+        assert NOT_SAVED_BACK in capsys.readouterr().err
+
+    def test_fractional_mask_exit_code(self, tmp_path, cohort_dir, model_dir, capsys):
+        patient = shutil.copytree(cohort_dir / "phantom002", tmp_path / "patient")
+        mask = np.fromfile(patient / "mask.raw", dtype="<f4")
+        mask[5] = 0.5
+        mask.tofile(patient / "mask.raw")
+        rc = main([
+            "predict", "--model", str(model_dir / "model.json"),
+            "--patient", str(patient), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == EXIT_DATA
+        assert "mask must contain exactly 0 or 1, found [0.5]" in capsys.readouterr().err
 
     def test_missing_model_exit_code(self, tmp_path, cohort_dir, capsys):
         rc = main([

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mr2ct import DataError, Volume, assemble, export_csv, neighbor_offsets
-from mr2ct.features import FeatureLayout, extract_feature_matrix, extract_features
+import mr2ct.features
+from mr2ct.features import FeatureLayout, extract_feature_matrix
 from mr2ct.volume import PatientDataset
 
 from util import naive_neighbor_matrix
@@ -59,48 +61,48 @@ class TestOffsets:
 
 class TestExtraction:
     def test_row_per_masked_voxel(self):
-        table = extract_features(toy_patient(d=2), order="first")
+        table = assemble([toy_patient(d=2)], order="first")
         assert len(table) == 27
         assert table.x.shape == (27, 2)
         assert table.xs.shape == (27, 12)
 
     def test_second_order_width(self):
-        table = extract_features(toy_patient(d=4), order="second")
+        table = assemble([toy_patient(d=4)], order="second")
         assert table.xs.shape == (27, 4 * 26)
 
     def test_interior_voxel_first_order(self):
-        table = extract_features(toy_patient(), order="first")
+        table = assemble([toy_patient()], order="first")
         center = np.flatnonzero(table.voxel_index == 13)[0]  # voxel (1,1,1)
         np.testing.assert_array_equal(
             table.xs[center], [13 - 9, 13 - 3, 13 - 1, 13 + 1, 13 + 3, 13 + 9]
         )
 
     def test_corner_replicate_padding_second_order(self):
-        table = extract_features(toy_patient(), order="second")
+        table = assemble([toy_patient()], order="second")
         corner = np.flatnonzero(table.voxel_index == 0)[0]
         np.testing.assert_array_equal(table.xs[corner], CORNER_SECOND_ORDER)
 
     def test_corner_replicate_padding_first_order(self):
-        table = extract_features(toy_patient(), order="first")
+        table = assemble([toy_patient()], order="first")
         corner = np.flatnonzero(table.voxel_index == 0)[0]
         np.testing.assert_array_equal(table.xs[corner], CORNER_FIRST_ORDER)
 
     def test_channel_major_layout(self):
-        table = extract_features(toy_patient(d=2), order="first")
+        table = assemble([toy_patient(d=2)], order="first")
         # second channel is first channel + 100 everywhere
         np.testing.assert_array_equal(table.xs[:, 6:], table.xs[:, :6] + 100)
 
     def test_empty_mask_is_an_error(self):
         with pytest.raises(DataError, match="no voxels"):
-            extract_features(toy_patient(mask=np.zeros(27)), order="first")
+            assemble([toy_patient(mask=np.zeros(27))], order="first")
 
     def test_labels_respect_threshold(self):
-        table = extract_features(toy_patient(), order="first", threshold=100.0)
+        table = assemble([toy_patient()], order="first", threshold=100.0)
         np.testing.assert_array_equal(table.t, (table.y > 100.0).astype(np.int8))
 
     def test_deterministic(self):
-        a = extract_features(toy_patient(d=2), order="second")
-        b = extract_features(toy_patient(d=2), order="second")
+        a = assemble([toy_patient(d=2)], order="second")
+        b = assemble([toy_patient(d=2)], order="second")
         np.testing.assert_array_equal(a.xs, b.xs)
         np.testing.assert_array_equal(a.voxel_index, b.voxel_index)
 
@@ -108,7 +110,7 @@ class TestExtraction:
         rng = np.random.default_rng(6)
         mask = (rng.random(27) < 0.5).astype(float)
         mask[0] = 1.0
-        table = extract_features(toy_patient(mask=mask), order="first")
+        table = assemble([toy_patient(mask=mask)], order="first")
         assert np.all(np.diff(table.voxel_index) > 0)
 
     def test_reread_property(self):
@@ -124,7 +126,7 @@ class TestExtraction:
             mask=Volume(dims=dims, spacing=(1, 1, 1),
                         data=(rng.random(n) < 0.6).astype(float)),
         )
-        table = extract_features(patient, order="second")
+        table = assemble([patient], order="second")
         offs = neighbor_offsets("second")
         nx, ny, nz = dims
         for row in range(len(table)):
@@ -186,47 +188,119 @@ class TestAssemble:
             mask=Volume(dims=dims, spacing=(1, 1, 1), data=mask),
         )
 
+    @staticmethod
+    def spy_extraction(monkeypatch):
+        """Record the calls assemble makes through the module global, the
+        name the benchmark's tracer wraps."""
+        calls = []
+        extract = mr2ct.features.extract_feature_matrix
+
+        def spy(*args):
+            calls.append(args)
+            return extract(*args)
+
+        monkeypatch.setattr(mr2ct.features, "extract_feature_matrix", spy)
+        return calls
+
     def test_row_counts_add(self):
         a = self.patient("a", 10, seed=1)
         b = self.patient("b", 15, seed=2)
         table = assemble([a, b], order="first")
         assert len(table) == 25
-        assert list(np.unique(table.patient_ids)) == ["a", "b"]
+        assert table.patient_ids == ("a", "b")
+        assert table.starts.tolist() == [0, 10, 25] and table.starts.dtype == np.int64
 
     def test_single_patient_identity(self):
         a = self.patient("a", 12, seed=3)
         table = assemble([a], order="first")
-        solo = extract_features(a, order="first")
-        np.testing.assert_array_equal(table.x, solo.x)
-        np.testing.assert_array_equal(table.voxel_index, solo.voxel_index)
+        flat_idx, _, features = extract_feature_matrix(a.mr_channels, a.mask, "first")
+        np.testing.assert_array_equal(table.features, features)
+        np.testing.assert_array_equal(table.voxel_index, flat_idx)
+        np.testing.assert_array_equal(table.y, a.ct.data[flat_idx].astype(np.float64))
+        assert table.patient_ids == ("a",) and table.starts.tolist() == [0, 12]
 
-    def test_channel_count_mismatch(self):
+    def test_channel_count_mismatch(self, monkeypatch):
         a = self.patient("a", 5, d=2, seed=4)
         b = self.patient("b", 5, d=3, seed=5)
+        calls = self.spy_extraction(monkeypatch)
         with pytest.raises(DataError, match="channel"):
             assemble([a, b], order="first")
+        assert calls == []  # checked before anything is extracted
+
+    def test_empty_mask_names_patient_before_extraction(self, monkeypatch):
+        a = self.patient("a", 5, seed=4)
+        b = self.patient("b", 0, seed=5)
+        calls = self.spy_extraction(monkeypatch)
+        with pytest.raises(DataError, match="patient 'b': mask selects no voxels"):
+            assemble([a, b], order="first")
+        assert calls == []
 
     def test_empty_list(self):
         with pytest.raises(DataError):
             assemble([], order="first")
 
-    def test_concatenation_multiset(self):
-        a = self.patient("a", 9, seed=6)
-        b = self.patient("b", 7, seed=7)
-        both = assemble([a, b], order="first")
-        separate = [extract_features(p, order="first") for p in (a, b)]
-        np.testing.assert_array_equal(
-            both.features, np.concatenate([t.features for t in separate])
-        )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_patients=st.integers(1, 3),
+        order=st.sampled_from(["first", "second"]),
+    )
+    def test_concatenation_multiset(self, seed, n_patients, order):
+        rng = np.random.default_rng(seed)
+        patients = []
+        for i in range(n_patients):
+            dims = tuple(int(n) for n in rng.integers(1, 6, size=3))
+            n_masked = int(rng.integers(1, dims[0] * dims[1] * dims[2] + 1))
+            seed_i = int(rng.integers(1000))
+            patients.append(self.patient(f"p{i}", n_masked, dims=dims, seed=seed_i))
+        both = assemble(patients, order=order)
+        separate = [assemble([p], order=order) for p in patients]
+        for name in ("voxel_index", "features", "y", "t"):
+            joined = np.concatenate([getattr(t, name) for t in separate])
+            assert getattr(both, name).dtype == joined.dtype
+            np.testing.assert_array_equal(getattr(both, name), joined)
         assert both.features.flags.f_contiguous
-        np.testing.assert_array_equal(
-            both.y, np.concatenate([t.y for t in separate])
-        )
+        assert both.patient_ids == tuple(p.patient_id for p in patients)
+        for i, solo in enumerate(separate):
+            lo, hi = both.starts[i], both.starts[i + 1]
+            np.testing.assert_array_equal(both.features[lo:hi], solo.features)
+        assert both.starts[0] == 0 and both.starts[-1] == len(both)
+
+    def test_one_extraction_per_patient(self, monkeypatch):
+        patients = [self.patient(pid, 6 + i, seed=10 + i) for i, pid in enumerate("abc")]
+        calls = self.spy_extraction(monkeypatch)
+        table = assemble(patients, order="first")
+        assert len(calls) == 3 and all(args[1] is p.mask for args, p in zip(calls, patients))
+        assert len(table) == 6 + 7 + 8
+
+    def test_csv_names_each_rows_patient(self, tmp_path):
+        a, b = self.patient("a", 4, seed=1), self.patient("b", 3, seed=2)
+        path = tmp_path / "table.csv"
+        export_csv(assemble([a, b], order="first"), path)
+        rows = path.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a"] * 4 + ["b"] * 3
+
+    def test_peak_memory_holds_one_patient_matrix(self):
+        """The table is allocated once and filled patient by patient, so at
+        most one patient's extracted matrix exists next to it."""
+        patients = [
+            self.patient(pid, n_masked, dims=(16, 16, 16), seed=20 + n_masked)
+            for pid, n_masked in (("a", 4096), ("b", 2900), ("c", 1700))
+        ]
+        tracemalloc.start()
+        try:
+            table = assemble(patients, order="second")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table_bytes = sum(a.nbytes for a in (table.voxel_index, table.features, table.y, table.t))
+        largest = 4096 * table.layout.n_combined * 8
+        assert peak <= table_bytes + largest + 2**20
 
 
 class TestCsvExport:
     def test_header_and_row_count(self, tmp_path):
-        table = extract_features(toy_patient(d=2), order="first")
+        table = assemble([toy_patient(d=2)], order="first")
         path = tmp_path / "table.csv"
         export_csv(table, path)
         lines = path.read_text().strip().splitlines()
@@ -237,7 +311,7 @@ class TestCsvExport:
         assert len(header) == 2 + 2 + 12 + 2
 
     def test_values_roundtrip(self, tmp_path):
-        table = extract_features(toy_patient(d=1), order="first")
+        table = assemble([toy_patient(d=1)], order="first")
         path = tmp_path / "table.csv"
         export_csv(table, path)
         lines = path.read_text().strip().splitlines()

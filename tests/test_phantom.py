@@ -106,6 +106,15 @@ class TestOracle:
         )
         assert np.all(estimate.data == -1000.0)
 
+    def test_fractional_mask_rejected(self):
+        spec = default_phantom_spec(dims=(6, 6, 6))
+        item = generate_phantom(spec, 1, seed=5)[0]
+        from mr2ct.volume import Volume
+
+        mask = Volume(dims=(6, 6, 6), spacing=(1, 1, 1), data=np.full(216, 0.5))
+        with pytest.raises(DataError, match=r"mask must contain exactly 0 or 1, found \[0.5\]"):
+            oracle_predict_ct(spec.class_models, item.true_labels, item.dataset.mr_channels, mask)
+
     def test_oracle_beats_noise(self):
         spec = default_phantom_spec(dims=(16, 16, 16))
         item = generate_phantom(spec, 1, seed=6)[0]

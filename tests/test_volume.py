@@ -160,5 +160,6 @@ class TestLoadPatient:
 
     def test_fractional_mask_rejected(self, tmp_path):
         mr, ct, mask = write_patient(tmp_path, mask_value=0.5)
-        with pytest.raises(DataError, match="mask"):
+        message = r"patient 'p0': mask must contain exactly 0 or 1, found \[0.5\]"
+        with pytest.raises(DataError, match=message):
             load_patient(mr, ct, mask, patient_id="p0")
