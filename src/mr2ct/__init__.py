@@ -43,13 +43,12 @@ from .features import (
     export_csv,
     neighbor_offsets,
 )
-from .labeling import label_tissue, label_tissue_many
+from .labeling import label_tissue_many
 from .mixture import (
     MixtureModel,
     conditional_expectation,
     conditional_expectation_many,
     em_fit,
-    log_density,
     select_model,
 )
 from .phantom import (

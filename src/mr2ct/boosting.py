@@ -72,12 +72,14 @@ def pseudo_loss(
 
 def update_mislabel(
     mislabel: np.ndarray, conf: np.ndarray, labels: np.ndarray, alpha: float
-) -> tuple[np.ndarray, bool]:
-    """One multiplicative reweighting step; returns (W', underflow_flag).
+) -> np.ndarray:
+    """One multiplicative reweighting step; returns W'.
 
     W'(i,t) is proportional to W(i,t) * alpha^(0.5*[1 + h(x_i,t_i) - h(x_i,t)])
-    and normalized to sum 1.  If every weight underflows to zero the
-    distribution is rebalanced to uniform and flagged.
+    and normalized to sum 1.  Every factor is at least alpha, so a mislabel
+    distribution keeps a total of at least alpha, which training holds at or
+    above _EPS_MIN / (1 - _EPS_MIN).  An alpha that underflows every weight
+    raises BoostingError.
     """
     if not (0.0 < alpha < 1.0):
         raise BoostingError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -88,9 +90,8 @@ def update_mislabel(
     updated[np.arange(labels.shape[0]), labels] = 0.0
     total = updated.sum()
     if total <= 0.0:
-        n, k = mislabel.shape
-        return init_mislabel(labels, k), True
-    return updated / total, False
+        raise BoostingError(f"alpha {alpha!r} underflows every mislabel weight")
+    return updated / total
 
 
 def rus_resample(
@@ -152,7 +153,6 @@ class BoostRound:
     retries: int
     skipped: bool
     resample_size: int
-    underflow: bool
     train_error: float | None  # of the learners retained so far; None before the first
 
 
@@ -273,12 +273,11 @@ def train_rusboost(
                 break
             retries += 1
         eps = eps_raw = alpha = None  # a skipped round records none of them
-        underflow = False
         if chosen is not None:
             tree, conf, eps, eps_raw = chosen
             eps = max(eps, _EPS_MIN)
             alpha = eps / (1.0 - eps)
-            mislabel, underflow = update_mislabel(mislabel, conf, labels, alpha)
+            mislabel = update_mislabel(mislabel, conf, labels, alpha)
             learners.append(Learner(tree=tree, alpha=alpha))
             # The same sum, in the same order, as BoostedEnsemble.scores.
             votes += conf * np.log(1.0 / alpha)
@@ -287,7 +286,7 @@ def train_rusboost(
             BoostRound(
                 index=j, eps=eps, eps_raw=eps_raw, alpha=alpha,
                 retries=retries, skipped=chosen is None,
-                resample_size=resample_size, underflow=underflow, train_error=train_error,
+                resample_size=resample_size, train_error=train_error,
             )
         )
     if not learners:

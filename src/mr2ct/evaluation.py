@@ -22,7 +22,7 @@ from .labeling import minority_label
 from .pipeline import predict_ct, train_pipeline
 from .seeding import derive_seed, rng_for
 from .tree import take_rows
-from .volume import PatientDataset
+from .volume import PatientDataset, mask_indices
 
 
 def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -278,7 +278,7 @@ def loo_patient_eval(
                 )
             )
             continue
-        idx = held.masked_indices()
+        idx = mask_indices(held.mask)
         true_vals = held.ct.data[idx].astype(np.float64)
         pred_vals = result.ct.data[idx].astype(np.float64)
         bone = true_vals > config.threshold_hu

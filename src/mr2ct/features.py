@@ -73,16 +73,6 @@ class FeatureLayout:
     def n_combined(self) -> int:
         return self.n_channels + self.n_neighbor
 
-    def raw_names(self) -> list[str]:
-        return [f"x{c}" for c in range(self.n_channels)]
-
-    def neighbor_names(self) -> list[str]:
-        return [
-            f"xs{c}_o{k}"
-            for c in range(self.n_channels)
-            for k in range(len(self.offsets))
-        ]
-
 
 @dataclass(frozen=True)
 class SampleTable:
@@ -114,10 +104,12 @@ class SampleTable:
         return self.features[:, self.layout.n_channels :]
 
     def column_names(self) -> list[str]:
+        """CSV header: x{c} per raw channel, then xs{c}_o{k} per neighbor column."""
+        d, n_offsets = self.layout.n_channels, len(self.layout.offsets)
         return (
             ["patient_id", "voxel_index"]
-            + self.layout.raw_names()
-            + self.layout.neighbor_names()
+            + [f"x{c}" for c in range(d)]
+            + [f"xs{c}_o{k}" for c in range(d) for k in range(n_offsets)]
             + ["y", "t"]
         )
 

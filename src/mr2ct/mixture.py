@@ -1,9 +1,9 @@
 """Gaussian mixtures over joint (target, feature) vectors.
 
 Each tissue class gets its own mixture over vectors v = (y, x_1 .. x_d) with
-the target in position 0.  The module provides stable log-density evaluation,
-EM fitting with seeded restarts, two-stage model-order selection, and the
-conditional regression E[y | x] used for prediction:
+the target in position 0.  The module provides EM fitting with seeded
+restarts, two-stage model-order selection, and the conditional regression
+E[y | x] used for prediction:
 
     beta_j(x) = pi_j N(x; mu_j_x, S_j_xx) / sum_l pi_l N(x; mu_l_x, S_l_xx)
     E[y | x]  = sum_j beta_j(x) * (mu_j_y + S_j_yx S_j_xx^-1 (x - mu_j_x))
@@ -149,21 +149,6 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     amax = np.max(a, axis=0)
     amax = np.where(np.isfinite(amax), amax, 0.0)
     return np.log(np.sum(np.exp(a - amax), axis=0)) + amax
-
-
-def log_density(model: MixtureModel, v: np.ndarray) -> float | np.ndarray:
-    """log sum_j pi_j N(v; mu_j, S_j), stable via log-sum-exp.
-
-    Accepts a single vector of length dim or a matrix (n, dim).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    single = v.ndim == 1
-    v = np.atleast_2d(v)
-    if v.shape[1] != model.dim:
-        raise ModelError(f"vector length {v.shape[1]} does not match model dim {model.dim}")
-    logp = _log_gaussians(np.ascontiguousarray(v.T), model.means, model.chols)
-    out = _logsumexp(logp + np.log(model.weights)[:, None])
-    return float(out[0]) if single else out
 
 
 def conditional_expectation_many(

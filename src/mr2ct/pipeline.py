@@ -266,7 +266,8 @@ def model_to_dict(model: PipelineModel) -> dict:
 def model_from_dict(d: dict) -> PipelineModel:
     """Rebuild a model from its bundle dict; a missing or unknown key, a
     value of the wrong type or shape, or an unknown layout or regressor key
-    raises ModelError."""
+    raises ModelError, and so does a dict that the model does not save back
+    to, such as one with a stale key or a value the loader coerced."""
     try:
         version = int(d.get("format_version", -1))
         if d.get("kind") != BUNDLE_KIND or version != BUNDLE_FORMAT_VERSION:
@@ -280,7 +281,7 @@ def model_from_dict(d: dict) -> PipelineModel:
             )
         if type(d["fill_hu"]) not in (int, float):
             raise ModelError(f"fill_hu must be a JSON number, got {d['fill_hu']!r}")
-        return PipelineModel(
+        model = PipelineModel(
             classifier=BoostedEnsemble.from_dict(d["classifier"]),
             regressors=tuple(MixtureModel(**entry) for entry in d["regressors"]),
             fill_hu=float(d["fill_hu"]),
@@ -290,6 +291,9 @@ def model_from_dict(d: dict) -> PipelineModel:
         )
     except (AttributeError, DataError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model bundle: {type(exc).__name__}: {exc}") from exc
+    if model_to_dict(model) != d:
+        raise ModelError("the model built from the bundle dict does not save back to it")
+    return model
 
 
 def _bundle_text(model: PipelineModel) -> str:

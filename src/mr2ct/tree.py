@@ -178,9 +178,12 @@ def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def bin_features(x: np.ndarray) -> np.ndarray:
     """(features, rows) uint8 bin codes of the columns of x, from one argsort each.
 
-    See the module docstring for the edges; x must be finite.  A column-major
-    x reads each column contiguously.
+    See the module docstring for the edges.  A non-finite x raises DataError:
+    NaN sorts last and would silently share the top bin.  A column-major x
+    reads each column contiguously.
     """
+    if not np.all(np.isfinite(x)):
+        raise DataError("features must be finite")
     n, n_features = x.shape
     codes = np.empty((n_features, n), dtype=np.uint8)
     step = np.empty(n, dtype=np.uint8)

@@ -76,10 +76,6 @@ class Volume:
         nx, ny, nz = self.dims
         return self.data.reshape(nz, ny, nx)
 
-    def value_at(self, ix: int, iy: int, iz: int) -> float:
-        nx, ny, _ = self.dims
-        return float(self.data[ix + nx * (iy + ny * iz)])
-
     def same_geometry(self, other: "Volume") -> bool:
         return self.dims == other.dims and self.spacing == other.spacing
 
@@ -135,10 +131,6 @@ class PatientDataset:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.ct.dims
-
-    def masked_indices(self) -> np.ndarray:
-        """Flat voxel indices with mask == 1, ascending."""
-        return mask_indices(self.mask)
 
 
 def write_volume(header_path: str | Path, vol: Volume) -> tuple[Path, Path]:

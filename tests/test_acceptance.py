@@ -28,6 +28,7 @@ from mr2ct import (
 )
 from mr2ct.cli import EXIT_OK, main
 from mr2ct.evaluation import ClassificationMetrics, confusion_counts
+from mr2ct.volume import mask_indices
 
 from util import random_mixture, sample_joint, match_components, two_component_truth
 
@@ -211,7 +212,7 @@ def test_criterion_7_end_to_end_oracle_gap():
             spec.class_models, item.true_labels,
             item.dataset.mr_channels, item.dataset.mask,
         )
-        idx = item.dataset.masked_indices()
+        idx = mask_indices(item.dataset.mask)
         oracle_maes.append(
             float(np.abs(estimate.data[idx] - item.dataset.ct.data[idx]).mean())
         )

@@ -3,11 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mr2ct.boosting as boosting_module
 from mr2ct import (
     BoostedEnsemble,
     BoostingError,
+    DataError,
     RunConfig,
     init_mislabel,
     pseudo_loss,
@@ -15,7 +19,7 @@ from mr2ct import (
     train_rusboost,
     update_mislabel,
 )
-from mr2ct.boosting import Learner
+from mr2ct.boosting import _EPS_MIN, Learner
 from mr2ct.tree import DecisionTree
 
 
@@ -110,8 +114,7 @@ class TestUpdateMislabel:
         # sample 1 random: exponent 1/2, raw factor alpha^0.5
         raw0 = w[0, 1] * alpha
         raw1 = w[1, 0] * alpha**0.5
-        updated, underflow = update_mislabel(w, conf, labels, alpha)
-        assert not underflow
+        updated = update_mislabel(w, conf, labels, alpha)
         total = raw0 + raw1
         assert updated[0, 1] == pytest.approx(raw0 / total, abs=1e-15)
         assert updated[1, 0] == pytest.approx(raw1 / total, abs=1e-15)
@@ -121,7 +124,7 @@ class TestUpdateMislabel:
         w = init_mislabel(labels, 2)
         conf = np.array([[0.0, 1.0], [1.0, 1.0]])
         # sample 0 fully wrong: exponent 0, factor 1; sample 1 exponent 1/2
-        updated, _ = update_mislabel(w, conf, labels, 0.1)
+        updated = update_mislabel(w, conf, labels, 0.1)
         assert updated[0, 1] > w[0, 1]  # relative weight grew after normalization
 
     def test_sums_to_one(self):
@@ -130,7 +133,7 @@ class TestUpdateMislabel:
         w = init_mislabel(labels, 2)
         for _ in range(5):
             conf = rng.random((30, 2))
-            w, _ = update_mislabel(w, conf, labels, float(rng.uniform(0.05, 0.9)))
+            w = update_mislabel(w, conf, labels, float(rng.uniform(0.05, 0.9)))
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(w >= 0)
 
@@ -139,6 +142,40 @@ class TestUpdateMislabel:
         w = init_mislabel(labels, 2)
         with pytest.raises(BoostingError):
             update_mislabel(w, np.full((2, 2), 0.5), labels, 1.0)
+
+    def test_underflowing_alpha_rejected(self):
+        labels = np.arange(10_000) % 2
+        w = init_mislabel(labels, 2)  # every weight 1e-4
+        conf = np.eye(2)[labels]  # right everywhere: every factor is alpha itself
+        # 1e-4 * 1e-320 rounds to zero, below the smallest subnormal.
+        with pytest.raises(BoostingError, match="underflows every mislabel weight"):
+            update_mislabel(w, conf, labels, 1e-320)
+
+
+@st.composite
+def mislabel_steps(draw):
+    """(labels, normalized mislabel W, confidences in [0, 1]) of any shape."""
+    n, k = draw(st.integers(1, 30)), draw(st.integers(2, 4))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    unit = st.floats(0.0, 1.0)
+    w = draw(hnp.arrays(np.float64, (n, k), elements=unit))
+    w[np.arange(n), labels] = 0.0
+    assume(w.sum() > 0)
+    return labels, w / w.sum(), draw(hnp.arrays(np.float64, (n, k), elements=unit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    step=mislabel_steps(),
+    alpha=st.floats(_EPS_MIN / (1 - _EPS_MIN), 1.0, exclude_max=True),
+)
+def test_update_mislabel_total_cannot_underflow(step, alpha):
+    """Every alpha that training can reach leaves finite weights summing to 1:
+    each factor alpha^e with e in [0, 1] is at least alpha, and so is the total."""
+    labels, w, conf = step
+    updated = update_mislabel(w, conf, labels, alpha)
+    assert np.all(np.isfinite(updated)) and np.all(updated >= 0)
+    assert updated.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRusResample:
@@ -220,8 +257,7 @@ class TestTrainRusboost:
         assert [r.skipped for r in ens.rounds] == [False, True] + [False] * 6
         assert ens.rounds[1].train_error == ens.rounds[0].train_error
         skipped = ens.rounds[1]
-        assert (skipped.eps, skipped.eps_raw, skipped.alpha, skipped.underflow) == (
-            None, None, None, False)
+        assert (skipped.eps, skipped.eps_raw, skipped.alpha) == (None, None, None)
         kept = [r for r in ens.rounds if not r.skipped]
         for k, r in enumerate(kept, start=1):
             assert r.train_error == np.mean(ens.predict(x, n_learners=k) != labels)
@@ -238,6 +274,16 @@ class TestTrainRusboost:
             assert 0.0 < lr.alpha < 1.0
             assert r.alpha == lr.alpha
         assert len(ens.rounds) == 15
+
+    def test_non_finite_feature_rejected(self):
+        """One NaN in a majority row raises, whether or not a round draws it."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            labels = (rng.random(2000) < 0.2).astype(int)
+            x = rng.normal(size=(2000, 3)) + labels[:, None]
+            x[np.flatnonzero(labels == 0)[seed], 1] = np.nan
+            with pytest.raises(DataError, match="finite"):
+                train_rusboost(x, labels, RunConfig(max_splits=8, trees=1), seed=seed)
 
     def test_both_classes_required(self):
         with pytest.raises(BoostingError):

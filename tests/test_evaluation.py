@@ -16,6 +16,7 @@ from mr2ct.evaluation import (
     write_regression_report,
 )
 from mr2ct.labeling import minority_label
+from mr2ct.volume import mask_indices
 
 from conftest import fast_config
 
@@ -250,7 +251,7 @@ class TestLooPatientEval:
         held = ordered[0]
         model, _ = train_pipeline(ordered[1:], fast_config(seed=derive_seed(0, 0)))
         result = predict_ct(model, held.mr_channels, held.mask)
-        idx = held.masked_indices()
+        idx = mask_indices(held.mask)
         true_vals = held.ct.data[idx].astype(np.float64)
         pred_vals = result.ct.data[idx].astype(np.float64)
         bone = true_vals > 100.0

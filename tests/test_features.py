@@ -136,7 +136,7 @@ class TestExtraction:
                 jx = min(max(ix + dx, 0), nx - 1)
                 jy = min(max(iy + dy, 0), ny - 1)
                 jz = min(max(iz + dz, 0), nz - 1)
-                expected = patient.mr_channels[0].value_at(jx, jy, jz)
+                expected = patient.mr_channels[0].grid()[jz, jy, jx]
                 assert table.xs[row, k] == expected
 
 
@@ -328,6 +328,7 @@ class TestLayout:
         assert back.n_combined == 4 + 4 * 26
 
     def test_names_are_unique(self):
-        layout = FeatureLayout(n_channels=3, order="first")
-        names = layout.raw_names() + layout.neighbor_names()
-        assert len(names) == len(set(names)) == 3 + 18
+        table = assemble([toy_patient(d=3)], order="first")
+        names = table.column_names()
+        assert len(names) == len(set(names)) == 2 + 3 + 18 + 2
+        assert names[2:6] == ["x0", "x1", "x2", "xs0_o0"]

@@ -304,6 +304,25 @@ class TestBundle:
         with pytest.raises(ModelError):
             model_from_dict(d)
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["classifier"].update(rounds=[]),
+        lambda d: d["classifier"]["learners"][0].update(stale=1),
+        lambda d: d["classifier"]["learners"][0]["tree"]["confidence"].__setitem__(0, [0.5, 0.5]),
+        lambda d: d["classifier"]["learners"][0].update(alpha="0.5"),
+        lambda d: d.update(seed="3"),
+        lambda d: d["classifier"].update(n_labels=2.7),
+    ], ids=["stale-classifier-key", "stale-learner-key", "split-node-confidence",
+            "alpha-string", "seed-string", "n-labels-fraction"])
+    def test_dict_must_save_back(self, trained, edit):
+        """A dict that builds a model but is not the dict that model saves is
+        rejected without the loader's text check."""
+        d = json.loads(_bundle_text(trained))
+        assert model_to_dict(model_from_dict(d)) == d
+        assert d["classifier"]["learners"][0]["tree"]["feature"][0] != -1
+        edit(d)
+        with pytest.raises(ModelError, match="does not save back"):
+            model_from_dict(d)
+
 
 def _bundle_text(model):
     return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))

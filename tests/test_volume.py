@@ -17,10 +17,11 @@ def make_volume(dims=(3, 3, 3), spacing=(1.0, 1.0, 1.0), values=None):
 class TestVolume:
     def test_flat_order_is_x_fastest(self):
         vol = make_volume()
-        assert vol.value_at(1, 0, 0) == 1.0
-        assert vol.value_at(0, 1, 0) == 3.0
-        assert vol.value_at(0, 0, 1) == 9.0
-        assert vol.grid()[2, 1, 0] == vol.value_at(0, 1, 2)
+        grid = vol.grid()  # grid[iz, iy, ix] is data[ix + nx * (iy + ny * iz)]
+        assert grid[0, 0, 1] == 1.0
+        assert grid[0, 1, 0] == 3.0
+        assert grid[1, 0, 0] == 9.0
+        assert grid[2, 1, 0] == vol.data[0 + 3 * (1 + 3 * 2)]
 
     def test_rejects_bad_dims(self):
         with pytest.raises(DataError):
