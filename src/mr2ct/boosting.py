@@ -24,7 +24,7 @@ from .config import RunConfig
 from .errors import BoostingError, ModelError
 from .labeling import minority_label
 from .seeding import derive_seed
-from .tree import DecisionTree, bin_features, take_rows, train_tree
+from .tree import DecisionTree, as_source, bin_features, take_rows, train_tree
 
 _RETRY_BUDGET = 3
 _EPS_MIN = 1e-10
@@ -178,26 +178,29 @@ class BoostedEnsemble:
     def n_learners(self) -> int:
         return len(self.learners)
 
-    def scores(self, x: np.ndarray, n_learners: int | None = None) -> np.ndarray:
+    def scores(self, x, n_learners: int | None = None) -> np.ndarray:
         """(n, n_labels) weighted vote scores sum_j h_j(x, v) log(1/alpha_j).
 
-        n_learners restricts the vote to the first learners, which is how
-        training curves over ensemble size are evaluated.
+        x is a feature matrix or a column source such as extraction's
+        PaddedSource, which every tree reads as it is.  n_learners restricts
+        the vote to the first learners, which is how training curves over
+        ensemble size are evaluated.
         """
-        # Column-major once here, not once per tree in leaf_index.
-        x = np.asfortranarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        if x.shape[1] != self.n_features:
+        # A matrix becomes a column-major source once here, not once per tree.
+        source = as_source(x)
+        n, n_features = source.shape
+        if n_features != self.n_features:
             raise ModelError(
-                f"feature vector length {x.shape[1]} does not match ensemble "
+                f"feature vector length {n_features} does not match ensemble "
                 f"({self.n_features})"
             )
         use = self.learners if n_learners is None else self.learners[:n_learners]
-        total = np.zeros((x.shape[0], self.n_labels))
+        total = np.zeros((n, self.n_labels))
         for lr in use:
-            total += lr.tree.confidence_matrix(x) * np.log(1.0 / lr.alpha)
+            total += lr.tree.confidence_matrix(source) * np.log(1.0 / lr.alpha)
         return total
 
-    def predict(self, x: np.ndarray, n_learners: int | None = None) -> np.ndarray:
+    def predict(self, x, n_learners: int | None = None) -> np.ndarray:
         """Argmax vote labels; exact ties resolve to the lowest label."""
         return np.argmax(self.scores(x, n_learners), axis=1)
 

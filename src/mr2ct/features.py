@@ -10,15 +10,19 @@ lexicographic order, which fixes the column layout across runs.  x_s is
 channel-major: all offsets of channel 0, then all offsets of channel 1, and
 so on.  Out-of-bounds neighbors replicate the nearest in-bounds voxel along
 each clamped axis; extraction implements that clamp by padding every channel
-with one voxel of edge replication and reading shifted windows of the pad.
+with one voxel of edge replication.
 
-Extraction fills one column-major (Fortran order) feature matrix per call:
-the d raw channel columns first, then the channel-major neighbor columns.
-That is the classifier's column order and export_csv's; x is the view of
-its first d columns, which is all the mixture regression reads.
+The feature columns are the d raw channel columns first, then the
+channel-major neighbor columns: the classifier's column order and
+export_csv's.  Extraction never copies them into a matrix.  Every column is
+one padded channel read at a fixed flat offset from each row's voxel, so a
+PaddedSource holds the float32 pads, each row's flat index into them and each
+column's (channel, offset) pair, and gathers a column for any subset of rows
+on demand.  Tree routing reads it directly; the mixture regression reads the
+raw float64 matrix of the channels at the masked voxels.
 
 Only assemble makes a SampleTable: it allocates the cohort table once and
-fills it patient by patient, so no two patients' matrices exist at once.
+fills it patient by patient from each patient's source.
 """
 
 from __future__ import annotations
@@ -114,30 +118,66 @@ class SampleTable:
         )
 
 
+@dataclass(frozen=True)
+class PaddedSource:
+    """The feature columns of masked voxels, read from edge-padded channels.
+
+    Row i of column f is pads[channel[f]][base[i] + delta[f]], where base[i]
+    is the row's voxel's flat index in the padded grid and, for column f at
+    offset (dz, dy, dx), delta[f] = dz (nx+2)(ny+2) + dy (nx+2) + dx; a raw
+    column has offset 0.  shape and size are those of the matrix it stands
+    for.
+    """
+
+    pads: tuple[np.ndarray, ...]  # per channel, flat float32 padded grid
+    base: np.ndarray     # (n,) int64 flat index into the pads
+    channel: np.ndarray  # (n_combined,) channel of each column
+    delta: np.ndarray    # (n_combined,) flat offset of each column
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.base.size, self.delta.size
+
+    @property
+    def size(self) -> int:
+        return self.base.size * self.delta.size
+
+    @property
+    def extent(self) -> int:
+        """Bases lie in [0, extent), the padded grid's voxel count."""
+        return self.pads[0].size
+
+    def column(self, f: int, bases: np.ndarray) -> np.ndarray:
+        """float32 values of column f at the rows with these bases."""
+        return self.pads[self.channel[f]].take(bases + self.delta[f])
+
+
 def extract_feature_matrix(
     channels: Sequence[Volume],
     mask: Volume,
     order: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(voxel_index, raw, features) for masked voxels.
+) -> tuple[np.ndarray, np.ndarray, PaddedSource]:
+    """(voxel_index, raw, source) for masked voxels.
 
     Used by both training extraction (which also has a CT volume) and
-    prediction (which does not).  features is one column-major matrix of
-    raw then neighbor columns, so each feature column is contiguous for
-    tree routing; raw is the view of its first len(channels) columns.
+    prediction (which does not).  raw is the (n, d) float64 matrix of the
+    channels at the masked voxels; source reads every feature column, raw
+    then neighbor columns, from the padded channels.
     """
     flat_idx = mask_indices(mask)
     nx, ny, nz = mask.dims
+    sy, sz = nx + 2, (nx + 2) * (ny + 2)
+    padded_ids = np.arange(sz * (nz + 2)).reshape(nz + 2, ny + 2, nx + 2)
+    base = padded_ids[1:-1, 1:-1, 1:-1].reshape(-1)[flat_idx]
     offsets = neighbor_offsets(order)
     d = len(channels)
-    features = np.empty((flat_idx.size, d * (1 + len(offsets))), dtype=np.float64, order="F")
+    channel = np.concatenate([np.arange(d), np.repeat(np.arange(d), len(offsets))])
+    delta = np.array([0] * d + [dz * sz + dy * sy + dx for dz, dy, dx in offsets] * d)
+    raw = np.empty((flat_idx.size, d), dtype=np.float64, order="F")
     for c, vol in enumerate(channels):
-        features[:, c] = vol.data[flat_idx]
-        padded = np.pad(vol.grid(), 1, mode="edge")
-        for k, (dz, dy, dx) in enumerate(offsets):
-            shifted = padded[1 + dz:1 + dz + nz, 1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
-            features[:, d + c * len(offsets) + k] = shifted.reshape(-1)[flat_idx]
-    return flat_idx, features[:, :d], features
+        raw[:, c] = vol.data[flat_idx]
+    pads = tuple(np.pad(vol.grid(), 1, mode="edge").reshape(-1) for vol in channels)
+    return flat_idx, raw, PaddedSource(pads=pads, base=base, channel=channel, delta=delta)
 
 
 def assemble(
@@ -169,11 +209,9 @@ def assemble(
     features = np.empty((n, layout.n_combined), dtype=np.float64, order="F")
     y = np.empty(n, dtype=np.float64)
     for p, lo, hi in zip(patients, starts[:-1], starts[1:]):
-        # Unpacked straight into the table, the raw view onto its own columns:
-        # a name for a returned array would keep this patient's matrix alive.
-        voxel_index[lo:hi], features[lo:hi, :d], features[lo:hi] = extract_feature_matrix(
-            p.mr_channels, p.mask, order
-        )
+        voxel_index[lo:hi], _, source = extract_feature_matrix(p.mr_channels, p.mask, order)
+        for f in range(layout.n_combined):
+            features[lo:hi, f] = source.column(f, source.base)
         y[lo:hi] = p.ct.data[voxel_index[lo:hi]]
     return SampleTable(
         layout=layout,

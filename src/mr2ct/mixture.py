@@ -37,6 +37,7 @@ from .seeding import derive_seed
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE_SCALE = 1e-6
 _DROP_WEIGHT = 1e-8
+_SAMPLE_CHUNK = 8192  # rows per einsum in MixtureModel.sample
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,12 @@ class MixtureModel:
         """n joint draws; component per draw chosen by the weights."""
         comp = rng.choice(self.n_components, size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
-        return self.means[comp] + np.einsum("nab,nb->na", self.chols[comp], z)
+        out = self.means[comp]
+        # Per chunk, so the gathered (rows, dim, dim) factors stay small.
+        for lo in range(0, n, _SAMPLE_CHUNK):
+            hi = lo + _SAMPLE_CHUNK
+            out[lo:hi] += np.einsum("nab,nb->na", self.chols[comp[lo:hi]], z[lo:hi])
+        return out
 
 
 def _log_gaussians(vt: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:

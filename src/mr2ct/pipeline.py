@@ -232,10 +232,10 @@ def predict_ct(
             f"got {len(channels)}"
         )
 
-    flat_idx, x_raw, features = extract_feature_matrix(channels, mask, model.layout.order)
+    flat_idx, x_raw, source = extract_feature_matrix(channels, mask, model.layout.order)
     # The channel count matches the layout and PipelineModel matches the
     # layout to the classifier, so the columns are the classifier's.
-    hard = model.classifier.predict(features)
+    hard = model.classifier.predict(source)
     label_out = np.zeros(mask.n_voxels, dtype=np.float64)
     label_out[flat_idx] = hard
     return PredictionResult(
@@ -289,15 +289,20 @@ def model_from_dict(d: dict) -> PipelineModel:
             seed=int(d["seed"]),
             selected_j=tuple(int(j) for j in d["selected_j"]),
         )
+        # Compared as text: 2.0 == 2 and True == 1 in Python, not in JSON.
+        if _bundle_text(model) != _canonical_json(d):
+            raise ModelError("the model built from the bundle dict does not save back to it")
     except (AttributeError, DataError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model bundle: {type(exc).__name__}: {exc}") from exc
-    if model_to_dict(model) != d:
-        raise ModelError("the model built from the bundle dict does not save back to it")
     return model
 
 
+def _canonical_json(d: dict) -> str:
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+
+
 def _bundle_text(model: PipelineModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
+    return _canonical_json(model_to_dict(model))
 
 
 def save_model(model: PipelineModel, path: str | Path) -> None:

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from mr2ct import DataError, Volume, assemble, export_csv, neighbor_offsets
 import mr2ct.features
 from mr2ct.features import FeatureLayout, extract_feature_matrix
+from mr2ct.tree import LEAF, DecisionTree
 from mr2ct.volume import PatientDataset
 
-from util import naive_neighbor_matrix
+from util import naive_leaf_index, naive_neighbor_matrix
 
 # Hand enumeration for the corner voxel (0,0,0) of a 3x3x3 volume whose value
 # at (x,y,z) is x + 3y + 9z, offsets in lexicographic (dz,dy,dx) order with
@@ -155,20 +156,76 @@ def test_extraction_matches_clamp_oracle(seed, dims, n_channels, order, density)
         Volume(dims=dims, spacing=(1, 1, 1), data=rng.normal(size=n)) for _ in range(n_channels)
     )
     mask = Volume(dims=dims, spacing=(1, 1, 1), data=(rng.random(n) < density).astype(float))
-    flat_idx, raw, features = extract_feature_matrix(channels, mask, order)
+    flat_idx, raw, source = extract_feature_matrix(channels, mask, order)
     np.testing.assert_array_equal(flat_idx, np.flatnonzero(mask.data == 1.0))
     d = n_channels
     expected_x = np.column_stack([vol.data[flat_idx] for vol in channels]).astype(np.float64)
     expected_xs = naive_neighbor_matrix(channels, flat_idx, dims, order)
-    assert features.shape == (flat_idx.size, d + expected_xs.shape[1])
-    assert np.ascontiguousarray(features[:, :d]).tobytes() == expected_x.tobytes()
-    assert np.ascontiguousarray(features[:, d:]).tobytes() == expected_xs.tobytes()
-    # Routing reads one contiguous column per split; a row-major matrix
-    # would cost a full copy per prediction.
-    assert features.flags.f_contiguous
-    # raw is a view of the raw columns, not a second copy of them.
-    assert raw.shape == (flat_idx.size, d) and raw.base is features
-    np.testing.assert_array_equal(raw, features[:, :d])
+    expected = np.column_stack([expected_x, expected_xs])
+    assert source.shape == expected.shape and source.size == expected.size
+    for f in range(expected.shape[1]):
+        column = source.column(f, source.base)
+        assert column.dtype == np.float32
+        assert column.astype(np.float64).tobytes() == expected[:, f].tobytes()
+    assert raw.shape == (flat_idx.size, d) and raw.dtype == np.float64
+    assert np.ascontiguousarray(raw).tobytes() == expected_x.tobytes()
+
+
+def random_tree(rng, x, n_splits, between):
+    """A random tree over the columns of x, split thresholds drawn from the
+    column values.  Split number `between` puts its threshold strictly
+    between a column value v and the float32 value just below it, closer to
+    v, so a float32 comparison would send v left where float64 sends it right."""
+    feature, threshold, left = [LEAF], [np.nan], [LEAF]
+    for k in range(n_splits):
+        node = int(rng.choice(np.flatnonzero(np.array(feature) == LEAF)))
+        f = int(rng.integers(x.shape[1]))
+        values = x[:, f] if x.shape[0] else rng.normal(size=1)
+        v = np.float32(rng.choice(values))
+        thr = float(v)
+        if k == between:
+            below = float(np.nextafter(v, np.float32(-np.inf)))
+            thr = below + 0.75 * (thr - below)
+            assert below < thr < float(v) and np.float32(thr) == v
+        feature[node], threshold[node], left[node] = f, thr, len(feature)
+        feature += [LEAF, LEAF]
+        threshold += [np.nan, np.nan]
+        left += [LEAF, LEAF]
+    confidence = rng.dirichlet(np.ones(2), size=len(feature))
+    confidence[np.array(feature) != LEAF] = np.nan
+    return DecisionTree(
+        feature=np.array(feature, dtype=np.int32), threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int32), confidence=confidence,
+        n_features=x.shape[1], n_labels=2,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)).filter(
+        lambda dims: len(set(dims)) == 3
+    ),
+    n_channels=st.integers(1, 3),
+    order=st.sampled_from(["first", "second"]),
+    density=st.floats(0.0, 1.0),
+    n_splits=st.integers(1, 12),
+)
+def test_pad_routing_matches_matrix_oracle(seed, dims, n_channels, order, density, n_splits):
+    """Routing the padded source gives the leaves of routing the materialized
+    matrix, and of the level-synchronous oracle on it."""
+    rng = np.random.default_rng(seed)
+    n = dims[0] * dims[1] * dims[2]
+    channels = tuple(
+        Volume(dims=dims, spacing=(1, 1, 1), data=rng.normal(size=n)) for _ in range(n_channels)
+    )
+    mask = Volume(dims=dims, spacing=(1, 1, 1), data=(rng.random(n) < density).astype(float))
+    flat_idx, raw, source = extract_feature_matrix(channels, mask, order)
+    x = np.column_stack([raw, naive_neighbor_matrix(channels, flat_idx, dims, order)])
+    tree = random_tree(rng, x, n_splits, between=int(rng.integers(n_splits)))
+    expected = naive_leaf_index(tree, x)
+    np.testing.assert_array_equal(tree.leaf_index(x), expected)
+    np.testing.assert_array_equal(tree.leaf_index(source), expected)
 
 
 class TestAssemble:
@@ -213,8 +270,10 @@ class TestAssemble:
     def test_single_patient_identity(self):
         a = self.patient("a", 12, seed=3)
         table = assemble([a], order="first")
-        flat_idx, _, features = extract_feature_matrix(a.mr_channels, a.mask, "first")
-        np.testing.assert_array_equal(table.features, features)
+        flat_idx, _, source = extract_feature_matrix(a.mr_channels, a.mask, "first")
+        assert table.features.shape == source.shape
+        for f in range(source.shape[1]):
+            np.testing.assert_array_equal(table.features[:, f], source.column(f, source.base))
         np.testing.assert_array_equal(table.voxel_index, flat_idx)
         np.testing.assert_array_equal(table.y, a.ct.data[flat_idx].astype(np.float64))
         assert table.patient_ids == ("a",) and table.starts.tolist() == [0, 12]

@@ -208,6 +208,19 @@ def test_conditional_matches_naive_oracle(seed, dim, n_components, n):
     assert np.all(y_hat <= comp.max(axis=1) + slack)
 
 
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 20000])
+def test_sample_matches_unchunked_formula(n):
+    """sample applies the Cholesky factors chunk by chunk; every draw is
+    bit-identical to the one-einsum formula over all rows."""
+    model = random_mixture(3, 5, np.random.default_rng(n))
+    got = model.sample(n, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    comp = rng.choice(model.n_components, size=n, p=model.weights)
+    z = rng.standard_normal((n, model.dim))
+    expected = model.means[comp] + np.einsum("nab,nb->na", model.chols[comp], z)
+    assert got.tobytes() == expected.tobytes()
+
+
 class TestEmFit:
     def test_single_component_is_mle(self):
         rng = np.random.default_rng(3)

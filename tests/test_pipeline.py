@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from mr2ct import (
     ModelError,
     RunConfig,
     Volume,
+    default_phantom_spec,
     generate_phantom,
     load_model,
     predict_ct,
@@ -23,10 +25,10 @@ from mr2ct import (
 )
 from mr2ct.boosting import BoostedEnsemble, Learner
 from mr2ct.config import load_run_config
-from mr2ct.features import FeatureLayout
+from mr2ct.features import FeatureLayout, PaddedSource
 from mr2ct.mixture import conditional_expectation_many
 from mr2ct.pipeline import PipelineModel, model_from_dict, model_to_dict
-from mr2ct.tree import train_tree
+from mr2ct.tree import DecisionTree, train_tree
 from mr2ct.volume import FLOAT32_MAX
 
 from conftest import fast_config
@@ -152,13 +154,14 @@ class TestPredict:
         assert np.all(result.ct.data == trained.fill_hu)
         assert np.all(result.labels.data == 0.0)
 
-    def test_classifier_gets_column_major_features(self, trained, small_datasets,
+    def test_classifier_reads_the_extracted_source(self, trained, small_datasets,
                                                    monkeypatch):
-        """Routing speed rests on one contiguous column per split feature,
-        and the classifier reads the extracted matrix itself, not a copy."""
-        extracted, seen = [], []
+        """The classifier, and every tree in it, reads the padded source that
+        extraction returned, with no feature matrix materialized from it."""
+        extracted, seen, routed = [], [], []
         extract = pipeline_module.extract_feature_matrix
         scores = BoostedEnsemble.scores
+        leaf_index = DecisionTree.leaf_index
 
         def extract_spy(*args):
             result = extract(*args)
@@ -169,13 +172,34 @@ class TestPredict:
             seen.append(x)
             return scores(self, x, n_learners)
 
+        def leaf_index_spy(self, x):
+            routed.append(x)
+            return leaf_index(self, x)
+
         monkeypatch.setattr(pipeline_module, "extract_feature_matrix", extract_spy)
         monkeypatch.setattr(BoostedEnsemble, "scores", scores_spy)
+        monkeypatch.setattr(DecisionTree, "leaf_index", leaf_index_spy)
         held = small_datasets[2]
         predict_ct(trained, held.mr_channels, held.mask)
         assert len(extracted) == 1 and len(seen) == 1
-        assert seen[0] is extracted[0]
-        assert seen[0].flags.f_contiguous and not seen[0].flags.c_contiguous
+        assert isinstance(extracted[0], PaddedSource) and seen[0] is extracted[0]
+        assert len(routed) == trained.classifier.n_learners
+        assert all(x is extracted[0] for x in routed)
+
+    def test_peak_memory_has_no_feature_matrix(self, small_datasets):
+        """Prediction routes from the padded channels: on a 48^3 full-mask
+        patient at second order, the 110592 x 108 float64 matrix alone would
+        take 95.6 MB."""
+        model, _ = train_pipeline(small_datasets[:2], fast_config(order="second", trees=2))
+        held = generate_phantom(default_phantom_spec(dims=(48, 48, 48)), 1, seed=9)[0].dataset
+        tracemalloc.start()
+        try:
+            result = predict_ct(model, held.mr_channels, held.mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.n_predicted == 48**3 and model.layout.n_combined == 108
+        assert peak < 40e6
 
     def test_channel_count_mismatch(self, trained, small_datasets):
         held = small_datasets[2]
@@ -311,8 +335,13 @@ class TestBundle:
         lambda d: d["classifier"]["learners"][0].update(alpha="0.5"),
         lambda d: d.update(seed="3"),
         lambda d: d["classifier"].update(n_labels=2.7),
+        # Equal in Python (2.0 == 2, True == 1), not as JSON text.
+        lambda d: d["classifier"].update(n_labels=2.0),
+        lambda d: d.update(seed=True),
+        lambda d: d.update(seed=0.0),
     ], ids=["stale-classifier-key", "stale-learner-key", "split-node-confidence",
-            "alpha-string", "seed-string", "n-labels-fraction"])
+            "alpha-string", "seed-string", "n-labels-fraction",
+            "n-labels-float", "seed-true", "seed-float"])
     def test_dict_must_save_back(self, trained, edit):
         """A dict that builds a model but is not the dict that model saves is
         rejected without the loader's text check."""
