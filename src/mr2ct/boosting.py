@@ -111,7 +111,7 @@ def rus_resample(
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if not target_ratio > 0:
         raise BoostingError(f"target_ratio must be > 0, got {target_ratio!r}")
-    if np.unique(labels).size < 2:
+    if np.count_nonzero(np.bincount(labels)) < 2:
         raise BoostingError("undersampling needs at least two classes present")
     minority = minority_label(labels)
     weights = np.asarray(selection_weights, dtype=np.float64).reshape(-1)
@@ -243,8 +243,7 @@ def train_rusboost(
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if n_labels is None:
         n_labels = int(labels.max()) + 1
-    present = np.unique(labels)
-    if present.size < 2:
+    if np.count_nonzero(np.bincount(labels)) < 2:
         raise BoostingError("boosting needs both classes present in the training set")
     codes = bin_features(x)
     mislabel = init_mislabel(labels, n_labels)

@@ -19,7 +19,8 @@ def label_tissue_many(y: np.ndarray, threshold: float = DEFAULT_THRESHOLD_HU) ->
 
 
 def minority_label(labels: np.ndarray) -> int:
-    """The least frequent label present; ties go to the larger label, since
-    label 1 (bone) is the designated minority."""
-    values, counts = np.unique(labels, return_counts=True)
-    return int(values[counts == counts.min()].max())
+    """The least frequent of the non-negative integer labels present; ties go
+    to the larger label, since label 1 (bone) is the designated minority."""
+    counts = np.bincount(labels)
+    present = np.flatnonzero(counts)
+    return int(present[counts[present] == counts[present].min()].max())

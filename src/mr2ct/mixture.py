@@ -10,6 +10,9 @@ E[y | x] used for prediction:
 
 All component posteriors are computed with log-sum-exp, and every Gaussian
 log-density comes from one kernel, _log_gaussians, over Cholesky factors.
+_normalize turns log-weights into posteriors with one exp: it subtracts each
+column's max, exponentiates in place and divides by the column sum, and
+returns the log-sum-exp that EM sums into its log-likelihood.
 EM regularizes covariances by adding ridge eps = _RIDGE_SCALE * trace(S) / dim
 to the diagonal whenever the smallest eigenvalue falls below eps, and drops
 components whose weight falls below _DROP_WEIGHT or whose ridged covariance
@@ -22,6 +25,16 @@ EM factors each iteration's covariances once, in _regularize, and the next
 E-step reuses those factors.  The kernel centers the rows before multiplying
 by the inverse factor: L^-1 v - L^-1 mu cancels catastrophically once a
 component has collapsed and L^-1 has entries near 1e45.
+
+The M-step works from moments.  _em_once centers the rows once by their mean
+c and keeps their products, (dim * dim, n), so each iteration's covariances
+are E_r[(v - c)(v - c)^T] - (mu - c)(mu - c)^T from two matrix products.
+That difference loses a few 1e-15 of the second moment to cancellation, so a
+tight component, one whose covariance trace is at most _TIGHT of its second
+moment's, gets the centered sum E_r[(v - mu)(v - mu)^T] instead.  That keeps
+every covariance within a relative 1e-8 or so of the centered sum, far below
+the ridge, and a component that collapses onto copies of one row ends at
+exactly zero covariance and is dropped.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from .seeding import derive_seed
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE_SCALE = 1e-6
 _DROP_WEIGHT = 1e-8
+_TIGHT = 1e-6  # trace(cov) / trace(second moment) at or below which EM centers exactly
 _SAMPLE_CHUNK = 8192  # rows per einsum in MixtureModel.sample
 
 
@@ -150,11 +164,16 @@ def _log_gaussians(vt: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.n
     return out
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum_j exp(a[j]) over axis 0."""
+def _normalize(a: np.ndarray) -> np.ndarray:
+    """Turn the (J, n) log-weights a into column posteriors in place, with one
+    exp, and return log sum_j exp(a[j]), the column log-sum-exp."""
     amax = np.max(a, axis=0)
     amax = np.where(np.isfinite(amax), amax, 0.0)
-    return np.log(np.sum(np.exp(a - amax), axis=0)) + amax
+    a -= amax
+    np.exp(a, out=a)
+    total = np.sum(a, axis=0)
+    a /= total
+    return np.log(total) + amax
 
 
 def conditional_expectation_many(
@@ -179,8 +198,7 @@ def conditional_expectation_many(
     xt = np.ascontiguousarray(x.T)
     betas = _log_gaussians(xt, model.means[:, 1:], chol_xx)
     betas += np.log(model.weights)[:, None]
-    betas -= _logsumexp(betas)
-    np.exp(betas, out=betas)
+    _normalize(betas)
     comp_means = slope @ xt
     comp_means += intercept[:, None]
     y_hat = np.einsum("jn,jn->n", betas, comp_means)
@@ -253,6 +271,10 @@ def _em_once(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool, bool]:
     n, dim = v.shape
     vt = np.ascontiguousarray(v.T)
+    # Products of the centered rows, (dim * dim, n), for the moments M-step.
+    center = vt.mean(axis=1)
+    c = vt - center[:, None]
+    vv = (c[:, None, :] * c[None, :, :]).reshape(dim * dim, n)
     means = _kmeanspp_means(v, n_components, rng)
     pooled, pooled_chol, ok = _regularize(np.cov(vt, bias=True).reshape(1, dim, dim))
     if not ok[0]:
@@ -268,24 +290,25 @@ def _em_once(
     for _ in range(config.em_max_iter):
         resp = _log_gaussians(vt, means, chols)
         resp += np.log(weights)[:, None]
-        lse = _logsumexp(resp)
-        ll = float(lse.sum())
+        ll = float(_normalize(resp).sum())
         history.append(ll)
         if ll - prev_ll < config.em_tol * max(1.0, abs(prev_ll)) and len(history) > 1:
             converged = True
             break
         prev_ll = ll
 
-        resp -= lse
-        np.exp(resp, out=resp)
         bulk = resp.sum(axis=1)
         keep = np.flatnonzero(bulk / n >= _DROP_WEIGHT)
         resp, bulk = resp[keep], bulk[keep]
         means = (resp @ v) / bulk[:, None]
-        covs = np.empty((keep.size, dim, dim))
-        for j, r in enumerate(resp):
+        second = ((resp @ vv.T) / bulk[:, None]).reshape(-1, dim, dim)
+        m = means - center
+        covs = second - m[:, :, None] * m[:, None, :]
+        # second - m m^T cancels on a tight component far from the center.
+        tight = np.trace(covs, axis1=1, axis2=2) <= _TIGHT * np.trace(second, axis1=1, axis2=2)
+        for j in np.flatnonzero(tight):
             diff = vt - means[j][:, None]
-            covs[j] = (diff * r) @ diff.T / bulk[j]
+            covs[j] = (diff * resp[j]) @ diff.T / bulk[j]
         covs, chols, ok = _regularize(covs)
         if not ok.any():
             raise FitError("all mixture components collapsed during EM")

@@ -64,6 +64,7 @@ class TestMetrics:
         assert minority_label(np.array([0, 0, 0, 1])) == 1
         assert minority_label(np.array([0, 1, 1, 1])) == 0
         assert minority_label(np.array([0, 1])) == 1  # tie prefers label 1
+        assert minority_label(np.array([2, 0, 2])) == 0  # absent label 1 is no minority
 
 
 class TestKfold:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
 from mr2ct import (
     FitError,
@@ -13,10 +14,13 @@ from mr2ct import (
     SelectionError,
     conditional_expectation,
     conditional_expectation_many,
+    default_phantom_spec,
     em_fit,
+    generate_phantom,
     select_model,
+    train_pipeline,
 )
-from mr2ct.mixture import _em_once, _log_gaussians, _logsumexp
+from mr2ct.mixture import _em_once, _log_gaussians, _normalize
 from util import (
     match_components,
     mc_conditional_mean,
@@ -31,10 +35,10 @@ from util import (
 
 def mixture_log_density(model, v):
     """log sum_j pi_j N(v; mu_j, S_j) for one vector (dim,) or rows (n, dim),
-    from the package's kernel _log_gaussians and its _logsumexp."""
+    from the package's kernel _log_gaussians and its _normalize."""
     v = np.asarray(v, dtype=np.float64)
     logp = _log_gaussians(np.ascontiguousarray(np.atleast_2d(v).T), model.means, model.chols)
-    out = _logsumexp(logp + np.log(model.weights)[:, None])
+    out = _normalize(logp + np.log(model.weights)[:, None])
     return float(out[0]) if v.ndim == 1 else out
 
 
@@ -102,6 +106,35 @@ def test_log_density_matches_naive_oracle(seed, dim, n_components, n, reach):
     assert got.shape == naive.shape
     seen = naive > 1e-300
     np.testing.assert_allclose(got[seen], np.log(naive[seen]), rtol=1e-9, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_components=st.integers(1, 6),
+    n=st.integers(1, 30),
+    scale=st.sampled_from([1.0, 30.0, 1e3]),
+    holes=st.floats(0.0, 0.9),
+)
+def test_normalize_matches_scipy(seed, n_components, n, scale, holes):
+    """Posteriors equal softmax and the returned log-sum-exp equals scipy's,
+    for columns with -inf entries (zero-density components) but never only
+    -inf.  The log-sum-exp has the bits of log(sum(exp(a - max))) + max, so
+    normalizing in place leaves EM's log-likelihood of given parameters as
+    it was."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(scale=scale, size=(n_components, n))
+    a[rng.random(a.shape) < holes] = -np.inf
+    cols = np.flatnonzero(np.isneginf(a).all(axis=0))
+    a[rng.integers(n_components, size=cols.size), cols] = 0.0
+    amax = np.max(a, axis=0)
+    two_exp = np.log(np.sum(np.exp(a - amax), axis=0)) + amax
+    post = a.copy()
+    lse = _normalize(post)
+    assert np.array_equal(lse, two_exp)
+    np.testing.assert_allclose(lse, logsumexp(a, axis=0), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(post, softmax(a, axis=0), rtol=1e-12, atol=1e-300)
+    assert np.all(post[np.isneginf(a)] == 0.0)
 
 
 class TestConditionalExpectation:
@@ -367,6 +400,64 @@ def test_em_once_collapse_does_not_warn(seed, dim):
         np.random.default_rng(seed),
     )
     assert degenerate and len(weights) == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_em_once_drops_point_mass_far_from_center(seed):
+    """A component that collapses onto 40 copies of one point, 50 to 70 from
+    the origin in each coordinate and far from the rows' center, has a
+    covariance of exactly zero from the centered formula and is dropped.
+    second - m m^T would leave it at about the rounding of the second moment
+    (seeds 2 and 13 then keep two components), so EM centers such tight
+    components exactly."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(0.0, 5.0, (60, 2))
+    point = rng.choice([-1.0, 1.0], 2) * rng.integers(50, 71, 2)
+    v = np.vstack([v, np.tile(point, (40, 1))])
+    with np.errstate(over="ignore"):
+        weights, _, _, _, _, degenerate = _em_once(
+            v, 2, RunConfig(em_max_iter=30), np.random.default_rng(seed))
+    assert degenerate and len(weights) == 1
+
+
+@pytest.mark.parametrize("sd", [5.0, 1.0, 0.1])
+@pytest.mark.parametrize("seed", range(4))
+def test_em_once_matches_naive_oracle_at_hu_scale(seed, sd):
+    """A narrow component 1200 from the center of 5-dim rows at HU scale.
+
+    Its covariance trace is 3e-6 (sd 1) or 4e-8 (sd 0.1) of its second
+    moment about the center.  The moments form's relative error is a few
+    1e-15 over that ratio, so the first stays within rtol 1e-8 of the
+    centered oracle, and the second passes only through the exact path."""
+    rng = np.random.default_rng(seed)
+    dim = 5
+    far = 1500.0 / np.sqrt(dim) * rng.choice([-1.0, 1.0], dim)
+    v = np.vstack([rng.normal(0.0, 300.0, (400, dim)), far + rng.normal(0.0, sd, (100, dim))])
+    config = RunConfig(em_max_iter=30)
+    got = _em_once(v, 2, config, np.random.default_rng(seed))
+    want = naive_em_once(v, 2, config, np.random.default_rng(seed))
+    assert (len(got[0]), got[4], got[5]) == (len(want[0]), want[4], want[5])
+    _assert_rows_close(got[0][None], want[0][None])
+    _assert_rows_close(got[1], want[1])
+    _assert_rows_close(got[2], want[2])
+    np.testing.assert_allclose(got[3], want[3], rtol=1e-8, atol=0)
+
+
+def test_selection_pinned_on_phantom_cohort():
+    """Default EM settings on a 3x16^3 phantom cohort (seed 7), 1 tree: per
+    class the chosen component count and each candidate's best restart and
+    iteration count.  Every candidate converges before the iteration cap, so
+    a round-off change in EM that moves model selection shows here."""
+    cohort = generate_phantom(default_phantom_spec((16, 16, 16)), n_patients=3, seed=7)
+    _, report = train_pipeline([item.dataset for item in cohort], RunConfig(trees=1))
+    facts = [
+        (s.chosen, [(r.best_restart, r.n_iter, r.converged) for r in s.fit_reports])
+        for s in report.selection
+    ]
+    assert facts == [
+        (5, [(2, 103, True), (4, 111, True)]),
+        (5, [(1, 79, True), (0, 91, True)]),
+    ]
 
 
 class TestSelectModel:
