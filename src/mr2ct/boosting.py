@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import BoostingError, ModelError
+from .errors import BoostingError, DataError, ModelError
 from .labeling import minority_label
 from .seeding import derive_seed
-from .tree import DecisionTree, as_source, bin_features, take_rows, train_tree
+from .tree import DecisionTree, as_source, bin_features, train_tree
 
 _RETRY_BUDGET = 3
 _EPS_MIN = 1e-10
@@ -225,7 +225,7 @@ class BoostedEnsemble:
 
 
 def train_rusboost(
-    x: np.ndarray,
+    x,
     labels: np.ndarray,
     config: RunConfig = RunConfig(),
     seed: int = 0,
@@ -233,23 +233,24 @@ def train_rusboost(
 ) -> BoostedEnsemble:
     """Run config.trees boosting rounds and return the retained learners.
 
-    The features are binned once here, and every round's tree trains on its
-    resample's codes at unit weights.  Each round records the training error
-    of the learners retained so far, from the running vote over the full set
-    that the pseudo-losses already route.
+    x is an ndarray or a source.  It is binned once here, and every round's
+    tree trains on its resample's rows and codes at unit weights.  Each round
+    records the training error of the learners retained so far, from the
+    running vote over the full set that the pseudo-losses already route.
     """
-    # Column-major once, so scoring each round's tree on x copies nothing.
-    x = np.asfortranarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    source = as_source(x)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if source.shape[0] != labels.shape[0]:
+        raise DataError(f"{source.shape[0]} feature rows for {labels.shape[0]} labels")
     if n_labels is None:
         n_labels = int(labels.max()) + 1
     if np.count_nonzero(np.bincount(labels)) < 2:
         raise BoostingError("boosting needs both classes present in the training set")
-    codes = bin_features(x)
+    codes = bin_features(source)
     mislabel = init_mislabel(labels, n_labels)
     learners: list[Learner] = []
     rounds: list[BoostRound] = []
-    votes = np.zeros((x.shape[0], n_labels))
+    votes = np.zeros((labels.shape[0], n_labels))
     train_error = None
     for j in range(config.trees):
         selection = mislabel.sum(axis=1)
@@ -262,13 +263,13 @@ def train_rusboost(
             )
             resample_size = idx.shape[0]
             tree = train_tree(
-                take_rows(x, idx),
+                source.rows(idx),
                 labels[idx],
                 config=config,
                 n_labels=n_labels,
                 codes=np.take(codes, idx, axis=1),
             )
-            conf = tree.confidence_matrix(x)
+            conf = tree.confidence_matrix(source)
             eps, eps_raw = pseudo_loss(conf, labels, mislabel)
             if eps < 0.5:
                 chosen = (tree, conf, eps, eps_raw)
@@ -296,6 +297,6 @@ def train_rusboost(
     return BoostedEnsemble(
         learners=tuple(learners),
         n_labels=n_labels,
-        n_features=x.shape[1],
+        n_features=source.shape[1],
         rounds=tuple(rounds),
     )

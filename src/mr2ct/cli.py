@@ -174,7 +174,7 @@ def _cmd_cv_classifier(args, cfg: RunConfig, out_dir: Path) -> list[Path]:
     patients = _load_cohort(Path(args.cohort))
     table = assemble(patients, order=cfg.order, threshold=cfg.threshold_hu)
     metrics, folds = kfold_cv(
-        table.features, table.t,
+        table.source, table.t,
         partial(train_classifier_fold, config=cfg), k=cfg.cv_folds, seed=cfg.seed,
     )
     payload = {"metrics": metrics.to_dict(), "folds": [asdict(f) for f in folds]}

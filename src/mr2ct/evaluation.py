@@ -21,7 +21,7 @@ from .errors import DataError, FitError, Mr2ctError
 from .labeling import minority_label
 from .pipeline import predict_ct, train_pipeline
 from .seeding import derive_seed, rng_for
-from .tree import take_rows
+from .tree import as_source
 from .volume import PatientDataset, mask_indices
 
 
@@ -96,23 +96,25 @@ class FoldResult:
 
 
 def kfold_cv(
-    x: np.ndarray,
+    x,
     labels: np.ndarray,
-    train_fn: Callable[[np.ndarray, np.ndarray, int], Callable[[np.ndarray], np.ndarray]],
+    train_fn: Callable,
     k: int = 10,
     seed: int = 0,
 ) -> tuple[ClassificationMetrics, list[FoldResult]]:
     """Voxel-level k-fold cross-validation of a classifier factory.
 
     train_fn(x_train, t_train, fold_seed) must return a predict callable;
-    both are handed column-major rows of x, the layout the classifier reads.
+    both are handed rows of x, a matrix or a source, as sources over its data.
     Folds come from a seeded shuffle split into k near-equal blocks; if any
     fold leaves the training side without one of the classes, the partition
     is redrawn once before giving up.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    source = as_source(x)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n = labels.shape[0]
+    if source.shape[0] != n:
+        raise DataError(f"{source.shape[0]} feature rows for {n} labels")
     if k < 2:
         raise DataError("k-fold CV needs k >= 2")
     if n < k:
@@ -142,9 +144,9 @@ def kfold_cv(
         held = np.ones(n, dtype=bool)
         held[fold] = False
         predictor = train_fn(
-            take_rows(x, np.flatnonzero(held)), labels[held], derive_seed(seed, 1000 + i)
+            source.rows(np.flatnonzero(held)), labels[held], derive_seed(seed, 1000 + i)
         )
-        pred = np.asarray(predictor(take_rows(x, fold)), dtype=np.int64)
+        pred = np.asarray(predictor(source.rows(fold)), dtype=np.int64)
         wrong = int(np.sum(pred != labels[fold]))
         counts = confusion_counts(labels[fold], pred, positive)
         totals += np.asarray(counts)

@@ -14,21 +14,21 @@ with one voxel of edge replication.
 
 The feature columns are the d raw channel columns first, then the
 channel-major neighbor columns: the classifier's column order and
-export_csv's.  Extraction never copies them into a matrix.  Every column is
-one padded channel read at a fixed flat offset from each row's voxel, so a
+export_csv's.  Nothing copies them into a matrix.  Every column is one
+padded channel read at a fixed flat offset from each row's voxel, so a
 PaddedSource holds the float32 pads, each row's flat index into them and each
 column's (channel, offset) pair, and gathers a column for any subset of rows
-on demand.  Tree routing reads it directly; the mixture regression reads the
-raw float64 matrix of the channels at the masked voxels.
+on demand.  Tree training and routing read it directly; the mixture
+regression reads the raw float64 matrix of the channels at the masked voxels.
 
-Only assemble makes a SampleTable: it allocates the cohort table once and
-fills it patient by patient from each patient's source.
+Only assemble makes a SampleTable: it lays every patient's pads out on the
+cohort's largest strides, so one offset per column serves every row.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -90,22 +90,13 @@ class SampleTable:
     patient_ids: tuple[str, ...]  # one per patient
     starts: np.ndarray       # (patients + 1,) int64 row offsets
     voxel_index: np.ndarray  # (n,) int64 flat index, x-fastest
-    features: np.ndarray     # (n, d + d * n_offsets) raw then neighbor intensities
+    x: np.ndarray            # (n, d) float64 raw intensities
+    source: PaddedSource     # every feature column, raw then neighbor
     y: np.ndarray            # (n,) CT intensity in HU
     t: np.ndarray            # (n,) int8 class label
 
     def __len__(self) -> int:
         return self.y.shape[0]
-
-    @property
-    def x(self) -> np.ndarray:
-        """(n, d) raw intensities, a view of features."""
-        return self.features[:, : self.layout.n_channels]
-
-    @property
-    def xs(self) -> np.ndarray:
-        """(n, d * n_offsets) neighbor intensities, a view of features."""
-        return self.features[:, self.layout.n_channels :]
 
     def column_names(self) -> list[str]:
         """CSV header: x{c} per raw channel, then xs{c}_o{k} per neighbor column."""
@@ -151,24 +142,29 @@ class PaddedSource:
         """float32 values of column f at the rows with these bases."""
         return self.pads[self.channel[f]].take(bases + self.delta[f])
 
+    def rows(self, idx: np.ndarray) -> "PaddedSource":
+        return replace(self, base=self.base[idx])
+
 
 def extract_feature_matrix(
     channels: Sequence[Volume],
     mask: Volume,
     order: str,
+    strides: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, PaddedSource]:
     """(voxel_index, raw, source) for masked voxels.
 
-    Used by both training extraction (which also has a CT volume) and
-    prediction (which does not).  raw is the (n, d) float64 matrix of the
-    channels at the masked voxels; source reads every feature column, raw
-    then neighbor columns, from the padded channels.
+    Used by training and prediction.  raw is the (n, d) float64 matrix of
+    the channels at the masked voxels; source reads every feature column,
+    raw then neighbor columns, from pads laid out on the y and z strides
+    (sy, sz), by default the patient's own (nx + 2, (nx + 2)(ny + 2)).
     """
     flat_idx = mask_indices(mask)
     nx, ny, nz = mask.dims
-    sy, sz = nx + 2, (nx + 2) * (ny + 2)
-    padded_ids = np.arange(sz * (nz + 2)).reshape(nz + 2, ny + 2, nx + 2)
-    base = padded_ids[1:-1, 1:-1, 1:-1].reshape(-1)[flat_idx]
+    sy, sz = strides or (nx + 2, (nx + 2) * (ny + 2))
+    padded_ids = np.arange(sz * (nz + 2)).reshape(nz + 2, sz // sy, sy)
+    base = padded_ids[1:-1, 1 : ny + 1, 1 : nx + 1].reshape(-1)[flat_idx]
+    widths = ((1, 1), (1, sz // sy - ny - 1), (1, sy - nx - 1))
     offsets = neighbor_offsets(order)
     d = len(channels)
     channel = np.concatenate([np.arange(d), np.repeat(np.arange(d), len(offsets))])
@@ -176,7 +172,7 @@ def extract_feature_matrix(
     raw = np.empty((flat_idx.size, d), dtype=np.float64, order="F")
     for c, vol in enumerate(channels):
         raw[:, c] = vol.data[flat_idx]
-    pads = tuple(np.pad(vol.grid(), 1, mode="edge").reshape(-1) for vol in channels)
+    pads = tuple(np.pad(vol.grid(), widths, mode="edge").reshape(-1) for vol in channels)
     return flat_idx, raw, PaddedSource(pads=pads, base=base, channel=channel, delta=delta)
 
 
@@ -205,20 +201,27 @@ def assemble(
             raise DataError(f"patient {p.patient_id!r}: mask selects no voxels")
     starts = np.cumsum(sizes, dtype=np.int64)
     n = int(starts[-1])
-    voxel_index = np.empty(n, dtype=np.int64)
-    features = np.empty((n, layout.n_combined), dtype=np.float64, order="F")
+    sy = max(p.mask.dims[0] for p in patients) + 2
+    strides = (sy, sy * (max(p.mask.dims[1] for p in patients) + 2))
+    pad_starts = np.cumsum([0] + [strides[1] * (p.mask.dims[2] + 2) for p in patients])
+    pads = np.empty((d, pad_starts[-1]), dtype=np.float32)
+    voxel_index, base = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    x = np.empty((n, d), dtype=np.float64, order="F")
     y = np.empty(n, dtype=np.float64)
-    for p, lo, hi in zip(patients, starts[:-1], starts[1:]):
-        voxel_index[lo:hi], _, source = extract_feature_matrix(p.mr_channels, p.mask, order)
-        for f in range(layout.n_combined):
-            features[lo:hi, f] = source.column(f, source.base)
+    for p, lo, hi, at in zip(patients, starts[:-1], starts[1:], pad_starts):
+        voxel_index[lo:hi], x[lo:hi], source = extract_feature_matrix(
+            p.mr_channels, p.mask, order, strides
+        )
+        pads[:, at : at + source.pads[0].size] = source.pads
+        base[lo:hi] = source.base + at
         y[lo:hi] = p.ct.data[voxel_index[lo:hi]]
     return SampleTable(
         layout=layout,
         patient_ids=tuple(p.patient_id for p in patients),
         starts=starts,
         voxel_index=voxel_index,
-        features=features,
+        x=x,
+        source=replace(source, pads=tuple(pads), base=base),
         y=y,
         t=label_tissue_many(y, threshold),
     )
@@ -227,14 +230,16 @@ def assemble(
 def export_csv(table: SampleTable, path: str | Path) -> None:
     """Write the table as CSV with a one-line header naming every column."""
     path = Path(path)
+    source = table.source
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.column_names())
-        row_ids = np.repeat(table.patient_ids, np.diff(table.starts))
-        for i in range(len(table)):
-            row = (
-                [row_ids[i], int(table.voxel_index[i])]
-                + [repr(v) for v in table.features[i].tolist()]
-                + [repr(float(table.y[i])), int(table.t[i])]
-            )
-            writer.writerow(row)
+        for pid, lo, hi in zip(table.patient_ids, table.starts[:-1], table.starts[1:]):
+            bases = source.base[lo:hi]
+            block = np.column_stack([source.column(f, bases) for f in range(source.shape[1])])
+            for i, values in enumerate(block.tolist(), start=lo):
+                writer.writerow(
+                    [pid, int(table.voxel_index[i])]
+                    + [repr(v) for v in values]
+                    + [repr(float(table.y[i])), int(table.t[i])]
+                )

@@ -98,10 +98,10 @@ def _subsample(rows: np.ndarray, cap: int, seed: int) -> np.ndarray:
 
 
 def train_classifier_fold(
-    x: np.ndarray, labels: np.ndarray, fold_seed: int, config: RunConfig
-) -> Callable[[np.ndarray], np.ndarray]:
-    """kfold_cv trainer: fit the configured classifier on one fold's rows and
-    return its predict.  Bind config with functools.partial."""
+    x, labels: np.ndarray, fold_seed: int, config: RunConfig
+) -> Callable:
+    """kfold_cv trainer: fit the configured classifier on one fold's row
+    source and return its predict.  Bind config with functools.partial."""
     return train_rusboost(x, labels, config, seed=fold_seed, n_labels=N_CLASSES).predict
 
 
@@ -163,7 +163,7 @@ def train_pipeline(
 
     layout = table.layout
     ensemble = train_rusboost(
-        table.features, table.t, config, seed=derive_seed(seed, _SALT_BOOST), n_labels=N_CLASSES
+        table.source, table.t, config, seed=derive_seed(seed, _SALT_BOOST), n_labels=N_CLASSES
     )
 
     model = PipelineModel(

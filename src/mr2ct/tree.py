@@ -29,15 +29,15 @@ The split budget max_splits is global and spent best-first: the pending
 split with the largest impurity decrease is applied next, so a small budget
 still buys the most useful structure.
 
-Routing walks the tree node by node with a stack of (node, bases).  A
-source stands for the feature matrix without being one: it has the matrix's
-shape, each row's base, an int in [0, extent) that differs from row to row,
-and column(f, bases), which gathers column f at the rows with those bases.  A
-split gathers its feature for exactly the rows that reach it and hands each
-child its share of the bases; a leaf records its id at them.  Extraction's
-PaddedSource reads every column from edge-padded channels, so prediction
-builds no feature matrix; as_source reads an ndarray, whose bases are its
-row ids.
+A source stands for the feature matrix without being one: it has the
+matrix's shape, each row's base, an int in [0, extent), column(f, bases),
+which gathers column f at the rows with those bases, and rows(idx), the
+source of its rows idx, which copies no feature.  bin_features gathers one
+column at a time, and a split gathers its feature at its node's rows.
+Routing walks the tree with a stack of (node, bases): a split hands each
+child its share of the bases, and a leaf records its id at them.
+Extraction's PaddedSource reads every column from edge-padded channels;
+as_source reads an ndarray, whose bases are its row ids.
 """
 
 from __future__ import annotations
@@ -169,16 +169,19 @@ class DecisionTree:
 
 
 class _MatrixSource:
-    """An ndarray read as a column source; row i's base is i."""
+    """An ndarray read as a column source; row i's base is i, or base[i]."""
 
-    def __init__(self, x: np.ndarray):
+    def __init__(self, x: np.ndarray, base: np.ndarray | None = None):
         self.x = np.asfortranarray(x)  # one contiguous column per split
-        self.shape = x.shape
+        self.base = np.arange(x.shape[0]) if base is None else base
+        self.shape = (self.base.size, x.shape[1])
         self.extent = x.shape[0]
-        self.base = np.arange(self.extent)
 
     def column(self, f: int, bases: np.ndarray) -> np.ndarray:
         return self.x[:, f].take(bases)
+
+    def rows(self, idx: np.ndarray) -> "_MatrixSource":
+        return _MatrixSource(self.x, self.base[idx])
 
 
 def as_source(x):
@@ -190,30 +193,22 @@ def as_source(x):
     return _MatrixSource(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
 
-def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """x[rows] as a column-major array, whatever the layout of x.
-
-    Gathered along x.T's contiguous rows; x[rows] would be row-major, and on
-    a column-major x several times slower.
-    """
-    return np.take(x.T, rows, axis=1).T
-
-
-def bin_features(x: np.ndarray) -> np.ndarray:
+def bin_features(x) -> np.ndarray:
     """(features, rows) uint8 bin codes of the columns of x, from one argsort each.
 
-    See the module docstring for the edges.  A non-finite x raises DataError:
-    NaN sorts last and would silently share the top bin.  A column-major x
-    reads each column contiguously.
-    """
-    if not np.all(np.isfinite(x)):
-        raise DataError("features must be finite")
-    n, n_features = x.shape
+    x is an ndarray or a source; see the module docstring for the edges.  A
+    non-finite x raises DataError: NaN sorts last and would silently share
+    the top bin."""
+    source = as_source(x)
+    n, n_features = source.shape
     codes = np.empty((n_features, n), dtype=np.uint8)
     step = np.empty(n, dtype=np.uint8)
     for f in range(n_features):
-        order = np.argsort(x[:, f])
-        ordered = x[order, f]
+        values = source.column(f, source.base)
+        if not np.all(np.isfinite(values)):
+            raise DataError("features must be finite")
+        order = np.argsort(values)
+        ordered = values[order]
         gaps = np.flatnonzero(ordered[:-1] < ordered[1:])  # last position below each gap
         if gaps.size >= N_BINS:
             # The N_BINS - 1 gaps whose row counts below lie nearest the rank
@@ -263,7 +258,7 @@ def _best_cut(
 
 
 def train_tree(
-    x: np.ndarray,
+    x,
     labels: np.ndarray,
     config: RunConfig = RunConfig(),
     n_labels: int | None = None,
@@ -272,27 +267,27 @@ def train_tree(
 ) -> DecisionTree:
     """Grow a tree greedily under the global best-first split budget.
 
-    codes are x's (features, rows) uint8 bin codes: bin_features(x), or the
-    codes of a larger set binned once and gathered at x's rows, as boosting
-    passes them.  Without codes, x is binned here.  Branch growth stops on
-    purity, on min_leaf (children must keep at least min_leaf rows), or when
-    the budget is exhausted.
+    x is an ndarray or a source.  codes are x's (features, rows) uint8 bin
+    codes: bin_features(x), or the codes of a larger set binned once and
+    gathered at x's rows, as boosting passes them.  Without codes, x is
+    binned here.  Branch growth stops on purity, on min_leaf (children must
+    keep at least min_leaf rows), or when the budget is exhausted.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    source = as_source(x)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n, n_features = x.shape
+    n, n_features = source.shape
     if n == 0:
         raise DataError("cannot train a tree on zero samples")
     if labels.shape[0] != n:
         raise DataError("labels length does not match sample count")
-    if not np.all(np.isfinite(x)):
+    if not hasattr(x, "column") and not np.all(np.isfinite(x)):  # pads come from finite Volumes
         raise DataError("features must be finite")
     if n_labels is None:
         n_labels = int(labels.max()) + 1
     if labels.min() < 0 or labels.max() >= n_labels:
         raise DataError(f"labels must lie in [0, {n_labels})")
     if codes is None:
-        codes = bin_features(x)
+        codes = bin_features(source)
     elif codes.shape != (n_features, n) or codes.dtype != np.uint8:
         raise DataError(f"codes must be uint8 of shape ({n_features}, {n})")
 
@@ -335,8 +330,9 @@ def train_tree(
         _, node_id, f, b = heapq.heappop(heap)
         rows = pending.pop(node_id)
         go_left = codes[f].take(rows) <= b
-        values = x[:, f].take(rows)
-        below, above = values[go_left].max(), values[~go_left].min()
+        values = source.column(f, source.base[rows])
+        # float64 midpoint of the (possibly float32) values around the cut
+        below, above = float(values[go_left].max()), float(values[~go_left].min())
         thr = 0.5 * (below + above)
         if not (below < thr < above):
             thr = below  # adjacent floats: keep the partition exact

@@ -4,6 +4,7 @@ binding fails here with the tracer's KeyError, not only at the next
 benchmark run."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,19 @@ def traced():
     return tracing.op_layer_metrics(tracer.spans), model, report, result
 
 
+@pytest.fixture(scope="module")
+def traced_mixed():
+    """Second-order training on patients of different dims, whose pads
+    assemble lays out on the cohort's shared strides."""
+    cubes = generate_phantom(default_phantom_spec(dims=(8, 8, 8)), n_patients=2, seed=3)
+    odd = generate_phantom(default_phantom_spec(dims=(6, 9, 7)), n_patients=1, seed=4)
+    datasets = [item.dataset for item in cubes] + [replace(odd[0].dataset, patient_id="odd")]
+    tracer = tracing.Tracer()
+    with tracer.install(), tracer.op(0):
+        model, report = train_pipeline(datasets, config=fast_config(order="second", trees=3))
+    return tracing.op_layer_metrics(tracer.spans)[0], model, report
+
+
 def test_train_layers_are_counted(traced):
     metrics, model, report, _ = traced
     train = metrics[0]
@@ -48,3 +62,15 @@ def test_predict_layers_are_counted(traced):
     assert predict["features.rows"] == result.n_predicted
     assert predict["tree.route_rows"] > 0
     assert predict["mixture.cond_rows"] == result.n_predicted
+
+
+def test_mixed_dims_training_is_counted(traced_mixed):
+    train, model, report = traced_mixed
+    layout = model.layout
+    assert train["features.rows"] == report.n_rows
+    assert train["features.matrix_bytes"] == (
+        report.n_rows * (layout.n_channels + layout.n_combined) * 8
+    )
+    # Each fit is counted by its source's shape: one resample per round.
+    assert all(r.retries == 0 for r in report.boost_rounds)
+    assert train["tree.fit_rows"] == sum(r.resample_size for r in report.boost_rounds)

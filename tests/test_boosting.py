@@ -285,6 +285,13 @@ class TestTrainRusboost:
             with pytest.raises(DataError, match="finite"):
                 train_rusboost(x, labels, RunConfig(max_splits=8, trees=1), seed=seed)
 
+    @pytest.mark.parametrize("n_rows", [140, 100])
+    def test_row_count_must_match_labels(self, n_rows):
+        x, _ = imbalanced_gaussians(n_rows, 0.3, seed=9)
+        _, labels = imbalanced_gaussians(120, 0.3, seed=9)
+        with pytest.raises(DataError, match=f"{n_rows} feature rows for 120 labels"):
+            train_rusboost(x, labels, RunConfig(max_splits=4, trees=1), seed=0)
+
     def test_both_classes_required(self):
         with pytest.raises(BoostingError):
             train_rusboost(np.zeros((10, 1)), np.zeros(10, dtype=int))

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from mr2ct import (
     ClassificationMetrics,
     DataError,
     FitError,
+    assemble,
+    default_phantom_spec,
+    generate_phantom,
     kfold_cv,
     loo_patient_eval,
     prf,
@@ -16,9 +21,11 @@ from mr2ct.evaluation import (
     write_regression_report,
 )
 from mr2ct.labeling import minority_label
+from mr2ct.pipeline import train_classifier_fold
 from mr2ct.volume import mask_indices
 
 from conftest import fast_config
+from util import materialize
 
 
 class TestPrf:
@@ -81,7 +88,7 @@ class TestKfold:
         lookup = {tuple(row): lab for row, lab in zip(x, labels)}
 
         def train_fn(_x, _t, _seed):
-            return lambda q: np.array([lookup[tuple(row)] for row in q])
+            return lambda q: np.array([lookup[tuple(row)] for row in materialize(q)])
 
         metrics, folds = kfold_cv(x, labels, train_fn, k=5, seed=0)
         assert metrics.err == 0.0
@@ -92,7 +99,7 @@ class TestKfold:
         lookup = {tuple(row): lab for row, lab in zip(x, labels)}
 
         def train_fn(_x, _t, _seed):
-            return lambda q: 1 - np.array([lookup[tuple(row)] for row in q])
+            return lambda q: 1 - np.array([lookup[tuple(row)] for row in materialize(q)])
 
         metrics, _ = kfold_cv(x, labels, train_fn, k=5, seed=0)
         assert metrics.err == 1.0
@@ -121,12 +128,11 @@ class TestKfold:
         assert metrics.tp == int(labels.sum())
         assert sum(f.n for f in folds) == 300
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_folds_are_column_major_rows(self, order):
-        """The trainer and the predictor get column-major copies of the
-        fold's rows, whatever the layout of x: the classifier reads columns."""
-        x, labels = self.labels_with_fraction(90, 0.3, seed=5)
-        x = np.asarray(np.column_stack([x, x[:, ::-1]]), order=order)
+    def test_folds_read_x_without_a_copy(self):
+        """The trainer and the predictor get row sources of the table's
+        source: its own pads, and between them every row once per fold."""
+        cohort = generate_phantom(default_phantom_spec(dims=(6, 5, 4)), n_patients=2, seed=5)
+        table = assemble([item.dataset for item in cohort], order="first")
         seen = []
 
         def train_fn(x_train, _t, _seed):
@@ -137,11 +143,26 @@ class TestKfold:
                 return np.zeros(q.shape[0], dtype=int)
             return predict
 
-        kfold_cv(x, labels, train_fn, k=3, seed=0)
-        assert len(seen) == 6 and all(a.flags.f_contiguous for a in seen)
-        trained, held = seen[::2], seen[1::2]
-        assert all(a.shape == (60, 4) for a in trained)
-        assert sorted(map(tuple, np.vstack(held))) == sorted(map(tuple, x))
+        kfold_cv(table.source, table.t, train_fn, k=3, seed=0)
+        assert len(seen) == 6
+        assert all(s.pads is table.source.pads and s.delta is table.source.delta for s in seen)
+        for trained, held in zip(seen[::2], seen[1::2]):
+            bases = np.concatenate([trained.base, held.base])
+            np.testing.assert_array_equal(np.sort(bases), np.sort(table.source.base))
+
+    @pytest.mark.parametrize("n_rows", [140, 100])
+    def test_row_count_must_match_labels(self, n_rows):
+        x = np.random.default_rng(7).normal(size=(n_rows, 2))
+        labels = np.arange(120) % 2
+        with pytest.raises(DataError, match=f"{n_rows} feature rows for 120 labels"):
+            kfold_cv(x, labels, lambda *a: None, k=3, seed=0)
+
+    def test_non_finite_feature_rejected(self):
+        x, labels = self.labels_with_fraction(60, 0.3, seed=8)
+        x[7, 1] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            kfold_cv(x, labels, partial(train_classifier_fold, config=fast_config(trees=1)),
+                     k=3, seed=0)
 
     def test_missing_class_raises_after_redraw(self):
         x = np.random.default_rng(4).normal(size=(6, 2))

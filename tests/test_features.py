@@ -1,18 +1,34 @@
+import csv
+import io
+import tempfile
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mr2ct import DataError, Volume, assemble, export_csv, neighbor_offsets
+from mr2ct import (
+    DataError,
+    Mr2ctError,
+    RunConfig,
+    Volume,
+    assemble,
+    default_phantom_spec,
+    export_csv,
+    generate_phantom,
+    neighbor_offsets,
+    train_rusboost,
+)
 import mr2ct.features
+from mr2ct.labeling import DEFAULT_THRESHOLD_HU
 from mr2ct.features import FeatureLayout, extract_feature_matrix
 from mr2ct.tree import LEAF, DecisionTree
 from mr2ct.volume import PatientDataset
 
-from util import naive_leaf_index, naive_neighbor_matrix
+from util import materialize, naive_leaf_index, naive_neighbor_matrix
 
 # Hand enumeration for the corner voxel (0,0,0) of a 3x3x3 volume whose value
 # at (x,y,z) is x + 3y + 9z, offsets in lexicographic (dz,dy,dx) order with
@@ -23,6 +39,11 @@ CORNER_SECOND_ORDER = [
     9, 9, 10, 9, 9, 10, 12, 12, 13,
 ]
 CORNER_FIRST_ORDER = [0, 0, 0, 1, 3, 9]
+
+
+def neighbor_columns(table):
+    """The table's (n, d * n_offsets) neighbor intensities."""
+    return materialize(table.source)[:, table.layout.n_channels :]
 
 
 def toy_patient(d=1, mask=None, dims=(3, 3, 3)):
@@ -65,33 +86,34 @@ class TestExtraction:
         table = assemble([toy_patient(d=2)], order="first")
         assert len(table) == 27
         assert table.x.shape == (27, 2)
-        assert table.xs.shape == (27, 12)
+        assert neighbor_columns(table).shape == (27, 12)
 
     def test_second_order_width(self):
         table = assemble([toy_patient(d=4)], order="second")
-        assert table.xs.shape == (27, 4 * 26)
+        assert neighbor_columns(table).shape == (27, 4 * 26)
 
     def test_interior_voxel_first_order(self):
         table = assemble([toy_patient()], order="first")
         center = np.flatnonzero(table.voxel_index == 13)[0]  # voxel (1,1,1)
         np.testing.assert_array_equal(
-            table.xs[center], [13 - 9, 13 - 3, 13 - 1, 13 + 1, 13 + 3, 13 + 9]
+            neighbor_columns(table)[center], [13 - 9, 13 - 3, 13 - 1, 13 + 1, 13 + 3, 13 + 9]
         )
 
     def test_corner_replicate_padding_second_order(self):
         table = assemble([toy_patient()], order="second")
         corner = np.flatnonzero(table.voxel_index == 0)[0]
-        np.testing.assert_array_equal(table.xs[corner], CORNER_SECOND_ORDER)
+        np.testing.assert_array_equal(neighbor_columns(table)[corner], CORNER_SECOND_ORDER)
 
     def test_corner_replicate_padding_first_order(self):
         table = assemble([toy_patient()], order="first")
         corner = np.flatnonzero(table.voxel_index == 0)[0]
-        np.testing.assert_array_equal(table.xs[corner], CORNER_FIRST_ORDER)
+        np.testing.assert_array_equal(neighbor_columns(table)[corner], CORNER_FIRST_ORDER)
 
     def test_channel_major_layout(self):
         table = assemble([toy_patient(d=2)], order="first")
         # second channel is first channel + 100 everywhere
-        np.testing.assert_array_equal(table.xs[:, 6:], table.xs[:, :6] + 100)
+        xs = neighbor_columns(table)
+        np.testing.assert_array_equal(xs[:, 6:], xs[:, :6] + 100)
 
     def test_empty_mask_is_an_error(self):
         with pytest.raises(DataError, match="no voxels"):
@@ -104,7 +126,7 @@ class TestExtraction:
     def test_deterministic(self):
         a = assemble([toy_patient(d=2)], order="second")
         b = assemble([toy_patient(d=2)], order="second")
-        np.testing.assert_array_equal(a.xs, b.xs)
+        np.testing.assert_array_equal(neighbor_columns(a), neighbor_columns(b))
         np.testing.assert_array_equal(a.voxel_index, b.voxel_index)
 
     def test_rows_follow_voxel_index_order(self):
@@ -129,6 +151,7 @@ class TestExtraction:
         )
         table = assemble([patient], order="second")
         offs = neighbor_offsets("second")
+        xs = neighbor_columns(table)
         nx, ny, nz = dims
         for row in range(len(table)):
             flat = int(table.voxel_index[row])
@@ -138,7 +161,7 @@ class TestExtraction:
                 jy = min(max(iy + dy, 0), ny - 1)
                 jz = min(max(iz + dz, 0), nz - 1)
                 expected = patient.mr_channels[0].grid()[jz, jy, jx]
-                assert table.xs[row, k] == expected
+                assert xs[row, k] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,10 +293,10 @@ class TestAssemble:
     def test_single_patient_identity(self):
         a = self.patient("a", 12, seed=3)
         table = assemble([a], order="first")
-        flat_idx, _, source = extract_feature_matrix(a.mr_channels, a.mask, "first")
-        assert table.features.shape == source.shape
-        for f in range(source.shape[1]):
-            np.testing.assert_array_equal(table.features[:, f], source.column(f, source.base))
+        flat_idx, raw, source = extract_feature_matrix(a.mr_channels, a.mask, "first")
+        assert table.source.shape == source.shape
+        np.testing.assert_array_equal(materialize(table.source), materialize(source))
+        np.testing.assert_array_equal(table.x, raw)
         np.testing.assert_array_equal(table.voxel_index, flat_idx)
         np.testing.assert_array_equal(table.y, a.ct.data[flat_idx].astype(np.float64))
         assert table.patient_ids == ("a",) and table.starts.tolist() == [0, 12]
@@ -314,15 +337,15 @@ class TestAssemble:
             patients.append(self.patient(f"p{i}", n_masked, dims=dims, seed=seed_i))
         both = assemble(patients, order=order)
         separate = [assemble([p], order=order) for p in patients]
-        for name in ("voxel_index", "features", "y", "t"):
+        for name in ("voxel_index", "x", "y", "t"):
             joined = np.concatenate([getattr(t, name) for t in separate])
             assert getattr(both, name).dtype == joined.dtype
             np.testing.assert_array_equal(getattr(both, name), joined)
-        assert both.features.flags.f_contiguous
         assert both.patient_ids == tuple(p.patient_id for p in patients)
+        features = materialize(both.source)
         for i, solo in enumerate(separate):
             lo, hi = both.starts[i], both.starts[i + 1]
-            np.testing.assert_array_equal(both.features[lo:hi], solo.features)
+            np.testing.assert_array_equal(features[lo:hi], materialize(solo.source))
         assert both.starts[0] == 0 and both.starts[-1] == len(both)
 
     def test_one_extraction_per_patient(self, monkeypatch):
@@ -339,22 +362,76 @@ class TestAssemble:
         rows = path.read_text().strip().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["a"] * 4 + ["b"] * 3
 
-    def test_peak_memory_holds_one_patient_matrix(self):
-        """The table is allocated once and filled patient by patient, so at
-        most one patient's extracted matrix exists next to it."""
-        patients = [
-            self.patient(pid, n_masked, dims=(16, 16, 16), seed=20 + n_masked)
-            for pid, n_masked in (("a", 4096), ("b", 2900), ("c", 1700))
-        ]
+    def test_peak_memory_of_training_has_no_feature_matrix(self):
+        """assemble and one boosting round together stay below the float64
+        feature matrix of the cohort: training reads the padded channels.
+
+        The tree's histogram keys, int64 per feature and resampled row, take
+        most of the rest; later rounds resample more rows."""
+        cohort = generate_phantom(default_phantom_spec(dims=(16, 16, 16)), n_patients=3, seed=3)
+        patients = [item.dataset for item in cohort]
         tracemalloc.start()
         try:
             table = assemble(patients, order="second")
+            train_rusboost(table.source, table.t, RunConfig(trees=1), seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        table_bytes = sum(a.nbytes for a in (table.voxel_index, table.features, table.y, table.t))
-        largest = 4096 * table.layout.n_combined * 8
-        assert peak <= table_bytes + largest + 2**20
+        assert peak < len(table) * table.layout.n_combined * 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_patients=st.integers(2, 3),
+    order=st.sampled_from(["first", "second"]),
+)
+def test_cohort_source_matches_matrix_oracle(seed, n_patients, order):
+    """A cohort of mixed dims trains the ensemble that its materialized
+    matrix trains, and exports the rows of the clamp oracle."""
+    rng = np.random.default_rng(seed)
+    patients, oracle = [], io.StringIO()
+    for i in range(n_patients):
+        dims = tuple(int(n) for n in rng.integers(1, 7, size=3))
+        n = dims[0] * dims[1] * dims[2]
+        mask = (rng.random(n) < rng.uniform(0.3, 1.0)).astype(float)
+        mask[rng.integers(n)] = 1.0
+        channels = tuple(
+            Volume(dims=dims, spacing=(1, 1, 1), data=rng.normal(size=n)) for _ in range(2)
+        )
+        ct = Volume(dims=dims, spacing=(1, 1, 1), data=rng.normal(100.0, 300.0, size=n))
+        patients.append(PatientDataset(
+            patient_id=f"p{i}", mr_channels=channels, ct=ct,
+            mask=Volume(dims=dims, spacing=(1, 1, 1), data=mask),
+        ))
+        flat_idx = np.flatnonzero(mask)
+        raw = np.column_stack([vol.data[flat_idx] for vol in channels]).astype(np.float64)
+        features = np.column_stack([raw, naive_neighbor_matrix(channels, flat_idx, dims, order)])
+        y = ct.data[flat_idx].astype(np.float64)
+        for j in range(flat_idx.size):
+            csv.writer(oracle).writerow(
+                [f"p{i}", int(flat_idx[j])] + [repr(v) for v in features[j].tolist()]
+                + [repr(float(y[j])), int(y[j] > DEFAULT_THRESHOLD_HU)]
+            )
+    table = assemble(patients, order=order)
+
+    labels = rng.integers(0, 2, size=len(table))
+    labels[:2] = (0, 1)
+    config = RunConfig(trees=3, max_splits=8, min_leaf=1)
+
+    def outcome(x):
+        try:
+            return train_rusboost(x, labels, config, seed=seed).to_dict()
+        except Mr2ctError as exc:
+            return repr(exc)
+
+    assert outcome(table.source) == outcome(materialize(table.source))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        export_csv(table, path)
+        header = ",".join(table.column_names()) + "\r\n"
+        assert path.read_bytes().decode() == header + oracle.getvalue()
 
 
 class TestCsvExport:

@@ -114,6 +114,13 @@ class TestTrainTree:
         with pytest.raises(DataError, match="finite"):
             train_tree(x, labels, config=RunConfig(min_leaf=1))
 
+    def test_non_finite_input_rejected_with_codes(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        codes = bin_features(x)
+        x[2, 0] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            train_tree(x, np.array([0, 0, 1, 1]), config=RunConfig(min_leaf=1), codes=codes)
+
     def test_codes_must_match_x(self):
         x = np.arange(8.0).reshape(4, 2)
         labels = np.array([0, 0, 1, 1])

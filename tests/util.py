@@ -5,6 +5,7 @@ own mixture code paths, naive_em_once its component-major EM iteration,
 naive_train_tree its histogram split search,
 naive_leaf_index its per-node routing and naive_neighbor_matrix its
 edge-padded extraction, so they can serve as independent checks.
+materialize copies a column source into the matrix it stands for.
 """
 
 import heapq
@@ -322,4 +323,13 @@ def naive_neighbor_matrix(channels, flat_idx, dims, order):
         jflat = jx + nx * (jy + ny * jz)
         for c, vol in enumerate(channels):
             out[:, c * len(offsets) + k] = vol.data[jflat]
+    return out
+
+
+def materialize(source):
+    """The (n, n_features) float64 matrix of a column source's rows."""
+    n, n_features = source.shape
+    out = np.empty((n, n_features), dtype=np.float64)
+    for f in range(n_features):
+        out[:, f] = source.column(f, source.base)
     return out
