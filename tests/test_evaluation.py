@@ -128,6 +128,30 @@ class TestKfold:
         assert metrics.tp == int(labels.sum())
         assert sum(f.n for f in folds) == 300
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_folds_are_column_major_rows(self, order):
+        """The trainer and the predictor get rows of one column-major copy of
+        a matrix x, whatever its layout: the classifier reads columns."""
+        x, labels = self.labels_with_fraction(90, 0.3, seed=5)
+        x = np.asarray(np.column_stack([x, x[:, ::-1]]), order=order)
+        seen = []
+
+        def train_fn(x_train, _t, _seed):
+            seen.append(x_train)
+
+            def predict(q):
+                seen.append(q)
+                return np.zeros(q.shape[0], dtype=int)
+            return predict
+
+        kfold_cv(x, labels, train_fn, k=3, seed=0)
+        assert len(seen) == 6
+        assert all(s.x is seen[0].x for s in seen) and seen[0].x.flags.f_contiguous
+        trained, held = seen[::2], seen[1::2]
+        assert all(s.shape == (60, 4) for s in trained)
+        rows = np.vstack([materialize(s) for s in held])
+        assert sorted(map(tuple, rows)) == sorted(map(tuple, x))
+
     def test_folds_read_x_without_a_copy(self):
         """The trainer and the predictor get row sources of the table's
         source: its own pads, and between them every row once per fold."""
