@@ -9,15 +9,27 @@ Split search uses histograms, the `hist` method of XGBoost (Chen & Guestrin,
 KDD 2016) and LightGBM (Ke et al., NeurIPS 2017).  bin_features codes each
 feature into at most N_BINS ordered bins.  The bin edges lie between
 consecutive distinct values: every such gap when a feature has at most N_BINS
-distinct values, otherwise the gaps nearest the rank quantiles.  A row's
-code is the number of edges below its value, so codes are uint8 and monotone
-in the value.  At a node, one bincount over (feature, label, code) gives
-every feature's class-count histogram, and one cumulative sum over the bins
-gives the left class counts of every cut.  The cut minimizing the row-weighted
-child impurity (1 - sum p^2) wins, with ties broken to the lowest feature,
-then the lowest cut.  Its threshold is the midpoint of the node's own values
-on either side of the cut, so the float test x <= threshold sends every
-training row of the node where its code does.
+distinct values, otherwise the gaps nearest the rank quantiles.  A row's code
+is the number of edges below its value, so codes are uint8 and monotone in the
+value.  A node's search reads its cumulative class counts: per feature, label
+and bin, its rows of that label with codes up to the bin, which are the left
+class counts of every cut.  They are built by bincount over (feature, label,
+code) keys, a block of features at a time, so the keys take at most about
+_MAX_KEYS int64 whatever the rows.  Counts add, so a split counts only its
+smaller child, even one too small to split, and takes the larger child's
+counts as the parent's minus the smaller's, as LightGBM does.  A pending node
+keeps its counts only if it has more rows than they have cells per feature
+(labels x bins); pending nodes hold disjoint rows, so the kept counts stay
+under 4 bytes per row and feature.  The children of a node kept without counts
+count their own rows, and the children of the split that spends the last of
+the budget, never popped, are not searched.  The cut minimizing the
+row-weighted child impurity (1 - sum p^2) wins, with ties broken to the lowest
+feature, then the lowest cut.  Every count, and every sum of products of
+counts that the search forms, is an integer of at most 2 n^2 for n rows, exact
+in float64 while n <= 2^26 = _MAX_ROWS, so train_tree rejects more rows:
+subtraction and the search's algebra then change no value.  A cut's threshold
+is the midpoint of the node's own values on either side of it, so the float
+test x <= threshold sends every training row of the node where its code does.
 
 When every feature has at most N_BINS distinct values, the candidates,
 decreases, tie-breaks and thresholds are those of an exhaustive search over
@@ -52,6 +64,8 @@ from .errors import DataError, ModelError
 
 LEAF = -1
 N_BINS = 256  # bins per feature, so that codes fit uint8
+_MAX_KEYS = 1 << 18  # histogram keys built at once: 2 MB of int64
+_MAX_ROWS = 1 << 26  # 2 n^2 <= 2^53 keeps _best_cut's count algebra exact
 _DICT_KEYS = {"feature", "threshold", "left", "confidence"}
 
 
@@ -225,28 +239,57 @@ def bin_features(x) -> np.ndarray:
     return codes
 
 
+def _cum_counts(
+    codes: np.ndarray, label_key: np.ndarray, rows: np.ndarray, shape: tuple[int, int, int]
+) -> np.ndarray:
+    """(features, labels, bins) int32 class counts of rows at codes <= each bin,
+    from keys feature*L*B + label*B + code, label_key holding label*B per row."""
+    n_features, n_labels, n_bins = shape
+    cells = n_labels * n_bins
+    step = min(n_features, max(1, _MAX_KEYS // rows.size))
+    offsets = np.arange(step)[:, None] * cells
+    row_key = label_key[rows]
+    keys = np.empty((step, rows.size), dtype=np.int64)
+    out = np.empty(shape, dtype=np.int32)
+    for f0 in range(0, n_features, step):
+        block = np.take(codes[f0:f0 + step], rows, axis=1)
+        k = np.add(block, row_key, out=keys[:block.shape[0]])
+        k += offsets[:block.shape[0]]
+        counts = np.bincount(k.ravel(), minlength=k.shape[0] * cells)
+        np.cumsum(counts.reshape(-1, n_labels, n_bins), axis=2, dtype=np.int32,
+                  out=out[f0:f0 + step])
+    return out
+
+
 def _best_cut(
-    keys: np.ndarray, totals: np.ndarray, shape: tuple[int, int, int], min_leaf: int
+    cum: np.ndarray, totals: np.ndarray, min_leaf: int
 ) -> tuple[float, int, int] | None:
     """Best (impurity decrease, feature, bin) of one node, or None.
 
-    keys (features, m) index the node's flattened (features, labels, bins)
-    histogram, one per row and feature, and totals are the node's class
-    counts.  Cut b sends codes <= b left.  The decrease is the unnormalized
-    form N*G(node) - N_L*G(L) - N_R*G(R), which equals
+    cum is the node's _cum_counts and totals its class counts.  Cut b sends
+    codes <= b left.  The decrease is the unnormalized form
+    N*G(node) - N_L*G(L) - N_R*G(R), which equals
     sum_t cL_t^2/N_L + sum_t cR_t^2/N_R - sum_t c_t^2/N for class counts c
-    and row counts N.
+    and row counts N.  sum_t cR_t^2 is taken as
+    sum_t c_t^2 - 2 sum_t c_t cL_t + sum_t cL_t^2, without forming cR: every
+    term and partial sum is an integer of at most 2 N^2 <= 2^53, so exact in
+    float64, and the divisions see the values that cR would give.
     """
-    n_features = shape[0]
-    counts = np.bincount(keys.ravel(), minlength=np.prod(shape)).reshape(shape)
-    c_left = np.cumsum(counts, axis=2, dtype=np.float64)
-    c_right = totals[:, None] - c_left
+    n_features = cum.shape[0]
+    c_left = cum.astype(np.float64)
     n_total = totals.sum()
-    parent_term = float(np.sum(totals**2) / n_total)
+    sum_sq = np.sum(totals**2)
+    parent_term = float(sum_sq / n_total)
     n_left = c_left.sum(axis=1)
     n_right = n_total - n_left
+    sq_left = np.einsum("flb,flb->fb", c_left, c_left)
+    term = np.einsum("flb,l->fb", c_left, -2.0 * totals)
+    term += sum_sq
+    term += sq_left  # sum_t cR_t^2
     with np.errstate(divide="ignore", invalid="ignore"):  # empty sides are masked next
-        term = (c_left**2).sum(axis=1) / n_left + (c_right**2).sum(axis=1) / n_right
+        term /= n_right
+        sq_left /= n_left
+    term += sq_left
     term[(n_left < min_leaf) | (n_right < min_leaf)] = -np.inf
     k = np.argmax(term, axis=1)  # first max: lowest cut
     decrease = term[np.arange(n_features), k] - parent_term
@@ -267,15 +310,18 @@ def train_tree(
 ) -> DecisionTree:
     """Grow a tree greedily under the global best-first split budget.
 
-    x is an ndarray or a source.  codes are x's (features, rows) uint8 bin
-    codes: bin_features(x), or the codes of a larger set binned once and
-    gathered at x's rows, as boosting passes them.  Without codes, x is
-    binned here.  Branch growth stops on purity, on min_leaf (children must
-    keep at least min_leaf rows), or when the budget is exhausted.
+    x is an ndarray or a source of at most _MAX_ROWS rows.  codes are x's
+    (features, rows) uint8 bin codes: bin_features(x), or the codes of a
+    larger set binned once and gathered at x's rows, as boosting passes them.
+    Without codes, x is binned here.  Branch growth stops on purity, on
+    min_leaf (children must keep at least min_leaf rows), or when the budget
+    is exhausted.
     """
     source = as_source(x)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n, n_features = source.shape
+    if n > _MAX_ROWS:
+        raise DataError(f"cannot train a tree on more than {_MAX_ROWS} samples, got {n}")
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if n == 0:
         raise DataError("cannot train a tree on zero samples")
     if labels.shape[0] != n:
@@ -292,8 +338,6 @@ def train_tree(
         raise DataError(f"codes must be uint8 of shape ({n_features}, {n})")
 
     shape = (n_features, n_labels, int(codes.max(initial=0)) + 1)
-    # keys = feature*L*B + label*B + code indexes the flattened histogram.
-    key_base = np.arange(n_features)[:, None] * (n_labels * shape[2])
     label_key = labels * shape[2]
 
     feature: list[int] = []
@@ -301,34 +345,42 @@ def train_tree(
     left: list[int] = []
     confidence: list[np.ndarray] = []
     heap: list[tuple[float, int, int, int]] = []
-    pending: dict[int, np.ndarray] = {}  # heap node -> its rows
+    pending: dict[int, tuple] = {}  # heap node -> its rows and its kept cum, or None
 
-    def new_node(rows: np.ndarray) -> int:
-        """Append a leaf for rows (ascending) and queue its best split."""
-        node_id = len(feature)
+    def add_leaf(rows: np.ndarray) -> np.ndarray | None:
+        """Append a leaf for rows (ascending); its class counts if it may split."""
         feature.append(LEAF)
         threshold.append(np.nan)
         left.append(LEAF)
         totals = np.bincount(labels[rows], minlength=n_labels)
         confidence.append(totals / rows.size)
         if rows.size < 2 * config.min_leaf or np.count_nonzero(totals > 0) <= 1:
-            return node_id  # too small to split, or pure
-        keys = key_base + label_key[rows]
-        keys += codes[:, rows]
-        found = _best_cut(keys, totals, shape, config.min_leaf)
+            return None  # too small to split, or pure
+        return totals
+
+    def queue(
+        node_id: int, rows: np.ndarray, totals: np.ndarray, cum: np.ndarray | None = None
+    ) -> None:
+        """Queue the best split of node_id from its cumulative counts cum,
+        counted here if None, and keep cum if it has fewer cells than rows."""
+        if cum is None:
+            cum = _cum_counts(codes, label_key, rows, shape)
+        found = _best_cut(cum, totals, config.min_leaf)
         if found is not None:
             decrease, f, b = found
             # Equal decreases split the older node first: ids grow with time.
             heapq.heappush(heap, (-decrease, node_id, f, b))
-            pending[node_id] = rows
-        return node_id
+            pending[node_id] = rows, cum if rows.size > shape[1] * shape[2] else None
 
-    new_node(np.arange(n))
+    rows = np.arange(n)
+    totals = add_leaf(rows)
+    if totals is not None:
+        queue(0, rows, totals)
 
     splits_done = 0
     while heap and splits_done < config.max_splits:
         _, node_id, f, b = heapq.heappop(heap)
-        rows = pending.pop(node_id)
+        rows, cum = pending.pop(node_id)
         go_left = codes[f].take(rows) <= b
         values = source.column(f, source.base[rows])
         # float64 midpoint of the (possibly float32) values around the cut
@@ -339,9 +391,20 @@ def train_tree(
         feature[node_id] = f
         threshold[node_id] = float(thr)
         confidence[node_id] = np.full(n_labels, np.nan)  # only leaves vote
-        left[node_id] = new_node(rows[go_left])
-        new_node(rows[~go_left])  # the right child, left + 1
+        left[node_id] = len(feature)
+        kids = rows[go_left], rows[~go_left]  # the right child is left + 1
+        kid_totals = [add_leaf(r) for r in kids]
         splits_done += 1
+        if splits_done == config.max_splits:
+            break  # no child of the last split is ever popped, so none is searched
+        small = int(kids[1].size < kids[0].size)
+        cums = [None, None]
+        if cum is not None and kid_totals[1 - small] is not None:
+            cums[small] = _cum_counts(codes, label_key, kids[small], shape)
+            cums[1 - small] = np.subtract(cum, cums[small], out=cum)  # the larger child's
+        for side in (0, 1):
+            if kid_totals[side] is not None:
+                queue(left[node_id] + side, kids[side], kid_totals[side], cums[side])
 
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),

@@ -1,15 +1,18 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mr2ct.tree
 from mr2ct import DataError, RunConfig, train_tree
 from mr2ct.errors import ModelError
-from mr2ct.tree import LEAF, N_BINS, DecisionTree, bin_features
+from mr2ct.tree import LEAF, N_BINS, DecisionTree, as_source, bin_features
 
-from util import naive_leaf_index, naive_train_tree
+from util import naive_hist_train_tree, naive_leaf_index, naive_train_tree
 
 
 def training_error(tree, x, labels):
@@ -129,6 +132,44 @@ class TestTrainTree:
         with pytest.raises(DataError, match="codes"):
             train_tree(x, labels, codes=bin_features(x).astype(np.int64))
 
+    def test_row_bound_checked_before_rows_are_read(self):
+        """Above 2^26 rows the count algebra of the split search would stop
+        being exact, so such a source is rejected before any row is read."""
+
+        class Claims:
+            def __init__(self, n):
+                self.shape = (n, 3)
+
+            def column(self, f, bases):
+                raise AssertionError("a row was read")
+
+        labels = np.zeros(4, dtype=np.int64)
+        with pytest.raises(DataError, match="more than 67108864"):
+            train_tree(Claims(2**26 + 1), labels)
+        with pytest.raises(DataError, match="labels length"):  # 2^26 rows pass the bound
+            train_tree(Claims(2**26), labels)
+
+    @pytest.mark.parametrize("max_splits", [24, 400])
+    def test_peak_memory_is_far_below_a_feature_matrix(self, max_splits):
+        """Histogram keys are built a block of features at a time and pending
+        nodes keep counts only where they outweigh their rows, so a tree's
+        peak stays far below rows x features x 8 bytes, at any budget."""
+        rng = np.random.default_rng(0)
+        n, n_features = 20_000, 108
+        x = rng.normal(size=(n, n_features))
+        labels = (x[:, 0] + 2 * rng.normal(size=n) > 0).astype(np.int64)
+        source = as_source(x)
+        codes = bin_features(source)
+        tracemalloc.start()
+        try:
+            tree = train_tree(source, labels, RunConfig(max_splits=max_splits), n_labels=2,
+                              codes=codes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.n_splits == max_splits
+        assert peak < n * n_features * 8 / 2, peak
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -164,6 +205,44 @@ def test_matches_per_node_sort_oracle(seed, n, n_features, copies, n_labels, tie
     config = RunConfig(max_splits=max_splits, min_leaf=min_leaf)
     expected = naive_train_tree(x, labels, config, n_labels=n_labels)
     got = train_tree(x, labels, config, n_labels=n_labels)
+    assert got.to_dict() == expected.to_dict()
+    np.testing.assert_array_equal(got.confidence, expected.confidence)  # NaN at split nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 2500),
+    n_features=st.integers(1, 4),
+    distinct=st.sampled_from([6, 40, 2**20]),
+    n_labels=st.sampled_from([2, 3]),
+    informative=st.booleans(),
+    min_leaf=st.integers(1, 5),
+    max_splits=st.integers(1, 40),
+    max_keys=st.sampled_from([1, 2**9, 2**18]),
+)
+def test_matches_from_scratch_histogram_oracle(seed, n, n_features, distinct, n_labels,
+                                               informative, min_leaf, max_splits, max_keys):
+    """Subtracting the smaller child's counts from the parent's, keeping
+    counts only at nodes with more rows than n_labels x bins, skipping the
+    last split's children and the count algebra of the cut search grow the
+    tree of a from-scratch histogram at every node, bit for bit.  The codes
+    come from a larger set, up to 2^20 distinct values per feature, binned
+    once and gathered at a resample with repeated rows, as boosting passes
+    them.  A small key limit splits the features into blocks, down to one
+    each."""
+    rng = np.random.default_rng(seed)
+    big = rng.integers(0, distinct, size=(n + n // 2 + 1, n_features)) / distinct
+    codes = bin_features(big)
+    idx = rng.choice(big.shape[0], size=n)  # with replacement: rows repeat
+    x, codes = big[idx], np.take(codes, idx, axis=1)
+    labels = rng.integers(0, n_labels, size=n)
+    if informative:
+        labels = np.where(x[:, 0] + 0.3 * rng.normal(size=n) > 0.5, labels, 0)
+    config = RunConfig(max_splits=max_splits, min_leaf=min_leaf)
+    expected = naive_hist_train_tree(x, labels, codes, config, n_labels=n_labels)
+    with mock.patch.object(mr2ct.tree, "_MAX_KEYS", max_keys):
+        got = train_tree(x, labels, config, n_labels=n_labels, codes=codes)
     assert got.to_dict() == expected.to_dict()
     np.testing.assert_array_equal(got.confidence, expected.confidence)  # NaN at split nodes
 

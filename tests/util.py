@@ -2,9 +2,10 @@
 
 The samplers and density evaluations here deliberately avoid the package's
 own mixture code paths, naive_em_once its component-major EM iteration,
-naive_train_tree its histogram split search,
-naive_leaf_index its per-node routing and naive_neighbor_matrix its
-edge-padded extraction, so they can serve as independent checks.
+naive_train_tree its histogram split search, naive_hist_train_tree its
+histogram subtraction and count algebra, naive_leaf_index its per-node
+routing and naive_neighbor_matrix its edge-padded extraction, so they can
+serve as independent checks.
 materialize copies a column source into the matrix it stands for.
 """
 
@@ -289,6 +290,87 @@ def naive_train_tree(x, labels, config=RunConfig(), n_labels=None):
         left=np.asarray(left, dtype=np.int32),
         confidence=np.vstack(confidence),
         n_features=x.shape[1],
+        n_labels=n_labels,
+    )
+
+
+def naive_hist_best_cut(counts, totals, min_leaf):
+    """Best (decrease, feature, bin) of one node from its (features, labels,
+    bins) class counts, forming the right counts explicitly."""
+    c_left = np.cumsum(counts, axis=2, dtype=np.float64)
+    c_right = totals[:, None] - c_left
+    n_total = totals.sum()
+    parent_term = float(np.sum(totals**2) / n_total)
+    n_left = c_left.sum(axis=1)
+    n_right = n_total - n_left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = (c_left**2).sum(axis=1) / n_left + (c_right**2).sum(axis=1) / n_right
+    term[(n_left < min_leaf) | (n_right < min_leaf)] = -np.inf
+    k = np.argmax(term, axis=1)
+    decrease = term[np.arange(counts.shape[0]), k] - parent_term
+    decrease[decrease <= 1e-12 * n_total] = -np.inf
+    f = int(np.argmax(decrease))
+    if decrease[f] == -np.inf:
+        return None
+    return float(decrease[f]), f, int(k[f])
+
+
+def naive_hist_train_tree(x, labels, codes, config=RunConfig(), n_labels=None):
+    """Best-first growth that builds every node's histogram from scratch.
+
+    Each node keys all its (feature, label, code) triples at once, bincounts
+    them and sums over the bins: no subtraction and no kept histograms.  The
+    reference for train_tree on any codes, also above N_BINS distinct values.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    n, n_features = x.shape
+    if n_labels is None:
+        n_labels = int(labels.max()) + 1
+    shape = (n_features, n_labels, int(codes.max(initial=0)) + 1)
+    key_base = np.arange(n_features)[:, None] * (n_labels * shape[2])
+    feature, threshold, left, confidence, heap, pending = [], [], [], [], [], {}
+
+    def new_node(rows):
+        node_id = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        totals = np.bincount(labels[rows], minlength=n_labels)
+        confidence.append(totals / rows.size)
+        if rows.size < 2 * config.min_leaf or np.count_nonzero(totals) <= 1:
+            return node_id
+        keys = key_base + labels[rows] * shape[2] + codes[:, rows]
+        counts = np.bincount(keys.ravel(), minlength=np.prod(shape)).reshape(shape)
+        found = naive_hist_best_cut(counts, totals, config.min_leaf)
+        if found is not None:
+            decrease, f, b = found
+            heapq.heappush(heap, (-decrease, node_id, f, b))
+            pending[node_id] = rows
+        return node_id
+
+    new_node(np.arange(n))
+    splits_done = 0
+    while heap and splits_done < config.max_splits:
+        _, node_id, f, b = heapq.heappop(heap)
+        rows = pending.pop(node_id)
+        go_left = codes[f, rows] <= b
+        below, above = x[rows[go_left], f].max(), x[rows[~go_left], f].min()
+        thr = 0.5 * (below + above)
+        if not (below < thr < above):
+            thr = below
+        feature[node_id], threshold[node_id] = f, float(thr)
+        confidence[node_id] = np.full(n_labels, np.nan)
+        left[node_id] = new_node(rows[go_left])
+        new_node(rows[~go_left])
+        splits_done += 1
+
+    return DecisionTree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        confidence=np.vstack(confidence),
+        n_features=n_features,
         n_labels=n_labels,
     )
 
