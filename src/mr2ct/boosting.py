@@ -181,12 +181,11 @@ class BoostedEnsemble:
     def scores(self, x, n_learners: int | None = None) -> np.ndarray:
         """(n, n_labels) weighted vote scores sum_j h_j(x, v) log(1/alpha_j).
 
-        x is a feature matrix or a column source such as extraction's
-        PaddedSource, which every tree reads as it is.  n_learners restricts
-        the vote to the first learners, which is how training curves over
-        ensemble size are evaluated.
+        x is a PaddedSource, or an ndarray that tree.as_source reads once as
+        one with a channel per column; every tree reads that same source.
+        n_learners restricts the vote to the first learners, which is how
+        training curves over ensemble size are evaluated.
         """
-        # A matrix becomes a column-major source once here, not once per tree.
         source = as_source(x)
         n, n_features = source.shape
         if n_features != self.n_features:
@@ -233,10 +232,11 @@ def train_rusboost(
 ) -> BoostedEnsemble:
     """Run config.trees boosting rounds and return the retained learners.
 
-    x is an ndarray or a source.  It is binned once here, and every round's
-    tree trains on its resample's rows and codes at unit weights.  Each round
-    records the training error of the learners retained so far, from the
-    running vote over the full set that the pseudo-losses already route.
+    x is a PaddedSource, or an ndarray read as one with a channel per
+    column.  It is binned once here, and every round's tree trains on its
+    resample's rows and codes at unit weights.  Each round records the
+    training error of the learners retained so far, from the running vote
+    over the full set that the pseudo-losses already route.
     """
     source = as_source(x)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)

@@ -67,12 +67,7 @@ class ClassificationMetrics:
         return 1.0 - self.err
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "err": self.err, "accuracy": self.accuracy,
-            "precision": self.precision, "recall": self.recall,
-            "f_score": self.f_score, "positive_label": self.positive_label,
-        }
+        return {**asdict(self), "accuracy": self.accuracy}
 
 
 def confusion_counts(
@@ -105,7 +100,8 @@ def kfold_cv(
     """Voxel-level k-fold cross-validation of a classifier factory.
 
     train_fn(x_train, t_train, fold_seed) must return a predict callable;
-    both are handed rows of x, a matrix or a source, as sources over its data.
+    both are handed row sources of x, a PaddedSource or an ndarray read as
+    one with a channel per column, which share its pads.
     Folds come from a seeded shuffle split into k near-equal blocks; if any
     fold leaves the training side without one of the classes, the partition
     is redrawn once before giving up.

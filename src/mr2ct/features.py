@@ -70,12 +70,8 @@ class FeatureLayout:
         return neighbor_offsets(self.order)
 
     @property
-    def n_neighbor(self) -> int:
-        return self.n_channels * len(self.offsets)
-
-    @property
     def n_combined(self) -> int:
-        return self.n_channels + self.n_neighbor
+        return self.n_channels * (1 + len(self.offsets))
 
 
 @dataclass(frozen=True)
@@ -117,10 +113,11 @@ class PaddedSource:
     is the row's voxel's flat index in the padded grid and, for column f at
     offset (dz, dy, dx), delta[f] = dz (nx+2)(ny+2) + dy (nx+2) + dx; a raw
     column has offset 0.  shape and size are those of the matrix it stands
-    for.
+    for.  tree.as_source reads an ndarray as a PaddedSource with one channel
+    per column, each pad a float64 column at delta 0, and base[i] = i.
     """
 
-    pads: tuple[np.ndarray, ...]  # per channel, flat float32 padded grid
+    pads: tuple[np.ndarray, ...]  # per channel, flat padded grid, float32 (float64 from as_source)
     base: np.ndarray     # (n,) int64 flat index into the pads
     channel: np.ndarray  # (n_combined,) channel of each column
     delta: np.ndarray    # (n_combined,) flat offset of each column
@@ -139,7 +136,7 @@ class PaddedSource:
         return self.pads[0].size
 
     def column(self, f: int, bases: np.ndarray) -> np.ndarray:
-        """float32 values of column f at the rows with these bases."""
+        """Values of column f at the rows with these bases, in the pads' dtype."""
         return self.pads[self.channel[f]].take(bases + self.delta[f])
 
     def rows(self, idx: np.ndarray) -> "PaddedSource":

@@ -41,15 +41,16 @@ The split budget max_splits is global and spent best-first: the pending
 split with the largest impurity decrease is applied next, so a small budget
 still buys the most useful structure.
 
-A source stands for the feature matrix without being one: it has the
-matrix's shape, each row's base, an int in [0, extent), column(f, bases),
-which gathers column f at the rows with those bases, and rows(idx), the
-source of its rows idx, which copies no feature.  bin_features gathers one
-column at a time, and a split gathers its feature at its node's rows.
-Routing walks the tree with a stack of (node, bases): a split hands each
-child its share of the bases, and a leaf records its id at them.
-Extraction's PaddedSource reads every column from edge-padded channels;
-as_source reads an ndarray, whose bases are its row ids.
+Trees read their features from a features.PaddedSource, which stands for
+the feature matrix without being one: it has the matrix's shape, each row's
+base, an int in [0, extent), column(f, bases), which gathers column f at the
+rows with those bases, and rows(idx), the source of its rows idx, which
+copies no feature.  Extraction's source reads every column from edge-padded
+channels; as_source reads an ndarray as one with a channel per column, whose
+bases are its row ids.  bin_features gathers one column at a time, and a
+split gathers its feature at its node's rows.  Routing walks the tree with a
+stack of (node, bases): a split hands each child its share of the bases, and
+a leaf records its id at them.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DataError, ModelError
+from .features import PaddedSource
 
 LEAF = -1
 N_BINS = 256  # bins per feature, so that codes fit uint8
@@ -124,10 +126,11 @@ class DecisionTree:
         return int(np.sum(self.feature >= 0))
 
     def leaf_index(self, x) -> np.ndarray:
-        """Leaf node id for every row of x, an ndarray or a source, shape (n,).
+        """Leaf node id for every row of x, a PaddedSource or an ndarray read
+        as one by as_source, shape (n,).
 
         A split compares the gathered values against its float64 threshold,
-        so float32 source values compare exactly as their float64 copies do.
+        so float32 pad values compare exactly as their float64 copies do.
         """
         source = as_source(x)
         n_features = source.shape[1]
@@ -182,37 +185,29 @@ class DecisionTree:
         )
 
 
-class _MatrixSource:
-    """An ndarray read as a column source; row i's base is i, or base[i]."""
-
-    def __init__(self, x: np.ndarray, base: np.ndarray | None = None):
-        self.x = np.asfortranarray(x)  # one contiguous column per split
-        self.base = np.arange(x.shape[0]) if base is None else base
-        self.shape = (self.base.size, x.shape[1])
-        self.extent = x.shape[0]
-
-    def column(self, f: int, bases: np.ndarray) -> np.ndarray:
-        return self.x[:, f].take(bases)
-
-    def rows(self, idx: np.ndarray) -> "_MatrixSource":
-        return _MatrixSource(self.x, self.base[idx])
-
-
 def as_source(x):
-    """x itself if it is a column source, else a source over the float64
-    matrix x, copied to column-major once if it is row-major: 24 trees over
-    a row-major 110592x108 matrix routed in 2.67 s, against 0.12 s."""
+    """x itself if it is a source, else the PaddedSource of the float64
+    matrix x: one channel per column, each a view of one column-major copy,
+    at delta 0, with row i at base i.  The copy is made once, and only if x
+    is not already column-major float64: 24 trees over a row-major
+    110592x108 matrix routed in 2.67 s, against 0.12 s.  A matrix with no
+    columns raises DataError."""
     if hasattr(x, "column"):
         return x
-    return _MatrixSource(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    x = np.asfortranarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    n, d = x.shape
+    if d == 0:
+        raise DataError("features need at least one column")
+    return PaddedSource(pads=tuple(x.T), base=np.arange(n), channel=np.arange(d),
+                        delta=np.zeros(d, dtype=np.int64))
 
 
 def bin_features(x) -> np.ndarray:
     """(features, rows) uint8 bin codes of the columns of x, from one argsort each.
 
-    x is an ndarray or a source; see the module docstring for the edges.  A
-    non-finite x raises DataError: NaN sorts last and would silently share
-    the top bin."""
+    x is a PaddedSource or an ndarray read as one by as_source; see the
+    module docstring for the edges.  A non-finite x raises DataError: NaN
+    sorts last and would silently share the top bin."""
     source = as_source(x)
     n, n_features = source.shape
     codes = np.empty((n_features, n), dtype=np.uint8)
@@ -310,12 +305,12 @@ def train_tree(
 ) -> DecisionTree:
     """Grow a tree greedily under the global best-first split budget.
 
-    x is an ndarray or a source of at most _MAX_ROWS rows.  codes are x's
-    (features, rows) uint8 bin codes: bin_features(x), or the codes of a
-    larger set binned once and gathered at x's rows, as boosting passes them.
-    Without codes, x is binned here.  Branch growth stops on purity, on
-    min_leaf (children must keep at least min_leaf rows), or when the budget
-    is exhausted.
+    x is a PaddedSource, or an ndarray read as one by as_source, of at most
+    _MAX_ROWS rows.  codes are x's (features, rows) uint8 bin codes:
+    bin_features(x), or the codes of a larger set binned once and gathered
+    at x's rows, as boosting passes them.  Without codes, x is binned here.
+    Branch growth stops on purity, on min_leaf (children must keep at least
+    min_leaf rows), or when the budget is exhausted.
     """
     source = as_source(x)
     n, n_features = source.shape
@@ -383,7 +378,7 @@ def train_tree(
         rows, cum = pending.pop(node_id)
         go_left = codes[f].take(rows) <= b
         values = source.column(f, source.base[rows])
-        # float64 midpoint of the (possibly float32) values around the cut
+        # float64 midpoint of the values around the cut, float32 from volumes
         below, above = float(values[go_left].max()), float(values[~go_left].min())
         thr = 0.5 * (below + above)
         if not (below < thr < above):

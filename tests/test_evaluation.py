@@ -130,8 +130,9 @@ class TestKfold:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_folds_are_column_major_rows(self, order):
-        """The trainer and the predictor get rows of one column-major copy of
-        a matrix x, whatever its layout: the classifier reads columns."""
+        """The trainer and the predictor get rows of one PaddedSource whose
+        pads are the columns of one column-major copy of a matrix x,
+        whatever its layout: the classifier reads columns."""
         x, labels = self.labels_with_fraction(90, 0.3, seed=5)
         x = np.asarray(np.column_stack([x, x[:, ::-1]]), order=order)
         seen = []
@@ -146,7 +147,12 @@ class TestKfold:
 
         kfold_cv(x, labels, train_fn, k=3, seed=0)
         assert len(seen) == 6
-        assert all(s.x is seen[0].x for s in seen) and seen[0].x.flags.f_contiguous
+        pads = seen[0].pads
+        copy = pads[0].base
+        assert all(s.pads is pads for s in seen)
+        assert copy.flags.f_contiguous and copy.shape == x.shape
+        assert all(p.base is copy and p.flags.c_contiguous for p in pads)
+        np.testing.assert_array_equal(np.column_stack(pads), x)
         trained, held = seen[::2], seen[1::2]
         assert all(s.shape == (60, 4) for s in trained)
         rows = np.vstack([materialize(s) for s in held])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mr2ct.tree
-from mr2ct import DataError, RunConfig, train_tree
+from mr2ct import DataError, RunConfig, kfold_cv, train_rusboost, train_tree
 from mr2ct.errors import ModelError
 from mr2ct.tree import LEAF, N_BINS, DecisionTree, as_source, bin_features
 
@@ -148,6 +148,16 @@ class TestTrainTree:
             train_tree(Claims(2**26 + 1), labels)
         with pytest.raises(DataError, match="labels length"):  # 2^26 rows pass the bound
             train_tree(Claims(2**26), labels)
+
+    @pytest.mark.parametrize("fit", [
+        lambda x, t: train_tree(x, t, RunConfig(min_leaf=1)),
+        lambda x, t: train_rusboost(x, t),
+        lambda x, t: kfold_cv(x, t, lambda *a: None, k=2),
+        lambda x, t: bin_features(x),
+    ], ids=["train_tree", "train_rusboost", "kfold_cv", "bin_features"])
+    def test_matrix_without_columns_rejected(self, fit):
+        with pytest.raises(DataError, match="at least one column"):
+            fit(np.empty((40, 0)), np.array([0, 1] * 20))
 
     @pytest.mark.parametrize("max_splits", [24, 400])
     def test_peak_memory_is_far_below_a_feature_matrix(self, max_splits):
