@@ -1,8 +1,8 @@
 """Boosting with random undersampling over a mislabel distribution.
 
 Rounds run sequentially: resample the training set (weight-proportional
-draws with replacement, then random undersampling of the majority class to
-the target minority:majority ratio), train a confidence-rated tree on the
+draws with replacement, then random undersampling of the majority class
+until the classes balance), train a confidence-rated tree on the
 resampled set, score it by the pseudo-loss over (sample, wrong label) pairs,
 and reweight the mislabel distribution.
 
@@ -94,23 +94,15 @@ def update_mislabel(
     return updated / total
 
 
-def rus_resample(
-    labels: np.ndarray,
-    selection_weights: np.ndarray,
-    target_ratio: float,
-    seed: int,
-) -> np.ndarray:
+def rus_resample(labels: np.ndarray, selection_weights: np.ndarray, seed: int) -> np.ndarray:
     """Weight-proportional draw of n rows from n with replacement, then
-    majority undersampling.
+    majority undersampling until the classes balance.
 
     Returns row indices into the input; the drawn rows carry equal weight.
-    target_ratio is the minority:majority count ratio after undersampling;
-    1.0 balances the classes.  Majority draws are removed uniformly at
-    random until the ratio is met (never below it).
+    Majority draws are removed uniformly at random until they number no more
+    than the minority draws.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if not target_ratio > 0:
-        raise BoostingError(f"target_ratio must be > 0, got {target_ratio!r}")
     if np.count_nonzero(np.bincount(labels)) < 2:
         raise BoostingError("undersampling needs at least two classes present")
     minority = minority_label(labels)
@@ -128,10 +120,9 @@ def rus_resample(
         raise BoostingError("drew no minority samples in 10 attempts")
     is_minority = labels[draw] == minority
     n_min = int(is_minority.sum())
-    majority_target = max(1, int(round(n_min / target_ratio)))
     majority_pos = np.flatnonzero(~is_minority)
-    if majority_pos.size > majority_target:
-        drop = rng.permutation(majority_pos)[: majority_pos.size - majority_target]
+    if majority_pos.size > n_min:
+        drop = rng.permutation(majority_pos)[: majority_pos.size - n_min]
         keep = np.ones(size, dtype=bool)
         keep[drop] = False
         draw = draw[keep]
@@ -254,14 +245,8 @@ def train_rusboost(
     train_error = None
     for j in range(config.trees):
         selection = mislabel.sum(axis=1)
-        chosen: tuple[DecisionTree, np.ndarray, float, float] | None = None
-        retries = 0
-        resample_size = 0
         for attempt in range(_RETRY_BUDGET + 1):
-            idx = rus_resample(
-                labels, selection, config.rus_ratio, seed=derive_seed(seed, j, attempt)
-            )
-            resample_size = idx.shape[0]
+            idx = rus_resample(labels, selection, seed=derive_seed(seed, j, attempt))
             tree = train_tree(
                 source.rows(idx),
                 labels[idx],
@@ -272,24 +257,21 @@ def train_rusboost(
             conf = tree.confidence_matrix(source)
             eps, eps_raw = pseudo_loss(conf, labels, mislabel)
             if eps < 0.5:
-                chosen = (tree, conf, eps, eps_raw)
+                eps = max(eps, _EPS_MIN)
+                alpha = eps / (1.0 - eps)
+                mislabel = update_mislabel(mislabel, conf, labels, alpha)
+                learners.append(Learner(tree=tree, alpha=alpha))
+                # The same sum, in the same order, as BoostedEnsemble.scores.
+                votes += conf * np.log(1.0 / alpha)
+                train_error = float(np.mean(np.argmax(votes, axis=1) != labels))
                 break
-            retries += 1
-        eps = eps_raw = alpha = None  # a skipped round records none of them
-        if chosen is not None:
-            tree, conf, eps, eps_raw = chosen
-            eps = max(eps, _EPS_MIN)
-            alpha = eps / (1.0 - eps)
-            mislabel = update_mislabel(mislabel, conf, labels, alpha)
-            learners.append(Learner(tree=tree, alpha=alpha))
-            # The same sum, in the same order, as BoostedEnsemble.scores.
-            votes += conf * np.log(1.0 / alpha)
-            train_error = float(np.mean(np.argmax(votes, axis=1) != labels))
+        else:  # every attempt failed: the round is skipped and records no loss
+            attempt, eps, eps_raw, alpha = _RETRY_BUDGET + 1, None, None, None
         rounds.append(
             BoostRound(
                 index=j, eps=eps, eps_raw=eps_raw, alpha=alpha,
-                retries=retries, skipped=chosen is None,
-                resample_size=resample_size, train_error=train_error,
+                retries=attempt, skipped=alpha is None,
+                resample_size=idx.shape[0], train_error=train_error,
             )
         )
     if not learners:

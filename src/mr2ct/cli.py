@@ -202,7 +202,7 @@ RUN_KEYS = {
     "train": tuple(f.name for f in fields(RunConfig) if f.name not in ("window_hu", "cv_folds")),
     "evaluate": tuple(f.name for f in fields(RunConfig) if f.name not in ("fill_hu", "cv_folds")),
     "cv-classifier": ("threshold_hu", "order", "trees", "max_splits", "min_leaf",
-                      "rus_ratio", "cv_folds", "seed"),
+                      "cv_folds", "seed"),
 }
 
 

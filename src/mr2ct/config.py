@@ -31,7 +31,6 @@ class RunConfig:
     trees: int = 150
     max_splits: int = 400
     min_leaf: int = 5
-    rus_ratio: float = 1.0
     em_restarts: int = 5
     em_max_iter: int = 500
     em_tol: float = 1e-6
@@ -51,7 +50,7 @@ class RunConfig:
                            ("em_max_iter", 1), ("gmm_max_rows", 0), ("cv_folds", 2), ("seed", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}")
-        for key in ("rus_ratio", "em_tol", "window_hu"):
+        for key in ("em_tol", "window_hu"):
             if not getattr(self, key) > 0:  # NaN fails too
                 raise ConfigError(f"{key} must be > 0")
         if not math.isfinite(self.threshold_hu):

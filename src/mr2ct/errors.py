@@ -41,4 +41,4 @@ class SelectionError(FitError):
 
 
 class BoostingError(Mr2ctError):
-    """Boosting failure: no retained learners, unreachable resampling ratio."""
+    """Boosting failure: no retained learners, a resample with no minority draw."""

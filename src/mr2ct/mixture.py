@@ -347,6 +347,8 @@ def em_fit(
         raise FitError(f"component count must be >= 1, got {n_components}")
     if dim < 2:
         raise FitError("joint samples need a target and at least one feature column")
+    if not np.all(np.isfinite(v)):
+        raise FitError("joint samples must be finite")
     if n < n_components * dim:
         raise FitError(
             f"too few samples: {n} rows for {n_components} components of dim {dim} "
@@ -419,6 +421,8 @@ def select_model(
     val = np.atleast_2d(np.asarray(samples_val, dtype=np.float64))
     if val.shape[0] == 0:
         raise SelectionError("validation set is empty")
+    if not np.all(np.isfinite(val)):
+        raise SelectionError("validation samples must be finite")
     models: list[MixtureModel | None] = []
     reports: list[EmFitReport | None] = []
     errors: list[str | None] = []

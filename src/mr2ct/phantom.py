@@ -26,6 +26,7 @@ from .seeding import derive_seed
 from .volume import PatientDataset, Volume, check_mask, mask_indices
 
 DEFAULT_MINORITY_FRACTION = 0.1849
+SPACING = (1.0, 1.0, 1.0)  # voxel spacing of every phantom volume
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class PhantomSpec:
     class_models: tuple[MixtureModel, ...]
     minority_fraction: float = DEFAULT_MINORITY_FRACTION
     noise_scale: float = 3.0
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if len(self.dims) != 3 or any(n < 1 for n in self.dims):
@@ -94,19 +94,19 @@ def generate_phantom(
             rows = np.flatnonzero(labels == k)
             if rows.size:
                 joint[rows] = model.sample(rows.size, rng)
-        ct = Volume(dims=spec.dims, spacing=spec.spacing, data=joint[:, 0])
+        ct = Volume(dims=spec.dims, spacing=SPACING, data=joint[:, 0])
         channels = tuple(
-            Volume(dims=spec.dims, spacing=spec.spacing, data=joint[:, 1 + c])
+            Volume(dims=spec.dims, spacing=SPACING, data=joint[:, 1 + c])
             for c in range(spec.n_channels)
         )
-        mask = Volume(dims=spec.dims, spacing=spec.spacing, data=np.ones(n))
+        mask = Volume(dims=spec.dims, spacing=SPACING, data=np.ones(n))
         dataset = PatientDataset(
             patient_id=f"phantom{p:03d}", mr_channels=channels, ct=ct, mask=mask
         )
         patients.append(
             PhantomPatient(
                 dataset=dataset,
-                true_labels=Volume(dims=spec.dims, spacing=spec.spacing, data=labels),
+                true_labels=Volume(dims=spec.dims, spacing=SPACING, data=labels),
             )
         )
     return patients

@@ -56,6 +56,7 @@ a leaf records its id at them.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,6 +381,8 @@ def train_tree(
         values = source.column(f, source.base[rows])
         # float64 midpoint of the values around the cut, float32 from volumes
         below, above = float(values[go_left].max()), float(values[~go_left].min())
+        if not (math.isfinite(below) and math.isfinite(above)):  # sources skip the scan above
+            raise DataError("features must be finite")
         thr = 0.5 * (below + above)
         if not (below < thr < above):
             thr = below  # adjacent floats: keep the partition exact

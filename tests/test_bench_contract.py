@@ -1,15 +1,20 @@
 """The benchmark's tracer wraps mr2ct names from outside (bench/tracing.py,
-BINDINGS).  These tests run the pipeline under it, so a moved or renamed
-binding fails here with the tracer's KeyError, not only at the next
-benchmark run."""
+BINDINGS), and its workloads pass train flags (bench/run.py, WORKLOADS).
+These tests run the pipeline under the tracer and parse those flags, so a
+moved or renamed binding, or a deleted or renamed run key, fails here, not
+only at the next benchmark run."""
 
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from mr2ct import default_phantom_spec, generate_phantom, predict_ct, train_pipeline
+from mr2ct.cli import RUN_KEYS, build_parser
+from mr2ct.config import load_run_config
 
 from conftest import fast_config
 
@@ -74,3 +79,15 @@ def test_mixed_dims_training_is_counted(traced_mixed):
     # Each fit is counted by its source's shape: one resample per round.
     assert all(r.retries == 0 for r in report.boost_rounds)
     assert train["tree.fit_rows"] == sum(r.resample_size for r in report.boost_rounds)
+
+
+def test_workload_train_flags_are_run_keys(tmp_path):
+    with mock.patch.dict(os.environ):  # run.py pins the BLAS thread variables at import
+        import run
+    empty = tmp_path / "empty.cfg"  # shields the configs from MR2CT_CONFIG
+    empty.write_text("")
+    for workload in run.WORKLOADS.values():
+        args = build_parser().parse_args(
+            ["train", "--cohort", "c", "--out", "o", *workload.train_flags]
+        )
+        load_run_config(empty, {k: getattr(args, k) for k in RUN_KEYS["train"]})

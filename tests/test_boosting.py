@@ -182,7 +182,7 @@ class TestRusResample:
     def test_ratio_reached(self):
         labels = np.concatenate([np.ones(10, dtype=int), np.zeros(90, dtype=int)])
         weights = np.full(100, 0.01)
-        idx = rus_resample(labels, weights, target_ratio=1.0, seed=0)
+        idx = rus_resample(labels, weights, seed=0)
         drawn = labels[idx]
         n_min = int((drawn == 1).sum())
         n_maj = int((drawn == 0).sum())
@@ -193,7 +193,7 @@ class TestRusResample:
         weights = np.full(100, 1.0)
         draws = []
         for seed in range(200):
-            idx = rus_resample(labels, weights, target_ratio=1.0, seed=seed)
+            idx = rus_resample(labels, weights, seed=seed)
             draws.append((labels[idx] == 1).mean())
         mean_fraction = float(np.mean(draws))
         # minority fraction of the output; 99% bound for 200 averaged draws
@@ -206,14 +206,14 @@ class TestRusResample:
         heavy = 0
         baseline = 0
         for seed in range(1000):
-            idx = rus_resample(labels, weights, target_ratio=1.0, seed=seed)
+            idx = rus_resample(labels, weights, seed=seed)
             heavy += int(np.sum(idx == 0))
             baseline += int(np.sum(idx == 1))
         assert heavy > 3 * baseline
 
     def test_single_class_rejected(self):
         with pytest.raises(BoostingError):
-            rus_resample(np.zeros(10, dtype=int), np.ones(10), 1.0, seed=0)
+            rus_resample(np.zeros(10, dtype=int), np.ones(10), seed=0)
 
 
 class TestTrainRusboost:
@@ -240,11 +240,14 @@ class TestTrainRusboost:
 
     def test_round_train_error_is_the_vote_so_far(self, monkeypatch):
         """Each round's training error is that of the learners retained so
-        far, bit for bit; a skipped round repeats the previous value."""
+        far, bit for bit; a skipped round repeats the previous value.  Each
+        round counts its failed attempts and records its last resample."""
         calls = itertools.count()
         real = boosting_module.train_tree
+        rows: list[int] = []
 
         def flaky(*args, **kwargs):
+            rows.append(args[0].shape[0])
             tree = real(*args, **kwargs)
             # Round 1's tries all vote 50:50, a pseudo-loss of exactly 0.5.
             if 1 <= next(calls) <= 4:
@@ -261,6 +264,10 @@ class TestTrainRusboost:
         kept = [r for r in ens.rounds if not r.skipped]
         for k, r in enumerate(kept, start=1):
             assert r.train_error == np.mean(ens.predict(x, n_learners=k) != labels)
+        assert [r.retries for r in ens.rounds] == [0, 4] + [0] * 6
+        last_calls = np.cumsum([r.retries + (not r.skipped) for r in ens.rounds]) - 1
+        assert last_calls[-1] == len(rows) - 1
+        assert [r.resample_size for r in ens.rounds] == [rows[c] for c in last_calls]
 
     def test_retained_eps_in_open_interval(self):
         rng = np.random.default_rng(5)

@@ -477,7 +477,6 @@ class TestConfigHandling:
         ("trees", "abc"),
         ("order", "third"),
         ("j_candidates", "a,b"),
-        ("rus_ratio", "nan"),
         ("window_hu", "nan"),
         ("em_tol", "nan"),
         ("threshold_hu", "inf"),
@@ -485,7 +484,6 @@ class TestConfigHandling:
         ("seed", "-1"),
         ("max_splits", "0"),
         ("min_leaf", "0"),
-        ("rus_ratio", "0"),
         ("em_restarts", "0"),
         ("em_max_iter", "0"),
         ("em_tol", "0"),
@@ -572,9 +570,9 @@ class TestConfigHandling:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_keys_per_command(self, model_dir, evaluate_dir, cv_dir):
-        """Each subcommand records exactly the run keys it takes as flags, 35
+        """Each subcommand records exactly the run keys it takes as flags, 32
         flags in all."""
-        assert sum(len(keys) for keys in RUN_KEYS.values()) == 35
+        assert sum(len(keys) for keys in RUN_KEYS.values()) == 32
         for command, out in [("train", model_dir), ("evaluate", evaluate_dir),
                              ("cv-classifier", cv_dir)]:
             manifest = json.loads((out / "manifest.json").read_text())
@@ -591,7 +589,7 @@ class TestConfigHandling:
         """An unknown key exits 3, and so does each key that no longer exists."""
         cfg = tmp_path / "bad.cfg"
         for line in ("warp_speed = 9", "j_candidates_0 = 5", "j_candidates_1 = 5",
-                     "selection_criterion = mse", "classifier_cv_folds = 2"):
+                     "selection_criterion = mse", "classifier_cv_folds = 2", "rus_ratio = 1.0"):
             cfg.write_text(line + "\n")
             rc = main(["phantom", "--out", str(tmp_path / "x"), "--config", str(cfg)])
             assert rc == EXIT_CONFIG

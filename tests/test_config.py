@@ -13,15 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mr2ct import (
-    BoostingError,
-    ConfigError,
-    em_fit,
-    rus_resample,
-    select_model,
-    train_rusboost,
-    train_tree,
-)
+from mr2ct import ConfigError, em_fit, select_model, train_rusboost, train_tree
 from mr2ct.cli import RUN_KEYS, _add_config_flags, build_parser
 from mr2ct.config import RunConfig, load_run_config
 
@@ -37,7 +29,6 @@ VALID = {
     "trees": st.integers(1, 10**6),
     "max_splits": st.integers(1, 10**6),
     "min_leaf": st.integers(1, 10**6),
-    "rus_ratio": _positive,
     "em_restarts": st.integers(1, 100),
     "em_max_iter": st.integers(1, 10**6),
     "em_tol": _positive,
@@ -123,13 +114,11 @@ def test_flag_round_trip(cfg, cfg_path):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: RunConfig(rus_ratio=float("nan")),
     lambda: RunConfig(em_tol=float("nan")),
-    lambda: rus_resample(np.array([0, 1, 0, 1]), np.ones(4), float("nan"), seed=0),
-], ids=["rus-ratio", "em-tol", "rus-resample-target-ratio"])
+], ids=["em-tol"])
 def test_library_rejects_nan(build):
     """Library callers get the NaN checks the CLI parse makes."""
-    with pytest.raises((ConfigError, BoostingError), match="> 0"):
+    with pytest.raises(ConfigError, match="> 0"):
         build()
 
 

@@ -293,6 +293,12 @@ class TestEmFit:
         with pytest.raises(FitError, match="too few"):
             em_fit(np.zeros((5, 2)), 3, seed=0)
 
+    def test_non_finite_samples_rejected(self):
+        data = np.random.default_rng(12).normal(size=(100, 2))
+        data[37, 1] = np.nan
+        with pytest.raises(FitError, match="finite"):
+            em_fit(data, 2, seed=0)
+
     def test_degenerate_point_mass_collapses(self):
         rng = np.random.default_rng(11)
         spread = rng.normal(size=(30, 2))
@@ -490,6 +496,14 @@ class TestSelectModel:
         data = rng.normal(size=(30, 2))
         with pytest.raises(SelectionError):
             select_model(data[:20], data[20:], RunConfig(j_candidates=(50, 60)), seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_validation_rejected(self, bad):
+        """A non-finite validation row would score every candidate alike."""
+        data = sample_joint(*two_component_truth(), 500, np.random.default_rng(18))
+        data[450, 0] = bad
+        with pytest.raises(SelectionError, match="finite"):
+            select_model(data[:400], data[400:], RunConfig(j_candidates=(1, 2)), seed=0)
 
 
 class TestSerialization:

@@ -124,6 +124,17 @@ class TestTrainTree:
         with pytest.raises(DataError, match="finite"):
             train_tree(x, np.array([0, 0, 1, 1]), config=RunConfig(min_leaf=1), codes=codes)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_source_rejected(self, bad):
+        """A source's values are not scanned up front; a split that reads a
+        non-finite one raises instead of routing it."""
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        codes = bin_features(x)
+        x[2, 0] = bad
+        with pytest.raises(DataError, match="finite"):
+            train_tree(as_source(x), np.array([0, 0, 1, 1]), config=RunConfig(min_leaf=1),
+                       codes=codes)
+
     def test_codes_must_match_x(self):
         x = np.arange(8.0).reshape(4, 2)
         labels = np.array([0, 0, 1, 1])
