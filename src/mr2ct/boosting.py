@@ -187,7 +187,9 @@ class BoostedEnsemble:
         use = self.learners if n_learners is None else self.learners[:n_learners]
         total = np.zeros((n, self.n_labels))
         for lr in use:
-            total += lr.tree.confidence_matrix(source) * np.log(1.0 / lr.alpha)
+            # Per-leaf products, gathered: the values of confidence_matrix * log(1/alpha).
+            vote = lr.tree.confidence * np.log(1.0 / lr.alpha)
+            total += vote.take(lr.tree.leaf_index(source), axis=0)
         return total
 
     def predict(self, x, n_learners: int | None = None) -> np.ndarray:

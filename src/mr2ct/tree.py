@@ -49,14 +49,14 @@ copies no feature.  Extraction's source reads every column from edge-padded
 channels; as_source reads an ndarray as one with a channel per column, whose
 bases are its row ids.  bin_features gathers one column at a time, and a
 split gathers its feature at its node's rows.  Routing walks the tree with a
-stack of (node, bases): a split hands each child its share of the bases, and
-a leaf records its id at them.
+stack of (node, bases): a split partitions the bases between its children with
+two compress calls, a leaf records its id at its bases, and one take reads the
+leaves back in row order.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,13 +149,14 @@ class DecisionTree:
             elif bases.size:
                 # NaN compares False, so it goes right.
                 go_left = source.column(f, bases) <= self.threshold[node]
-                stack.append((self.left[node], bases[go_left]))
-                stack.append((self.left[node] + 1, bases[~go_left]))
-        return leaf_at[source.base]
+                stack.append((self.left[node], bases.compress(go_left)))
+                stack.append((self.left[node] + 1, bases.compress(~go_left)))
+        return leaf_at.take(source.base)
 
-    def confidence_matrix(self, x: np.ndarray) -> np.ndarray:
-        """(n, n_labels) leaf confidence vectors for the rows of x."""
-        return self.confidence[self.leaf_index(x)]
+    def confidence_matrix(self, x) -> np.ndarray:
+        """(n, n_labels) leaf confidence vectors for the rows of x, a
+        PaddedSource or an ndarray read as one by as_source."""
+        return self.confidence.take(self.leaf_index(x), axis=0)
 
     def to_dict(self) -> dict:
         """Tree arrays as lists; a leaf's threshold and a split node's
@@ -190,9 +191,9 @@ def as_source(x):
     """x itself if it is a source, else the PaddedSource of the float64
     matrix x: one channel per column, each a view of one column-major copy,
     at delta 0, with row i at base i.  The copy is made once, and only if x
-    is not already column-major float64: 24 trees over a row-major
-    110592x108 matrix routed in 2.67 s, against 0.12 s.  A matrix with no
-    columns raises DataError."""
+    is not already column-major float64: 24 trees, each routed on its own
+    over a 110592x108 matrix, took 1.18 s row-major, against 0.052 s
+    column-major.  A matrix with no columns raises DataError."""
     if hasattr(x, "column"):
         return x
     x = np.asfortranarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
@@ -378,11 +379,12 @@ def train_tree(
         _, node_id, f, b = heapq.heappop(heap)
         rows, cum = pending.pop(node_id)
         go_left = codes[f].take(rows) <= b
-        values = source.column(f, source.base[rows])
-        # float64 midpoint of the values around the cut, float32 from volumes
-        below, above = float(values[go_left].max()), float(values[~go_left].min())
-        if not (math.isfinite(below) and math.isfinite(above)):  # sources skip the scan above
+        go_right = ~go_left
+        values = source.column(f, source.base.take(rows))
+        if not np.all(np.isfinite(values)):  # sources skip the scan above
             raise DataError("features must be finite")
+        # float64 midpoint of the values around the cut, float32 from volumes
+        below, above = float(values.compress(go_left).max()), float(values.compress(go_right).min())
         thr = 0.5 * (below + above)
         if not (below < thr < above):
             thr = below  # adjacent floats: keep the partition exact
@@ -390,7 +392,7 @@ def train_tree(
         threshold[node_id] = float(thr)
         confidence[node_id] = np.full(n_labels, np.nan)  # only leaves vote
         left[node_id] = len(feature)
-        kids = rows[go_left], rows[~go_left]  # the right child is left + 1
+        kids = rows.compress(go_left), rows.compress(go_right)  # the right child is left + 1
         kid_totals = [add_leaf(r) for r in kids]
         splits_done += 1
         if splits_done == config.max_splits:

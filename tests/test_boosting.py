@@ -20,7 +20,11 @@ from mr2ct import (
     update_mislabel,
 )
 from mr2ct.boosting import _EPS_MIN, Learner
-from mr2ct.tree import DecisionTree
+from mr2ct.features import extract_feature_matrix
+from mr2ct.tree import DecisionTree, train_tree
+from mr2ct.volume import Volume
+
+from util import materialize, naive_leaf_index
 
 
 def leaf_tree(confidence, n_features=1):
@@ -350,6 +354,58 @@ class TestPrediction:
         padded = self.build([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], [0.2, 0.5, 1.0])
         probes = np.zeros((5, 1))
         np.testing.assert_array_equal(ens.predict(probes), padded.predict(probes))
+
+
+def reference_scores(ensemble, x, n_learners=None):
+    """sum_j conf_j[leaf_j(x)] log(1/alpha_j) in learner order, from the
+    level-synchronous routing oracle on the matrix x."""
+    total = np.zeros((x.shape[0], ensemble.n_labels))
+    for lr in ensemble.learners[:n_learners]:
+        total += lr.tree.confidence[naive_leaf_index(lr.tree, x)] * np.log(1.0 / lr.alpha)
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(2, 5), st.integers(1, 4), st.integers(1, 4)),
+    order=st.sampled_from(["first", "second"]),
+    n_labels=st.integers(2, 3),
+    n_trees=st.integers(1, 4),
+    max_splits=st.integers(1, 10),
+    data=st.data(),
+)
+def test_scores_match_reference_bit_for_bit(seed, dims, order, n_labels, n_trees, max_splits,
+                                            data):
+    """scores equals the per-learner oracle sum exactly on an extraction
+    source, on its rows repeated in descending base order, and on matrices
+    with NaN probes, whole or cut to the first n_learners."""
+    rng = np.random.default_rng(seed)
+    n = dims[0] * dims[1] * dims[2]
+    channels = tuple(Volume(dims=dims, spacing=(1, 1, 1), data=rng.normal(size=n))
+                     for _ in range(2))
+    mask = Volume(dims=dims, spacing=(1, 1, 1), data=(rng.random(n) < 0.8).astype(float))
+    _, _, source = extract_feature_matrix(channels, mask, order)
+    assume(source.shape[0] >= 2)
+    x = materialize(source)
+    labels = rng.integers(0, n_labels, size=x.shape[0])
+    learners = []
+    for _ in range(n_trees):
+        idx = rng.integers(0, x.shape[0], size=x.shape[0])
+        tree = train_tree(source.rows(idx), labels[idx], n_labels=n_labels,
+                          config=RunConfig(max_splits=max_splits, min_leaf=1))
+        learners.append(Learner(tree=tree, alpha=float(rng.uniform(_EPS_MIN, 1.0))))
+    ensemble = BoostedEnsemble(learners=tuple(learners), n_labels=n_labels,
+                               n_features=x.shape[1])
+    n_learners = data.draw(st.none() | st.integers(1, n_trees))
+    rows = np.sort(np.repeat(rng.integers(0, x.shape[0], size=x.shape[0]), 2))[::-1]
+    probes = np.vstack([x, np.where(rng.random(x.shape) < 0.3, np.nan, x)])
+    for features, matrix in [(source, x), (source.rows(rows), x[rows]), (probes, probes)]:
+        got = ensemble.scores(features, n_learners)
+        assert np.array_equal(got, reference_scores(ensemble, matrix, n_learners))
+        for lr in ensemble.learners:
+            np.testing.assert_array_equal(lr.tree.leaf_index(features),
+                                          naive_leaf_index(lr.tree, matrix))
 
 
 class TestSerialization:

@@ -124,13 +124,19 @@ class TestTrainTree:
         with pytest.raises(DataError, match="finite"):
             train_tree(x, np.array([0, 0, 1, 1]), config=RunConfig(min_leaf=1), codes=codes)
 
-    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_non_finite_source_rejected(self, bad):
+    @pytest.mark.parametrize("row, bad", [
+        pytest.param(2, np.nan, id="nan"),
+        pytest.param(2, -np.inf, id="-inf"),
+        pytest.param(3, np.inf, id="inf-right-of-the-cut"),
+        pytest.param(0, -np.inf, id="-inf-left-of-the-cut"),
+    ])
+    def test_non_finite_source_rejected(self, row, bad):
         """A source's values are not scanned up front; a split that reads a
-        non-finite one raises instead of routing it."""
+        non-finite one raises instead of routing it, wherever it lies: the
+        cut between rows 1 and 2 reads rows 0 and 3 too."""
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         codes = bin_features(x)
-        x[2, 0] = bad
+        x[row, 0] = bad
         with pytest.raises(DataError, match="finite"):
             train_tree(as_source(x), np.array([0, 0, 1, 1]), config=RunConfig(min_leaf=1),
                        codes=codes)
@@ -388,6 +394,10 @@ def test_routing_matches_level_synchronous_oracle(seed, n, n_features, duplicate
             got = tree.leaf_index(rows)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, expected[:rows.shape[0]])
+    # Rows that share a base, in descending base order, each read the leaf
+    # that the one leaf_at entry of their base records.
+    idx = np.sort(np.repeat(rng.integers(0, probes.shape[0], size=probes.shape[0]), 2))[::-1]
+    np.testing.assert_array_equal(tree.leaf_index(as_source(probes).rows(idx)), expected[idx])
 
 
 class TestRouting:
