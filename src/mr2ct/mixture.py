@@ -21,6 +21,20 @@ has no Cholesky factor.
 Arrays keep the rows on their last, contiguous axis: the kernel reads rows as
 vt (dim, n) and returns (J, n) log-densities, and EM's responsibilities are
 (J, n), so centering and every reduction over components run along long rows.
+Both kernels, and prediction's conditional regression (pipeline's
+regress_by_label), work through the rows in column blocks of _BLOCK rows
+from _row_blocks, so their (dim, n) and (J, n) temporaries stay in cache
+instead of spanning every row.  Every operation in them is per column, so
+the values equal the whole-array ones bit for bit, with two traps from
+BLAS.  numpy multiplies a (dim, dim) matrix by a one-column block on the
+matrix-vector path, which rounds about an ulp differently from the
+matrix-matrix one, so a one-row tail joins the block before it.  And a
+one-component regression's (1, d) @ (d, n) product runs on that
+matrix-vector path whatever the block, which treats columns in groups of
+four and the columns left over differently, so _BLOCK is a power of two
+and every block starts where the whole array's groups do.  The M-step's
+sums over rows (resp @ v, resp @ vv.T) stay whole, since splitting a sum
+changes its rounding.
 EM factors each iteration's covariances once, in _regularize, and the next
 E-step reuses those factors.  The kernel centers the rows before multiplying
 by the inverse factor: L^-1 v - L^-1 mu cancels catastrophically once a
@@ -52,6 +66,7 @@ _RIDGE_SCALE = 1e-6
 _DROP_WEIGHT = 1e-8
 _TIGHT = 1e-6  # trace(cov) / trace(second moment) at or below which EM centers exactly
 _SAMPLE_CHUNK = 8192  # rows per einsum in MixtureModel.sample
+_BLOCK = 8192  # rows per column block of the Gaussian kernels; a power of two
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,16 @@ class MixtureModel:
         return out
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Slices that split range(n) in order into blocks of _BLOCK rows, the
+    last holding the rest; a one-row rest joins the block before it, which
+    then holds _BLOCK + 1, so no block of a longer range has one row."""
+    starts = list(range(0, n, _BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
 def _log_gaussians(vt: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
     """(J, n) matrix of log N(v_i; mu_j, L_j L_j^T) for rows vt (dim, n),
     means (J, dim) and lower Cholesky factors chols (J, dim, dim).
@@ -151,29 +176,36 @@ def _log_gaussians(vt: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.n
     """
     dim, n = vt.shape
     inv = np.linalg.inv(chols)
-    out = np.empty((means.shape[0], n), dtype=np.float64)
-    for j in range(means.shape[0]):
-        z = inv[j] @ (vt - means[j][:, None])
-        # A collapsed component's Mahalanobis term overflows to inf: zero density.
-        with np.errstate(over="ignore"):
-            np.square(z, out=z)
-            np.sum(z, axis=0, out=out[j])
     logdet = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-    out += (dim * _LOG_2PI + logdet)[:, None]
-    out *= -0.5
+    const = (dim * _LOG_2PI + logdet)[:, None]
+    out = np.empty((means.shape[0], n), dtype=np.float64)
+    for cols in _row_blocks(n):
+        block, dst = vt[:, cols], out[:, cols]
+        for j in range(means.shape[0]):
+            z = inv[j] @ (block - means[j][:, None])
+            # A collapsed component's Mahalanobis term overflows to inf: zero density.
+            with np.errstate(over="ignore"):
+                np.square(z, out=z)
+                np.sum(z, axis=0, out=dst[j])
+        dst += const
+        dst *= -0.5
     return out
 
 
 def _normalize(a: np.ndarray) -> np.ndarray:
     """Turn the (J, n) log-weights a into column posteriors in place, with one
     exp, and return log sum_j exp(a[j]), the column log-sum-exp."""
-    amax = np.max(a, axis=0)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    a -= amax
-    np.exp(a, out=a)
-    total = np.sum(a, axis=0)
-    a /= total
-    return np.log(total) + amax
+    lse = np.empty(a.shape[1], dtype=np.float64)
+    for cols in _row_blocks(a.shape[1]):
+        block = a[:, cols]
+        amax = np.max(block, axis=0)
+        amax = np.where(np.isfinite(amax), amax, 0.0)
+        block -= amax
+        np.exp(block, out=block)
+        total = np.sum(block, axis=0)
+        block /= total
+        lse[cols] = np.log(total) + amax
+    return lse
 
 
 def conditional_expectation_many(

@@ -28,6 +28,7 @@ from .labeling import N_CLASSES
 from .mixture import (
     MixtureModel,
     SelectionReport,
+    _row_blocks,
     conditional_expectation_many,
     select_model,
 )
@@ -205,13 +206,22 @@ def regress_by_label(
     fill: float,
 ) -> Volume:
     """CT volume on mask's grid: fill everywhere but at flat_idx, where row i
-    gets E[ct | x_raw[i]] under the regressor of labels[i]."""
+    gets E[ct | x_raw[i]] under the regressor of labels[i].
+
+    Each class's rows go to conditional_expectation_many one column block at
+    a time, so no (J, n) or (dim, n) temporary spans a patient.  The blocks
+    come from mixture._row_blocks: _BLOCK rows, a power of two, with a
+    one-row tail joined to the block before it, since BLAS rounds a one-row
+    block on its matrix-vector path.  So every estimate equals the
+    whole-class call's bit for bit.
+    """
     ct = np.full(mask.n_voxels, fill, dtype=np.float64)
     for k, regressor in enumerate(regressors):
         rows = np.flatnonzero(labels == k)
-        if rows.size:
-            y_hat, _ = conditional_expectation_many(regressor, x_raw[rows])
-            ct[flat_idx[rows]] = y_hat
+        for cols in _row_blocks(rows.size):
+            block = rows[cols]
+            y_hat, _ = conditional_expectation_many(regressor, x_raw[block])
+            ct[flat_idx[block]] = y_hat
     return volume_like(mask, ct)
 
 
@@ -318,7 +328,7 @@ def load_model(path: str | Path) -> PipelineModel:
         d = json.loads(text)
     except OSError as exc:
         raise DataError(f"cannot read model bundle {path}: {exc}") from exc
-    except ValueError as exc:  # also undecodable UTF-8
+    except (ValueError, RecursionError) as exc:  # also undecodable UTF-8, over-nested JSON
         raise ModelError(f"{path}: not a JSON model bundle: {exc}") from exc
     model = model_from_dict(d)
     if _bundle_text(model) != text:

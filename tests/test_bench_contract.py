@@ -12,6 +12,7 @@ from unittest import mock
 
 import pytest
 
+import mr2ct.mixture
 from mr2ct import default_phantom_spec, generate_phantom, predict_ct, train_pipeline
 from mr2ct.cli import RUN_KEYS, build_parser
 from mr2ct.config import load_run_config
@@ -66,6 +67,22 @@ def test_predict_layers_are_counted(traced):
     predict = metrics[1]
     assert predict["features.rows"] == result.n_predicted
     assert predict["tree.route_rows"] > 0
+    assert predict["mixture.cond_rows"] == result.n_predicted
+
+
+def test_blocked_regression_is_counted(traced):
+    """With blocks of a few rows the regression calls
+    conditional_expectation_many several times per class; its rows are
+    still counted once each."""
+    _, model, _, _ = traced
+    held = generate_phantom(default_phantom_spec(dims=(8, 8, 8)), n_patients=1, seed=5)
+    dataset = held[0].dataset
+    tracer = tracing.Tracer()
+    with mock.patch.object(mr2ct.mixture, "_BLOCK", 16), tracer.install(), tracer.op(0):
+        result = predict_ct(model, dataset.mr_channels, dataset.mask)
+    calls = sum(span[tracing.NAME] == "mixture.cond" for span in tracer.spans)
+    assert calls > len(model.regressors)
+    predict = tracing.op_layer_metrics(tracer.spans)[0]
     assert predict["mixture.cond_rows"] == result.n_predicted
 
 

@@ -404,6 +404,24 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
+    def test_over_nested_bundle_exit_code(self, tmp_path, cohort_dir):
+        """JSON nested past the parser's recursion limit is a malformed bundle.
+        Run in a subprocess, so a regression fails instead of hanging or
+        exhausting the test process's stack."""
+        bundle = tmp_path / "model.json"
+        bundle.write_text("[" * 200_000 + "]" * 200_000)
+        src = str(Path(mr2ct.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from mr2ct.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "predict", "--model", str(bundle),
+             "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_FIT
+        assert proc.stderr.startswith("estimation error:") and "Traceback" not in proc.stderr
+
     def test_nan_neighbor_voxel_exit_code(self, tmp_path, cohort_dir, model_dir, capsys):
         patient = shutil.copytree(cohort_dir / "phantom002", tmp_path / "patient")
         # Unmask voxel 0 and put a NaN there: only the neighbor features of

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from mr2ct import (
     select_model,
     train_pipeline,
 )
-from mr2ct.mixture import _em_once, _log_gaussians, _normalize
+import mr2ct.mixture as mixture_module
+from mr2ct.mixture import _em_once, _log_gaussians, _normalize, _row_blocks
 from util import (
+    ROW_EDGES,
+    edge_rows,
     match_components,
     mc_conditional_mean,
     naive_conditional_expectation,
@@ -30,6 +34,8 @@ from util import (
     random_mixture,
     sample_joint,
     two_component_truth,
+    whole_log_gaussians,
+    whole_normalize,
 )
 
 
@@ -135,6 +141,38 @@ def test_normalize_matches_scipy(seed, n_components, n, scale, holes):
     np.testing.assert_allclose(lse, logsumexp(a, axis=0), rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(post, softmax(a, axis=0), rtol=1e-12, atol=1e-300)
     assert np.all(post[np.isneginf(a)] == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([2, 3, 7]),
+    edge=st.sampled_from(ROW_EDGES),
+    random_n=st.integers(1, 60),
+    dim=st.integers(2, 6),
+    n_components=st.integers(1, 6),
+)
+def test_row_blocked_kernels_match_whole_arrays(seed, block, edge, random_n, dim,
+                                                n_components):
+    """_log_gaussians and _normalize over blocks of a few rows give the bits of
+    the whole-array kernels, at every row count around a block edge; a
+    one-row block would round on BLAS's matrix-vector path."""
+    n = edge_rows(edge, block, random_n)
+    rng = np.random.default_rng(seed)
+    model = random_mixture(n_components, dim, rng)
+    vt = np.ascontiguousarray(model.sample(n, rng).T)
+    with mock.patch.object(mixture_module, "_BLOCK", block):
+        slices = _row_blocks(n)
+        logp = _log_gaussians(vt, model.means, model.chols)
+        a = logp + np.log(model.weights)[:, None]
+        post = a.copy()
+        lse = _normalize(post)
+    assert np.concatenate([np.arange(n)[s] for s in slices]).tolist() == list(range(n))
+    assert all(s.stop - s.start != 1 for s in slices) or n == 1
+    assert np.array_equal(logp, whole_log_gaussians(vt, model.means, model.chols))
+    whole_post = a.copy()
+    assert np.array_equal(lse, whole_normalize(whole_post))
+    assert np.array_equal(post, whole_post)
 
 
 class TestConditionalExpectation:

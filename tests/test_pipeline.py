@@ -1,12 +1,14 @@
 import json
 import tracemalloc
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mr2ct.mixture as mixture_module
 import mr2ct.pipeline as pipeline_module
 from mr2ct import (
     ConfigError,
@@ -27,12 +29,12 @@ from mr2ct.boosting import BoostedEnsemble, Learner
 from mr2ct.config import load_run_config
 from mr2ct.features import FeatureLayout, PaddedSource
 from mr2ct.mixture import conditional_expectation_many
-from mr2ct.pipeline import PipelineModel, model_from_dict, model_to_dict
+from mr2ct.pipeline import PipelineModel, model_from_dict, model_to_dict, regress_by_label
 from mr2ct.tree import DecisionTree, train_tree
 from mr2ct.volume import FLOAT32_MAX
 
 from conftest import fast_config
-from util import random_mixture
+from util import ROW_EDGES, edge_rows, random_mixture, whole_regress_by_label
 
 
 class TestConfig:
@@ -299,6 +301,67 @@ class TestPredict:
             mae_true = np.abs(oracle_est - truth).mean()
             gaps.append(mae_true - mae_pred)
         assert np.mean(gaps) <= 0.0
+
+
+def _flat_mask(n_voxels):
+    return Volume(dims=(n_voxels, 1, 1), spacing=(1.0, 1.0, 1.0),
+                  data=np.ones(n_voxels, dtype=np.float32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([8, 16, 32]),
+    edges=st.tuples(st.sampled_from(ROW_EDGES), st.sampled_from(ROW_EDGES)),
+    random_n=st.integers(1, 100),
+    dim=st.integers(2, 6),
+    n_components=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+def test_regress_by_label_blocks_match_whole_class(seed, block, edges, random_n, dim,
+                                                    n_components):
+    """Per-block regression gives the float64 bits of one whole-array
+    regression per class, with each class's row count at a block edge.
+
+    The blocks are powers of two, as _BLOCK is: a one-component class's
+    slope @ xt is a (1, d) @ (d, n) product, which BLAS runs as a
+    matrix-vector product over groups of columns, so only blocks that start
+    where those groups do give the whole-array bits.  At blocks of 2, 3, 6
+    or 7 columns about half of all one-component cases differ by an ulp.
+    """
+    rng = np.random.default_rng(seed)
+    regressors = [random_mixture(j, dim, rng) for j in n_components]
+    counts = [edge_rows(edge, block, random_n) for edge in edges]
+    labels = rng.permutation(np.repeat([0, 1], counts))
+    x_raw = rng.normal(scale=4.0, size=(labels.size, dim - 1))
+    n_voxels = labels.size + 3
+    flat_idx = rng.permutation(n_voxels)[: labels.size]
+    # regress_by_label's float64 values, before the float32 volume rounds them.
+    with mock.patch.object(mixture_module, "_BLOCK", block), \
+            mock.patch.object(pipeline_module, "volume_like", lambda mask, ct: ct):
+        ct = regress_by_label(regressors, labels, x_raw, flat_idx, _flat_mask(n_voxels), -7.0)
+    whole = whole_regress_by_label(regressors, labels, x_raw, flat_idx, n_voxels, -7.0)
+    assert np.array_equal(ct, whole)
+
+
+def test_regress_by_label_peak_memory():
+    """No temporary spans a class: over 100k rows and J = 6, the peak beyond
+    the output stays below one (J, n) float64 array, which the whole-class
+    regression builds several of."""
+    rng = np.random.default_rng(0)
+    n, dim, j = 100_000, 5, 6
+    regressors = [random_mixture(j, dim, rng) for _ in range(2)]
+    labels = (rng.random(n) < 0.3).astype(np.int64)
+    x_raw = rng.normal(scale=4.0, size=(n, dim - 1))
+    mask = _flat_mask(n)
+    tracemalloc.start()
+    try:
+        ct = regress_by_label(regressors, labels, x_raw, np.arange(n), mask, -1024.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(ct.data))
+    output = n * (8 + 4)  # the float64 values and their float32 volume
+    assert peak - output < j * n * 8
 
 
 class TestBundle:

@@ -6,6 +6,10 @@ naive_train_tree its histogram split search, naive_hist_train_tree its
 histogram subtraction and count algebra, naive_leaf_index its per-node
 routing and naive_neighbor_matrix its edge-padded extraction, so they can
 serve as independent checks.
+whole_log_gaussians, whole_normalize and whole_regress_by_label are the
+package's Gaussian kernels and conditional regression as they were before
+they ran over row blocks, each on all of its rows at once; the blocked code
+must match them bit for bit.
 materialize copies a column source into the matrix it stands for.
 """
 
@@ -16,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from mr2ct import FitError, MixtureModel, RunConfig
-from mr2ct.mixture import _DROP_WEIGHT, _RIDGE_SCALE, _kmeanspp_means
+from mr2ct.mixture import _DROP_WEIGHT, _LOG_2PI, _RIDGE_SCALE, _kmeanspp_means
 from mr2ct.features import neighbor_offsets
 from mr2ct.tree import DecisionTree
 
@@ -149,6 +153,66 @@ def naive_conditional_expectation(weights, means, covs, x):
     dens, comp = np.column_stack(dens), np.column_stack(comp)
     betas = dens / dens.sum(axis=1, keepdims=True)
     return np.sum(betas * comp, axis=1), betas, comp
+
+
+ROW_EDGES = ("1", "2", "B-1", "B", "B+1", "2B+1", "random")
+
+
+def edge_rows(edge, block, random_n):
+    """A row count named by ROW_EDGES for blocks of `block` rows."""
+    counts = {"1": 1, "2": 2, "B-1": block - 1, "B": block, "B+1": block + 1,
+              "2B+1": 2 * block + 1, "random": random_n}
+    return counts[edge]
+
+
+def whole_log_gaussians(vt, means, chols):
+    """mixture._log_gaussians on every column of vt (dim, n) at once."""
+    dim, n = vt.shape
+    inv = np.linalg.inv(chols)
+    out = np.empty((means.shape[0], n), dtype=np.float64)
+    for j in range(means.shape[0]):
+        z = inv[j] @ (vt - means[j][:, None])
+        with np.errstate(over="ignore"):
+            np.square(z, out=z)
+            np.sum(z, axis=0, out=out[j])
+    logdet = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+    out += (dim * _LOG_2PI + logdet)[:, None]
+    out *= -0.5
+    return out
+
+
+def whole_normalize(a):
+    """mixture._normalize on every column of a (J, n) at once, in place."""
+    amax = np.max(a, axis=0)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    a -= amax
+    np.exp(a, out=a)
+    total = np.sum(a, axis=0)
+    a /= total
+    return np.log(total) + amax
+
+
+def whole_regress_by_label(regressors, labels, x_raw, flat_idx, n_voxels, fill):
+    """pipeline.regress_by_label with one conditional regression over each
+    class's rows, through the whole-array kernels; returns the float64 CT
+    values before they become a float32 volume."""
+    ct = np.full(n_voxels, fill, dtype=np.float64)
+    for k, model in enumerate(regressors):
+        rows = np.flatnonzero(labels == k)
+        if not rows.size:
+            continue
+        chol_xx = np.linalg.cholesky(model.covariances[:, 1:, 1:])
+        slope = np.linalg.solve(model.covariances[:, 1:, 1:],
+                                model.covariances[:, 1:, :1])[:, :, 0]
+        intercept = model.means[:, 0] - np.einsum("jd,jd->j", slope, model.means[:, 1:])
+        xt = np.ascontiguousarray(x_raw[rows].T)
+        betas = whole_log_gaussians(xt, model.means[:, 1:], chol_xx)
+        betas += np.log(model.weights)[:, None]
+        whole_normalize(betas)
+        comp_means = slope @ xt
+        comp_means += intercept[:, None]
+        ct[flat_idx[rows]] = np.einsum("jn,jn->n", betas, comp_means)
+    return ct
 
 
 def mc_conditional_mean(weights, means, covs, x_probe, n_draws, rng, half_width):
