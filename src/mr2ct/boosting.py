@@ -4,7 +4,11 @@ Rounds run sequentially: resample the training set (weight-proportional
 draws with replacement, then random undersampling of the majority class
 until the classes balance), train a confidence-rated tree on the
 resampled set, score it by the pseudo-loss over (sample, wrong label) pairs,
-and reweight the mislabel distribution.
+and reweight the mislabel distribution.  Training needs both classes
+present; it finds the minority label once and hands it to every resample.
+A resample comes back as ascending row indices: at unit weights a tree's
+counts, extremes and confidences do not depend on row order, so its gathers
+can read memory forward.
 
 The pseudo-loss here carries a 1/2 normalization so that a random guesser
 scores exactly 0.5: eps = 1/2 * sum W(i,t) * [1 - h(x_i, t_i) + h(x_i, t)].
@@ -94,38 +98,58 @@ def update_mislabel(
     return updated / total
 
 
-def rus_resample(labels: np.ndarray, selection_weights: np.ndarray, seed: int) -> np.ndarray:
+def _weighted_draw(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """rng.choice(p.size, size=p.size, p=p), from the same cdf and uniforms.
+
+    Generator.choice searches its cdf for each uniform in drawn order; the
+    uniforms are searched here in ascending order, which reads the cdf
+    forward, and the results go back to drawn order.  The generator consumes
+    exactly what choice consumes, so its later draws are unchanged.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(p.size)
+    order = u.argsort()
+    draw = np.empty(p.size, dtype=np.int64)
+    draw[order] = cdf.searchsorted(u.take(order), side="right")
+    return draw
+
+
+def rus_resample(
+    labels: np.ndarray, selection_weights: np.ndarray, seed: int, minority: int
+) -> np.ndarray:
     """Weight-proportional draw of n rows from n with replacement, then
     majority undersampling until the classes balance.
 
-    Returns row indices into the input; the drawn rows carry equal weight.
-    Majority draws are removed uniformly at random until they number no more
-    than the minority draws.
+    minority is the minority label of labels, which the caller computes once
+    with labeling.minority_label; labels must hold at least two classes.
+    Returns ascending row indices into the input, repeats included; the
+    drawn rows carry equal weight.  Majority draws, in drawn order, are
+    removed uniformly at random until they number no more than the minority
+    draws.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if np.count_nonzero(np.bincount(labels)) < 2:
-        raise BoostingError("undersampling needs at least two classes present")
-    minority = minority_label(labels)
     weights = np.asarray(selection_weights, dtype=np.float64).reshape(-1)
-    if weights.shape != labels.shape or np.any(weights < 0) or weights.sum() <= 0:
+    total = weights.sum()
+    if weights.shape != labels.shape or np.any(weights < 0) or total <= 0:
         raise BoostingError("selection weights must be non-negative with positive sum")
-    p = weights / weights.sum()
+    p = weights / total
     rng = np.random.default_rng(seed)
-    size = labels.shape[0]
     for _ in range(10):
-        draw = rng.choice(size, size=size, replace=True, p=p)
-        if np.any(labels[draw] == minority):
+        draw = _weighted_draw(p, rng)
+        is_minority = labels.take(draw) == minority
+        if is_minority.any():
             break
     else:
         raise BoostingError("drew no minority samples in 10 attempts")
-    is_minority = labels[draw] == minority
-    n_min = int(is_minority.sum())
+    n_min = int(np.count_nonzero(is_minority))
     majority_pos = np.flatnonzero(~is_minority)
     if majority_pos.size > n_min:
         drop = rng.permutation(majority_pos)[: majority_pos.size - n_min]
-        keep = np.ones(size, dtype=bool)
+        keep = np.ones(draw.size, dtype=bool)
         keep[drop] = False
-        draw = draw[keep]
+        draw = draw.compress(keep)
+    draw.sort()
     return draw
 
 
@@ -227,9 +251,10 @@ def train_rusboost(
 
     x is a PaddedSource, or an ndarray read as one with a channel per
     column.  It is binned once here, and every round's tree trains on its
-    resample's rows and codes at unit weights.  Each round records the
-    training error of the learners retained so far, from the running vote
-    over the full set that the pseudo-losses already route.
+    resample's rows and codes, in ascending row order, at unit weights.
+    Each round records the training error of the learners retained so far,
+    from the running vote over the full set that the pseudo-losses already
+    route.
     """
     source = as_source(x)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -239,6 +264,7 @@ def train_rusboost(
         n_labels = int(labels.max()) + 1
     if np.count_nonzero(np.bincount(labels)) < 2:
         raise BoostingError("boosting needs both classes present in the training set")
+    minority = minority_label(labels)
     codes = bin_features(source)
     mislabel = init_mislabel(labels, n_labels)
     learners: list[Learner] = []
@@ -248,10 +274,10 @@ def train_rusboost(
     for j in range(config.trees):
         selection = mislabel.sum(axis=1)
         for attempt in range(_RETRY_BUDGET + 1):
-            idx = rus_resample(labels, selection, seed=derive_seed(seed, j, attempt))
+            idx = rus_resample(labels, selection, derive_seed(seed, j, attempt), minority)
             tree = train_tree(
                 source.rows(idx),
-                labels[idx],
+                labels.take(idx),
                 config=config,
                 n_labels=n_labels,
                 codes=np.take(codes, idx, axis=1),

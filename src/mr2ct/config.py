@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .features import neighbor_offsets
 from .labeling import DEFAULT_THRESHOLD_HU
-from .volume import FLOAT32_MAX
+from .volume import FLOAT32_MAX, regular_file_size
 
 ENV_CONFIG = "MR2CT_CONFIG"
 
@@ -115,9 +115,12 @@ def load_run_config(
         config_path = env if env else None
     if config_path is not None:
         path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        values.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
+        regular_file_size(path, ConfigError, "config file")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        values.update(parse_config_text(text, str(path)))
     for key, raw in (overrides or {}).items():
         if raw is not None:
             values[key] = _parse_value(key, raw)

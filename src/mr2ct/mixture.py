@@ -204,7 +204,8 @@ def _normalize(a: np.ndarray) -> np.ndarray:
         np.exp(block, out=block)
         total = np.sum(block, axis=0)
         block /= total
-        lse[cols] = np.log(total) + amax
+        np.log(total, out=lse[cols])
+        lse[cols] += amax
     return lse
 
 

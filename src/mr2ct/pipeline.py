@@ -33,7 +33,7 @@ from .mixture import (
     select_model,
 )
 from .seeding import derive_seed, rng_for
-from .volume import FLOAT32_MAX, PatientDataset, Volume, check_mask, volume_like
+from .volume import FLOAT32_MAX, PatientDataset, Volume, check_mask, regular_file_size, volume_like
 
 BUNDLE_FORMAT_VERSION = 5
 BUNDLE_KIND = "mr2ct-model-bundle"
@@ -323,6 +323,7 @@ def save_model(model: PipelineModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> PipelineModel:
     """Read a bundle; an unreadable file raises DataError, bad content ModelError,
     and so does a bundle whose model does not save back to the same bytes."""
+    regular_file_size(Path(path), DataError, "model bundle")
     try:
         text = Path(path).read_text(encoding="utf-8")
         d = json.loads(text)

@@ -228,7 +228,10 @@ def bin_features(x) -> np.ndarray:
             target = np.arange(1, N_BINS) * (n / N_BINS)
             k = np.searchsorted(below, target).clip(1, below.size - 1)
             k -= target - below[k - 1] <= below[k] - target
-            gaps = np.unique(gaps[k])
+            # gaps ascend, so the marked ones are the sorted unique gaps[k].
+            mark = np.zeros(gaps.size, dtype=bool)
+            mark[k] = True
+            gaps = gaps.compress(mark)
         # In sorted order a row's code counts the edges it has passed.
         step[:] = 0
         step[gaps + 1] = 1

@@ -14,18 +14,22 @@ Header example::
 
 The ``data`` entry is the payload filename, a bare name resolved relative to
 the header's directory.  Reading rejects a ``data`` entry that names another
-directory and, as every Volume does, a NaN or infinite value.
+directory and, as every Volume does, a NaN or infinite value.  Header and
+payload must be regular files, and a payload whose size does not match the
+dims is rejected before any of it is read.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, VolumeFormatError
+from .errors import DataError, Mr2ctError, VolumeFormatError
 
 HEADER_SUFFIX = ".hdr"
 RAW_SUFFIX = ".raw"
@@ -152,10 +156,24 @@ def write_volume(header_path: str | Path, vol: Volume) -> tuple[Path, Path]:
     return header_path, raw_path
 
 
+def regular_file_size(path: Path, error: type[Mr2ctError], what: str) -> int:
+    """Size in bytes of path, which must be a regular file or a symlink to
+    one; anything else raises error before the file is opened, since open()
+    on a FIFO waits for a writer and a device can read without end."""
+    try:
+        st = os.stat(path)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not stat.S_ISREG(st.st_mode):
+        raise error(f"{what} {path} is not a regular file")
+    return st.st_size
+
+
 def _parse_header(path: Path) -> dict[str, str]:
+    regular_file_size(path, VolumeFormatError, "header")
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise VolumeFormatError(f"cannot read header {path}: {exc}") from exc
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -198,16 +216,16 @@ def read_volume(header_path: str | Path) -> Volume:
             f"{header_path}: data entry {name!r} must name a file in the header's directory"
         )
     raw_path = header_path.parent / name
+    size = regular_file_size(raw_path, VolumeFormatError, "payload")
+    expected = dims[0] * dims[1] * dims[2] * 4
+    if size != expected:  # checked before any byte is read
+        raise VolumeFormatError(
+            f"{raw_path}: payload is {size} bytes, expected {expected} for dims {dims}"
+        )
     try:
         payload = raw_path.read_bytes()
     except OSError as exc:
         raise VolumeFormatError(f"cannot read payload {raw_path}: {exc}") from exc
-    expected = dims[0] * dims[1] * dims[2] * 4
-    if len(payload) != expected:
-        raise VolumeFormatError(
-            f"{raw_path}: payload is {len(payload)} bytes, expected {expected} "
-            f"for dims {dims}"
-        )
     try:
         return Volume(dims=dims, spacing=spacing, data=np.frombuffer(payload, dtype="<f4"))
     except DataError as exc:

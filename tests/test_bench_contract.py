@@ -46,7 +46,7 @@ def traced_mixed():
     tracer = tracing.Tracer()
     with tracer.install(), tracer.op(0):
         model, report = train_pipeline(datasets, config=fast_config(order="second", trees=3))
-    return tracing.op_layer_metrics(tracer.spans)[0], model, report
+    return tracing.op_layer_metrics(tracer.spans)[0], model, report, tracer.spans
 
 
 def test_train_layers_are_counted(traced):
@@ -87,7 +87,7 @@ def test_blocked_regression_is_counted(traced):
 
 
 def test_mixed_dims_training_is_counted(traced_mixed):
-    train, model, report = traced_mixed
+    train, model, report, _ = traced_mixed
     layout = model.layout
     assert train["features.rows"] == report.n_rows
     assert train["features.matrix_bytes"] == (
@@ -96,6 +96,16 @@ def test_mixed_dims_training_is_counted(traced_mixed):
     # Each fit is counted by its source's shape: one resample per round.
     assert all(r.retries == 0 for r in report.boost_rounds)
     assert train["tree.fit_rows"] == sum(r.resample_size for r in report.boost_rounds)
+
+
+def test_every_resample_is_timed(traced_mixed):
+    """One boosting.resample span per tree fit, one of each per attempt, so
+    the tracer times every draw whatever arguments rus_resample takes."""
+    _, _, report, spans = traced_mixed
+    calls = {name: sum(span[tracing.NAME] == name for span in spans)
+             for name in ("boosting.resample", "tree.fit")}
+    # No round of this cohort retries (see above): one attempt per round.
+    assert calls["boosting.resample"] == calls["tree.fit"] == len(report.boost_rounds)
 
 
 def test_workload_train_flags_are_run_keys(tmp_path):

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,10 +21,11 @@ from mr2ct import (
 )
 from mr2ct.boosting import _EPS_MIN, Learner
 from mr2ct.features import extract_feature_matrix
+from mr2ct.labeling import minority_label
 from mr2ct.tree import DecisionTree, train_tree
 from mr2ct.volume import Volume
 
-from util import materialize, naive_leaf_index
+from util import draw_order_rus_resample, materialize, naive_leaf_index
 
 
 def leaf_tree(confidence, n_features=1):
@@ -186,7 +187,7 @@ class TestRusResample:
     def test_ratio_reached(self):
         labels = np.concatenate([np.ones(10, dtype=int), np.zeros(90, dtype=int)])
         weights = np.full(100, 0.01)
-        idx = rus_resample(labels, weights, seed=0)
+        idx = rus_resample(labels, weights, seed=0, minority=1)
         drawn = labels[idx]
         n_min = int((drawn == 1).sum())
         n_maj = int((drawn == 0).sum())
@@ -197,7 +198,7 @@ class TestRusResample:
         weights = np.full(100, 1.0)
         draws = []
         for seed in range(200):
-            idx = rus_resample(labels, weights, seed=seed)
+            idx = rus_resample(labels, weights, seed=seed, minority=1)
             draws.append((labels[idx] == 1).mean())
         mean_fraction = float(np.mean(draws))
         # minority fraction of the output; 99% bound for 200 averaged draws
@@ -210,14 +211,85 @@ class TestRusResample:
         heavy = 0
         baseline = 0
         for seed in range(1000):
-            idx = rus_resample(labels, weights, seed=seed)
+            idx = rus_resample(labels, weights, seed=seed, minority=1)
             heavy += int(np.sum(idx == 0))
             baseline += int(np.sum(idx == 1))
         assert heavy > 3 * baseline
 
     def test_single_class_rejected(self):
-        with pytest.raises(BoostingError):
-            rus_resample(np.zeros(10, dtype=int), np.ones(10), seed=0)
+        """Two classes are rus_resample's precondition, which train_rusboost
+        checks once before its first round."""
+        with pytest.raises(BoostingError, match="both classes"):
+            train_rusboost(np.zeros((10, 1)), np.ones(10, dtype=int), n_labels=2)
+
+
+def outcome(fn):
+    """fn's result, or the message of the BoostingError it raises."""
+    try:
+        return fn()
+    except BoostingError as exc:
+        return str(exc)
+
+
+def selection_weights(rng, n, zeros, one_hot):
+    """Random weights with about a fraction zeros of them 0, or one-hot."""
+    w = rng.random(n)
+    w[rng.random(n) < zeros] = 0.0
+    if one_hot or not w.any():
+        w = np.zeros(n)
+        w[rng.integers(n)] = 1.0
+    return w
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    zeros=st.sampled_from([0.0, 0.1, 0.9]),
+    one_hot=st.booleans(),
+)
+@example(seed=0, n=1, zeros=0.0, one_hot=False)
+@example(seed=1, n=2, zeros=0.0, one_hot=False)
+@example(seed=2, n=2, zeros=0.0, one_hot=True)
+def test_weighted_draw_is_generator_choice(seed, n, zeros, one_hot):
+    """The sorted-order search returns Generator.choice's indices and leaves
+    the generator where choice leaves it."""
+    w = selection_weights(np.random.default_rng(seed), n, zeros, one_hot)
+    p = w / w.sum()
+    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    np.testing.assert_array_equal(boosting_module._weighted_draw(p, ours),
+                                  theirs.choice(n, size=n, replace=True, p=p))
+    assert ours.random() == theirs.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 400),
+    n_labels=st.sampled_from([2, 3]),
+    minority_fraction=st.sampled_from([0.05, 0.2, 0.5]),
+    zeros=st.sampled_from([0.0, 0.1, 0.9]),
+    one_hot=st.booleans(),
+)
+@example(seed=3, n=2, n_labels=2, minority_fraction=0.5, zeros=0.0, one_hot=False)
+@example(seed=4, n=2, n_labels=2, minority_fraction=0.5, zeros=0.0, one_hot=True)
+def test_resample_is_the_sorted_draw_order_reference(seed, n, n_labels, minority_fraction,
+                                                     zeros, one_hot):
+    """rus_resample returns the draw-order reference's rows, sorted, and
+    fails where it fails, with the same message."""
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random(n) < minority_fraction, 1, 0)
+    if n_labels == 3:
+        labels[rng.random(n) < 0.3] = 2
+    labels[:2] = [0, 1]  # two classes present
+    w = selection_weights(rng, n, zeros, one_hot)
+    expected = outcome(lambda: np.sort(draw_order_rus_resample(labels, w, seed)))
+    got = outcome(lambda: rus_resample(labels, w, seed, minority_label(labels)))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestTrainRusboost:

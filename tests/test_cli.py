@@ -86,6 +86,19 @@ def _split_node_confidence(bundle):
     tree["confidence"][0] = [0.5, 0.5]
 
 
+def run_cli(*argv, env=None, timeout=60):
+    """The CLI run in a subprocess under a timeout, so a regression that
+    hangs or overflows the stack fails the test instead of the suite."""
+    src = str(Path(mr2ct.__file__).resolve().parents[1])
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from mr2ct.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
 @pytest.fixture(scope="module")
 def cohort_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cohort")
@@ -410,15 +423,8 @@ class TestPredict:
         exhausting the test process's stack."""
         bundle = tmp_path / "model.json"
         bundle.write_text("[" * 200_000 + "]" * 200_000)
-        src = str(Path(mr2ct.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from mr2ct.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "predict", "--model", str(bundle),
-             "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_cli("predict", "--model", str(bundle),
+                       "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out"))
         assert proc.returncode == EXIT_FIT
         assert proc.stderr.startswith("estimation error:") and "Traceback" not in proc.stderr
 
@@ -454,6 +460,54 @@ class TestPredict:
         ])
         assert rc == EXIT_DATA
         assert "data entry" in capsys.readouterr().err
+
+    def test_undecodable_header_exit_code(self, tmp_path, cohort_dir, model_dir, capsys):
+        patient = shutil.copytree(cohort_dir / "phantom002", tmp_path / "patient")
+        (patient / "mr0.hdr").write_bytes(b"dims: 12 12 12\n\xff\n")
+        rc = main(["predict", "--model", str(model_dir / "model.json"),
+                   "--patient", str(patient), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read header") and err.count("\n") == 1
+
+
+class TestReadersCannotHang:
+    """A FIFO where a reader expects a file is rejected before it is opened,
+    since open() on a FIFO waits for a writer; each case exits with its
+    documented code and no traceback."""
+
+    @staticmethod
+    def _expect(proc, code, prefix):
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(prefix) and "Traceback" not in proc.stderr
+        assert "not a regular file" in proc.stderr
+
+    @pytest.mark.parametrize("name", ["mr0.raw", "mr0.hdr"])
+    def test_fifo_volume_file(self, tmp_path, cohort_dir, model_dir, name):
+        patient = shutil.copytree(cohort_dir / "phantom002", tmp_path / "patient")
+        (patient / name).unlink()
+        os.mkfifo(patient / name)
+        proc = run_cli("predict", "--model", str(model_dir / "model.json"),
+                       "--patient", str(patient), "--out", str(tmp_path / "out"), timeout=30)
+        self._expect(proc, EXIT_DATA, "data error:")
+
+    def test_fifo_model(self, tmp_path, cohort_dir):
+        os.mkfifo(tmp_path / "model.json")
+        proc = run_cli("predict", "--model", str(tmp_path / "model.json"),
+                       "--patient", str(cohort_dir / "phantom002"), "--out", str(tmp_path / "out"),
+                       timeout=30)
+        self._expect(proc, EXIT_DATA, "data error:")
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_fifo_config(self, tmp_path, cohort_dir, via):
+        fifo = tmp_path / "run.cfg"
+        os.mkfifo(fifo)
+        argv = ["train", "--cohort", str(cohort_dir), "--out", str(tmp_path / "out")]
+        if via == "flag":
+            proc = run_cli(*argv, "--config", str(fifo), timeout=30)
+        else:
+            proc = run_cli(*argv, env={"MR2CT_CONFIG": str(fifo)}, timeout=30)
+        self._expect(proc, EXIT_CONFIG, "config error:")
 
 
 class TestEvaluate:
@@ -602,6 +656,15 @@ class TestConfigHandling:
         cfg.write_text("this is not a key value line\n")
         rc = main(["phantom", "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert rc == EXIT_CONFIG
+
+    def test_undecodable_config_exit_code(self, tmp_path, cohort_dir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+        rc = main(["train", "--cohort", str(cohort_dir), "--out", str(tmp_path / "out"),
+                   "--config", str(cfg)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file") and err.count("\n") == 1
 
     def test_unknown_config_key(self, tmp_path, capsys):
         """An unknown key exits 3, and so does each key that no longer exists."""

@@ -274,6 +274,35 @@ def test_matches_from_scratch_histogram_oracle(seed, n, n_features, distinct, n_
     np.testing.assert_array_equal(got.confidence, expected.confidence)  # NaN at split nodes
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 1500),
+    n_features=st.integers(1, 4),
+    distinct=st.sampled_from([6, 40, 2**20]),
+    n_labels=st.sampled_from([2, 3]),
+    min_leaf=st.integers(1, 5),
+    max_splits=st.integers(1, 40),
+)
+def test_tree_does_not_depend_on_row_order(seed, n, n_features, distinct, n_labels, min_leaf,
+                                           max_splits):
+    """A tree trained on a permutation of its rows, with its codes permuted
+    the same way, is the same tree, which is why boosting may sort its
+    resamples.  Binning the permuted rows gives the permuted codes too."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, distinct, size=(n // 2 + 1, n_features)) / distinct
+    x = pool[rng.integers(0, pool.shape[0], size=n)]  # rows repeat, as in a resample
+    labels = np.where(x[:, 0] + 0.3 * rng.normal(size=n) > 0.5,
+                      rng.integers(0, n_labels, size=n), 0)
+    codes = bin_features(x)
+    perm = rng.permutation(n)
+    np.testing.assert_array_equal(bin_features(x[perm]), codes[:, perm])
+    config = RunConfig(max_splits=max_splits, min_leaf=min_leaf)
+    expected = train_tree(x, labels, config, n_labels=n_labels, codes=codes)
+    got = train_tree(x[perm], labels[perm], config, n_labels=n_labels, codes=codes[:, perm])
+    assert got.to_dict() == expected.to_dict()
+
+
 def node_rows(tree, x):
     """Training rows reaching each node, by replaying the float thresholds."""
     rows = {0: np.arange(x.shape[0])}

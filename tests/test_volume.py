@@ -1,3 +1,6 @@
+import subprocess
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +97,21 @@ class TestFileFormat:
         (tmp_path / "vol.raw").write_bytes(b"\x00" * 12)
         with pytest.raises(VolumeFormatError, match="payload"):
             read_volume(tmp_path / "vol.hdr")
+
+    def test_wrong_payload_size_is_not_read(self, tmp_path):
+        """A sparse payload of the wrong size is rejected from its size alone:
+        the traced peak stays far below the file's size."""
+        write_volume(tmp_path / "vol.hdr", make_volume(dims=(2, 2, 2)))
+        size = 64 << 20
+        subprocess.run(["truncate", "-s", str(size), str(tmp_path / "vol.raw")], check=True)
+        tracemalloc.start()
+        try:
+            with pytest.raises(VolumeFormatError, match=f"payload is {size} bytes"):
+                read_volume(tmp_path / "vol.hdr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 100
 
     def test_unsupported_dtype(self, tmp_path):
         path = tmp_path / "bad.hdr"

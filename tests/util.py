@@ -10,6 +10,9 @@ whole_log_gaussians, whole_normalize and whole_regress_by_label are the
 package's Gaussian kernels and conditional regression as they were before
 they ran over row blocks, each on all of its rows at once; the blocked code
 must match them bit for bit.
+draw_order_rus_resample is boosting's resample as it was before it searched
+its uniforms in sorted order and sorted its result: Generator.choice, then
+undersampling, returned in drawn order.
 materialize copies a column source into the matrix it stands for.
 """
 
@@ -19,9 +22,10 @@ import itertools
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from mr2ct import FitError, MixtureModel, RunConfig
+from mr2ct import BoostingError, FitError, MixtureModel, RunConfig
 from mr2ct.mixture import _DROP_WEIGHT, _LOG_2PI, _RIDGE_SCALE, _kmeanspp_means
 from mr2ct.features import neighbor_offsets
+from mr2ct.labeling import minority_label
 from mr2ct.tree import DecisionTree
 
 
@@ -479,3 +483,33 @@ def materialize(source):
     for f in range(n_features):
         out[:, f] = source.column(f, source.base)
     return out
+
+
+def draw_order_rus_resample(labels, selection_weights, seed):
+    """Weight-proportional draw by Generator.choice, then majority
+    undersampling to balance, in drawn order."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if np.count_nonzero(np.bincount(labels)) < 2:
+        raise BoostingError("undersampling needs at least two classes present")
+    minority = minority_label(labels)
+    weights = np.asarray(selection_weights, dtype=np.float64).reshape(-1)
+    if weights.shape != labels.shape or np.any(weights < 0) or weights.sum() <= 0:
+        raise BoostingError("selection weights must be non-negative with positive sum")
+    p = weights / weights.sum()
+    rng = np.random.default_rng(seed)
+    size = labels.shape[0]
+    for _ in range(10):
+        draw = rng.choice(size, size=size, replace=True, p=p)
+        if np.any(labels[draw] == minority):
+            break
+    else:
+        raise BoostingError("drew no minority samples in 10 attempts")
+    is_minority = labels[draw] == minority
+    n_min = int(is_minority.sum())
+    majority_pos = np.flatnonzero(~is_minority)
+    if majority_pos.size > n_min:
+        drop = rng.permutation(majority_pos)[: majority_pos.size - n_min]
+        keep = np.ones(size, dtype=bool)
+        keep[drop] = False
+        draw = draw[keep]
+    return draw
