@@ -262,6 +262,8 @@ def train_rusboost(
         raise DataError(f"{source.shape[0]} feature rows for {labels.shape[0]} labels")
     if n_labels is None:
         n_labels = int(labels.max()) + 1
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_labels:  # empty: the class check
+        raise DataError(f"labels must lie in [0, {n_labels})")
     if np.count_nonzero(np.bincount(labels)) < 2:
         raise BoostingError("boosting needs both classes present in the training set")
     minority = minority_label(labels)

@@ -51,8 +51,8 @@ class RunConfig:
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}")
         for key in ("em_tol", "window_hu"):
-            if not getattr(self, key) > 0:  # NaN fails too
-                raise ConfigError(f"{key} must be > 0")
+            if not 0 < getattr(self, key) < math.inf:  # NaN fails too
+                raise ConfigError(f"{key} must be finite and > 0")
         if not math.isfinite(self.threshold_hu):
             raise ConfigError("threshold_hu must be finite")
         # The fill value lands in a float32 output volume, which must be finite.
@@ -66,8 +66,8 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str) -> object:
-    """Parse raw as the type of RunConfig field key: int, finite float, str,
-    or else an int list separated by commas or spaces."""
+    """Parse raw as the type of RunConfig field key: int, float, str, or else
+    an int list separated by commas or spaces.  RunConfig checks the value."""
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
     kind, raw = _FIELD_TYPES[key], raw.strip()
@@ -80,8 +80,8 @@ def _parse_value(key: str, raw: str) -> object:
             value = tuple(int(tok) for tok in raw.replace(",", " ").split())
     except ValueError:
         value = None
-    if value is None or (kind is float and not math.isfinite(value)):
-        name = {int: "an int", float: "a finite float"}.get(kind, "a list of ints")
+    if value is None:
+        name = {int: "an int", float: "a float"}.get(kind, "a list of ints")
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {name}")
     return value
 

@@ -175,8 +175,8 @@ def smoothed_residuals(
     """
     if mode not in ("signed", "absolute"):
         raise ValueError(f"mode must be 'signed' or 'absolute', got {mode!r}")
-    if window <= 0:
-        raise ValueError("window width must be positive")
+    if not 0 < window < np.inf:  # NaN fails too
+        raise ValueError(f"window width must be finite and positive, got {window!r}")
     mct = np.asarray(mct, dtype=np.float64).reshape(-1)
     sct = np.asarray(sct, dtype=np.float64).reshape(-1)
     if mct.size == 0 or mct.shape != sct.shape:

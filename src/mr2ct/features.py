@@ -18,8 +18,9 @@ export_csv's.  Nothing copies them into a matrix.  Every column is one
 padded channel read at a fixed flat offset from each row's voxel, so a
 PaddedSource holds the float32 pads, each row's flat index into them and each
 column's (channel, offset) pair, and gathers a column for any subset of rows
-on demand.  Tree training and routing read it directly; the mixture
-regression reads the raw float64 matrix of the channels at the masked voxels.
+on demand.  Training reads every input from it: the trees all columns, the
+mixtures the raw ones.  Prediction routes the trees over it and regresses on
+the raw float64 matrix that extract_feature_matrix returns.
 
 Only assemble makes a SampleTable: it lays every patient's pads out on the
 cohort's largest strides, so one offset per column serves every row.
@@ -86,7 +87,6 @@ class SampleTable:
     patient_ids: tuple[str, ...]  # one per patient
     starts: np.ndarray       # (patients + 1,) int64 row offsets
     voxel_index: np.ndarray  # (n,) int64 flat index, x-fastest
-    x: np.ndarray            # (n, d) float64 raw intensities
     source: PaddedSource     # every feature column, raw then neighbor
     y: np.ndarray            # (n,) CT intensity in HU
     t: np.ndarray            # (n,) int8 class label
@@ -203,10 +203,9 @@ def assemble(
     pad_starts = np.cumsum([0] + [strides[1] * (p.mask.dims[2] + 2) for p in patients])
     pads = np.empty((d, pad_starts[-1]), dtype=np.float32)
     voxel_index, base = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    x = np.empty((n, d), dtype=np.float64, order="F")
     y = np.empty(n, dtype=np.float64)
     for p, lo, hi, at in zip(patients, starts[:-1], starts[1:], pad_starts):
-        voxel_index[lo:hi], x[lo:hi], source = extract_feature_matrix(
+        voxel_index[lo:hi], _, source = extract_feature_matrix(
             p.mr_channels, p.mask, order, strides
         )
         pads[:, at : at + source.pads[0].size] = source.pads
@@ -217,7 +216,6 @@ def assemble(
         patient_ids=tuple(p.patient_id for p in patients),
         starts=starts,
         voxel_index=voxel_index,
-        x=x,
         source=replace(source, pads=tuple(pads), base=base),
         y=y,
         t=label_tissue_many(y, threshold),

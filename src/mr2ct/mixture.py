@@ -65,8 +65,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE_SCALE = 1e-6
 _DROP_WEIGHT = 1e-8
 _TIGHT = 1e-6  # trace(cov) / trace(second moment) at or below which EM centers exactly
-_SAMPLE_CHUNK = 8192  # rows per einsum in MixtureModel.sample
-_BLOCK = 8192  # rows per column block of the Gaussian kernels; a power of two
+_BLOCK = 8192  # rows per block of the Gaussian kernels and of sample; a power of two
 
 
 @dataclass(frozen=True)
@@ -149,10 +148,9 @@ class MixtureModel:
         comp = rng.choice(self.n_components, size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
         out = self.means[comp]
-        # Per chunk, so the gathered (rows, dim, dim) factors stay small.
-        for lo in range(0, n, _SAMPLE_CHUNK):
-            hi = lo + _SAMPLE_CHUNK
-            out[lo:hi] += np.einsum("nab,nb->na", self.chols[comp[lo:hi]], z[lo:hi])
+        # Per block, so the gathered (rows, dim, dim) factors stay small.
+        for rows in _row_blocks(n):
+            out[rows] += np.einsum("nab,nb->na", self.chols[comp[rows]], z[rows])
         return out
 
 
@@ -309,10 +307,9 @@ def _em_once(
     c = vt - center[:, None]
     vv = (c[:, None, :] * c[None, :, :]).reshape(dim * dim, n)
     means = _kmeanspp_means(v, n_components, rng)
-    pooled, pooled_chol, ok = _regularize(np.cov(vt, bias=True).reshape(1, dim, dim))
+    _, pooled_chol, ok = _regularize(np.cov(vt, bias=True).reshape(1, dim, dim))
     if not ok[0]:
         raise FitError("samples are degenerate: pooled covariance is singular")
-    covs = np.repeat(pooled, n_components, axis=0)
     chols = np.repeat(pooled_chol, n_components, axis=0)
     weights = np.full(n_components, 1.0 / n_components)
 

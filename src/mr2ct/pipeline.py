@@ -136,7 +136,9 @@ def train_pipeline(
     is_val = np.zeros(len(table), dtype=bool)
     is_val[table.starts[val_pick]:table.starts[val_pick + 1]] = True
 
-    joint = np.column_stack([table.y, table.x])
+    # The raw columns, read from the float32 pads, widen exactly to float64.
+    raw = [table.source.column(c, table.source.base) for c in range(table.layout.n_channels)]
+    joint = np.column_stack([table.y, *raw])
 
     regressors: list = []
     selection_reports: list[SelectionReport] = []

@@ -344,8 +344,9 @@ def train_tree(
     threshold: list[float] = []
     left: list[int] = []
     confidence: list[np.ndarray] = []
-    heap: list[tuple[float, int, int, int]] = []
-    pending: dict[int, tuple] = {}  # heap node -> its rows and its kept cum, or None
+    # (-decrease, node_id, f, b, rows, kept cum or None); (-decrease, node_id)
+    # is unique, so heapq never compares the arrays.
+    heap: list[tuple] = []
 
     def add_leaf(rows: np.ndarray) -> np.ndarray | None:
         """Append a leaf for rows (ascending); its class counts if it may split."""
@@ -369,8 +370,8 @@ def train_tree(
         if found is not None:
             decrease, f, b = found
             # Equal decreases split the older node first: ids grow with time.
-            heapq.heappush(heap, (-decrease, node_id, f, b))
-            pending[node_id] = rows, cum if rows.size > shape[1] * shape[2] else None
+            kept = cum if rows.size > shape[1] * shape[2] else None
+            heapq.heappush(heap, (-decrease, node_id, f, b, rows, kept))
 
     rows = np.arange(n)
     totals = add_leaf(rows)
@@ -379,8 +380,7 @@ def train_tree(
 
     splits_done = 0
     while heap and splits_done < config.max_splits:
-        _, node_id, f, b = heapq.heappop(heap)
-        rows, cum = pending.pop(node_id)
+        _, node_id, f, b, rows, cum = heapq.heappop(heap)
         go_left = codes[f].take(rows) <= b
         go_right = ~go_left
         values = source.column(f, source.base.take(rows))

@@ -375,6 +375,13 @@ class TestTrainRusboost:
         with pytest.raises(DataError, match=f"{n_rows} feature rows for 120 labels"):
             train_rusboost(x, labels, RunConfig(max_splits=4, trees=1), seed=0)
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2] * 20, [0, 1, -1] * 20],
+                             ids=["above-n-labels", "negative"])
+    def test_labels_must_lie_below_n_labels(self, labels):
+        x = np.random.default_rng(0).normal(size=(60, 2))
+        with pytest.raises(DataError, match=r"labels must lie in \[0, 2\)"):
+            train_rusboost(x, labels, RunConfig(max_splits=4, trees=1), n_labels=2)
+
     def test_both_classes_required(self):
         with pytest.raises(BoostingError):
             train_rusboost(np.zeros((10, 1)), np.zeros(10, dtype=int))

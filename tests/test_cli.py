@@ -550,7 +550,9 @@ class TestConfigHandling:
         ("order", "third"),
         ("j_candidates", "a,b"),
         ("window_hu", "nan"),
+        ("window_hu", "inf"),
         ("em_tol", "nan"),
+        ("em_tol", "inf"),
         ("threshold_hu", "inf"),
         ("fill_hu", "-inf"),
         ("seed", "-1"),

@@ -115,9 +115,12 @@ def test_flag_round_trip(cfg, cfg_path):
 
 @pytest.mark.parametrize("build", [
     lambda: RunConfig(em_tol=float("nan")),
-], ids=["em-tol"])
+    lambda: RunConfig(em_tol=float("inf")),
+    lambda: RunConfig(window_hu=float("inf")),
+], ids=["em-tol", "em-tol-inf", "window-hu-inf"])
 def test_library_rejects_nan(build):
-    """Library callers get the NaN checks the CLI parse makes."""
+    """Library callers get the same checks as flag and file values: NaN and
+    infinity fail."""
     with pytest.raises(ConfigError, match="> 0"):
         build()
 

@@ -255,6 +255,9 @@ class TestSmoothedResiduals:
     def test_validation(self):
         with pytest.raises(ValueError):
             smoothed_residuals(np.array([1.0]), np.array([1.0]), window=0.0)
+        with pytest.raises(ValueError):
+            smoothed_residuals(np.array([0.0, 50.0, 100.0]), np.array([1.0, 2.0, 3.0]),
+                               window=np.inf)
         with pytest.raises(DataError):
             smoothed_residuals(np.array([]), np.array([]))
         with pytest.raises(ValueError):

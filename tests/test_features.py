@@ -46,6 +46,11 @@ def neighbor_columns(table):
     return materialize(table.source)[:, table.layout.n_channels :]
 
 
+def raw_columns(table):
+    """The table's (n, d) raw channel intensities, the mixtures' inputs."""
+    return materialize(table.source)[:, : table.layout.n_channels]
+
+
 def toy_patient(d=1, mask=None, dims=(3, 3, 3)):
     n = dims[0] * dims[1] * dims[2]
     channels = tuple(
@@ -85,7 +90,7 @@ class TestExtraction:
     def test_row_per_masked_voxel(self):
         table = assemble([toy_patient(d=2)], order="first")
         assert len(table) == 27
-        assert table.x.shape == (27, 2)
+        assert raw_columns(table).shape == (27, 2)
         assert neighbor_columns(table).shape == (27, 12)
 
     def test_second_order_width(self):
@@ -296,7 +301,7 @@ class TestAssemble:
         flat_idx, raw, source = extract_feature_matrix(a.mr_channels, a.mask, "first")
         assert table.source.shape == source.shape
         np.testing.assert_array_equal(materialize(table.source), materialize(source))
-        np.testing.assert_array_equal(table.x, raw)
+        np.testing.assert_array_equal(raw_columns(table), raw)
         np.testing.assert_array_equal(table.voxel_index, flat_idx)
         np.testing.assert_array_equal(table.y, a.ct.data[flat_idx].astype(np.float64))
         assert table.patient_ids == ("a",) and table.starts.tolist() == [0, 12]
@@ -337,10 +342,14 @@ class TestAssemble:
             patients.append(self.patient(f"p{i}", n_masked, dims=dims, seed=seed_i))
         both = assemble(patients, order=order)
         separate = [assemble([p], order=order) for p in patients]
+
+        def column(table, name):
+            return raw_columns(table) if name == "x" else getattr(table, name)
+
         for name in ("voxel_index", "x", "y", "t"):
-            joined = np.concatenate([getattr(t, name) for t in separate])
-            assert getattr(both, name).dtype == joined.dtype
-            np.testing.assert_array_equal(getattr(both, name), joined)
+            joined = np.concatenate([column(t, name) for t in separate])
+            assert column(both, name).dtype == joined.dtype
+            np.testing.assert_array_equal(column(both, name), joined)
         assert both.patient_ids == tuple(p.patient_id for p in patients)
         features = materialize(both.source)
         for i, solo in enumerate(separate):
@@ -453,7 +462,7 @@ class TestCsvExport:
         lines = path.read_text().strip().splitlines()
         first = lines[1].split(",")
         assert first[0] == "toy"
-        assert float(first[2]) == table.x[0, 0]
+        assert float(first[2]) == raw_columns(table)[0, 0]
 
 
 class TestLayout:

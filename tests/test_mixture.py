@@ -281,7 +281,7 @@ def test_conditional_matches_naive_oracle(seed, dim, n_components, n):
 
 @pytest.mark.parametrize("n", [8191, 8192, 8193, 20000])
 def test_sample_matches_unchunked_formula(n):
-    """sample applies the Cholesky factors chunk by chunk; every draw is
+    """sample applies the Cholesky factors block by block; every draw is
     bit-identical to the one-einsum formula over all rows."""
     model = random_mixture(3, 5, np.random.default_rng(n))
     got = model.sample(n, np.random.default_rng(7))

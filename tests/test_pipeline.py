@@ -27,7 +27,7 @@ from mr2ct import (
 )
 from mr2ct.boosting import BoostedEnsemble, Learner
 from mr2ct.config import load_run_config
-from mr2ct.features import FeatureLayout, PaddedSource
+from mr2ct.features import FeatureLayout, PaddedSource, extract_feature_matrix
 from mr2ct.mixture import conditional_expectation_many
 from mr2ct.pipeline import PipelineModel, model_from_dict, model_to_dict, regress_by_label
 from mr2ct.tree import DecisionTree, train_tree
@@ -125,6 +125,38 @@ class TestTrain:
     def test_seed_comes_from_config(self, small_datasets):
         model, report = train_pipeline(small_datasets, fast_config(trees=1, seed=5))
         assert model.seed == report.seed == 5
+
+    def test_mixtures_fit_each_patients_extracted_rows(self, monkeypatch):
+        """On a cohort of mixed dims, the joint rows that select_model fits
+        and scores are (ct, raw) of each patient's own extraction, bit for
+        bit: the raw columns read from the cohort's pads are the channels."""
+        cubes = generate_phantom(default_phantom_spec(dims=(16, 16, 16)), n_patients=2, seed=3)
+        odd = generate_phantom(default_phantom_spec(dims=(12, 14, 10)), n_patients=1, seed=4)
+        patients = [item.dataset for item in cubes] + [replace(odd[0].dataset, patient_id="odd")]
+        calls = []
+        select = pipeline_module.select_model
+
+        def spy(train, val, *args, **kwargs):
+            calls.append((train.copy(), val.copy()))
+            return select(train, val, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "select_model", spy)
+        config = fast_config(trees=1)
+        _, report = train_pipeline(patients, config)
+
+        def class_rows(p, k):
+            flat_idx, raw, _ = extract_feature_matrix(p.mr_channels, p.mask, config.order)
+            ct = p.ct.data[flat_idx].astype(np.float64)
+            return np.column_stack([ct, raw])[(ct > config.threshold_hu) == k]
+
+        ordered = sorted(patients, key=lambda p: p.patient_id)
+        fitted = [p for p in ordered if p.patient_id != report.validation_patient]
+        held = next(p for p in ordered if p.patient_id == report.validation_patient)
+        assert len(calls) == 2
+        for k, (train, val) in enumerate(calls):
+            for got, want in ((train, np.vstack([class_rows(p, k) for p in fitted])),
+                              (val, class_rows(held, k))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
