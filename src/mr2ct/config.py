@@ -5,7 +5,8 @@ them all when it is built: each key ``a_b`` is the flag ``--a-b``, and file
 and flag values go through one parse chosen by the field's type.  The tree,
 boosting and mixture layers take a RunConfig too, and read their parameters
 from it under the same names.  Config files hold one ``key = value`` pair
-per line; ``#`` starts a comment.  Command-line flags override file values,
+per line; ``#`` starts a comment, and each value is checked on its own at
+its line, so an error names the line.  Command-line flags override file values,
 which override the defaults.  The environment variable MR2CT_CONFIG names a
 default config file used when no --config flag is given.
 """
@@ -75,15 +76,11 @@ def _parse_value(key: str, raw: str) -> object:
         return raw
     try:
         if kind in (int, float):
-            value = kind(raw)
-        else:
-            value = tuple(int(tok) for tok in raw.replace(",", " ").split())
+            return kind(raw)
+        return tuple(int(tok) for tok in raw.replace(",", " ").split())
     except ValueError:
-        value = None
-    if value is None:
         name = {int: "an int", float: "a float"}.get(kind, "a list of ints")
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {name}")
-    return value
+        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {name}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -97,6 +94,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         try:
             values[key] = _parse_value(key, raw)
+            RunConfig(**{key: values[key]})  # check each file value at its line
         except ConfigError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
     return values

@@ -20,6 +20,7 @@ from mr2ct.cli import (
     RUN_KEYS,
     main,
 )
+from mr2ct.config import RunConfig
 from mr2ct.volume import read_volume
 
 FAST_CLASSIFIER = [
@@ -564,18 +565,22 @@ class TestConfigHandling:
     ], ids=lambda v: v.replace("_", "-"))
     def test_invalid_config_value(self, tmp_path, key, value, capsys):
         """A bad value exits 3 alike from a flag and from a config file, with
-        a message that names the key.  Config is parsed before the cohort is
+        a message that names the key, and a file's names its line too, also
+        when a flag overrides it.  Config is parsed before the cohort is
         read, so no cohort is needed."""
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"{key} = {value}\n")
+        cfg.write_text(f"# bad value below\n{key} = {value}\n")
         command = next(c for c in ("train", "evaluate") if key in RUN_KEYS[c])
-        flag = f"--{key.replace('_', '-')}={value}"
-        for source in ([flag], ["--config", str(cfg)]):
+        flag = f"--{key.replace('_', '-')}"
+        good = str(getattr(RunConfig(), key)).strip("()")  # the default, as a flag value
+        for source in ([f"{flag}={value}"], ["--config", str(cfg)],
+                       ["--config", str(cfg), f"{flag}={good}"]):
             rc = main([command, "--cohort", str(tmp_path / "none"), "--out", str(tmp_path / "x"),
                        *source])
             assert rc == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith("config error:") and key in err
+            assert (f"{cfg}:2: " in err) == ("--config" in source)
 
     def test_negative_exponent_values(self, tmp_path, cohort_dir, capsys):
         """A negative number in exponent notation is a flag's value, not an option."""

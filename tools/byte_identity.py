@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/byte_identity.py OUT_DIR [--paper-default]
+    python3 tools/byte_identity.py OUT_DIR
 
 OUT_DIR must be new or empty.  The script writes phantoms and run outputs
 under it and prints one `sha256  path` line per file, sorted by path, with
@@ -19,8 +19,8 @@ of the checkout that holds this script:
   seeds 0-2: `train` on the cohort, `predict` of the held-out patient, and
   `cv-classifier --cv-folds 3` with the flags that command takes;
 - `evaluate` once, with the first workload's flags that it takes;
-- with --paper-default, also the paper-default `train`: 150 trees on
-  `phantom --seed 7` at 3x32^3, train seed 0 (about 10 s on 2 vCPUs).
+- the paper-default `train`: 150 trees on `phantom --seed 7` at 3x32^3,
+  train seed 0 (about 10 s on 2 vCPUs).
 
 Every file is hashed except manifest.json, which records absolute paths and
 the checksums of the files listed beside it.  Importing bench/run.py pins
@@ -74,7 +74,7 @@ def make_phantoms(out: Path) -> tuple[Path, Path]:
     return cohort, patient
 
 
-def run_all(out: Path, paper_default: bool) -> None:
+def run_all(out: Path) -> None:
     cohort, patient = make_phantoms(out / "phantoms")
     runs = out / "runs"
     for name, workload in bench.WORKLOADS.items():
@@ -89,23 +89,20 @@ def run_all(out: Path, paper_default: bool) -> None:
     first = next(iter(bench.WORKLOADS.values()))
     cli("evaluate", "--cohort", cohort, "--out", runs / "evaluate", "--seed", 0,
         *flags_for("evaluate", first.train_flags))
-    if paper_default:
-        paper = out / "phantoms" / "paper"
-        cli("phantom", "--out", paper, "--patients", 3, "--dims", "32,32,32", "--seed", 7)
-        cli("train", "--cohort", paper, "--out", runs / "paper-default", "--seed", 0)
+    paper = out / "phantoms" / "paper"
+    cli("phantom", "--out", paper, "--patients", 3, "--dims", "32,32,32", "--seed", 7)
+    cli("train", "--cohort", paper, "--out", runs / "paper-default", "--seed", 0)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="new or empty output directory")
-    parser.add_argument("--paper-default", action="store_true",
-                        help="also run the 150-tree paper-default train")
     args = parser.parse_args()
     out = args.out.resolve()
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
-    run_all(out, args.paper_default)
+    run_all(out)
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out)}")
