@@ -13,14 +13,23 @@ log-density comes from one kernel, _log_gaussians, over Cholesky factors.
 _normalize turns log-weights into posteriors with one exp: it subtracts each
 column's max, exponentiates in place and divides by the column sum, and
 returns the log-sum-exp that EM sums into its log-likelihood.
+It keeps EM off two floating-point slow paths, each 2-3x per iteration:
+exp of an input that underflows or gives a subnormal (below about -708),
+and M-step products (resp @ v, resp @ vv.T) with subnormal operands.
+_normalize floors the shifted log-weights at _LOG_FLOOR = -700 before the
+exp and zeroes the floored entries after it, so a posterior is 0 or at
+least exp(-700) / J, which is normal for J below 4,000.  No sum changes:
+each column's total holds its max's exp(0) = 1, and a flushed value, below
+1e-304, is below half an ulp of any total of at least 1.
 EM regularizes covariances by adding ridge eps = _RIDGE_SCALE * trace(S) / dim
 to the diagonal whenever the smallest eigenvalue falls below eps, and drops
 components whose weight falls below _DROP_WEIGHT or whose ridged covariance
 has no Cholesky factor.
 
 Arrays keep the rows on their last, contiguous axis: the kernel reads rows as
-vt (dim, n) and returns (J, n) log-densities, and EM's responsibilities are
-(J, n), so centering and every reduction over components run along long rows.
+vt (dim, n) and returns (J, n) log-densities, EM's responsibilities are
+(J, n), and k-means++ sums its squared distances down vt's columns, so
+centering and every reduction over components run along long rows.
 Both kernels, and prediction's conditional regression (pipeline's
 regress_by_label), work through the rows in column blocks of _BLOCK rows
 from _row_blocks, so their (dim, n) and (J, n) temporaries stay in cache
@@ -66,6 +75,7 @@ _RIDGE_SCALE = 1e-6
 _DROP_WEIGHT = 1e-8
 _TIGHT = 1e-6  # trace(cov) / trace(second moment) at or below which EM centers exactly
 _BLOCK = 8192  # rows per block of the Gaussian kernels and of sample; a power of two
+_LOG_FLOOR = -700.0  # shifted log-weights below this get posterior 0; exp(-700) is normal
 
 
 @dataclass(frozen=True)
@@ -192,14 +202,18 @@ def _log_gaussians(vt: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.n
 
 def _normalize(a: np.ndarray) -> np.ndarray:
     """Turn the (J, n) log-weights a into column posteriors in place, with one
-    exp, and return log sum_j exp(a[j]), the column log-sum-exp."""
+    exp, and return log sum_j exp(a[j]), the column log-sum-exp.  A log-weight
+    more than -_LOG_FLOOR below its column's max gets a posterior of exactly 0."""
     lse = np.empty(a.shape[1], dtype=np.float64)
     for cols in _row_blocks(a.shape[1]):
         block = a[:, cols]
         amax = np.max(block, axis=0)
         amax = np.where(np.isfinite(amax), amax, 0.0)
         block -= amax
+        keep = block >= _LOG_FLOOR
+        np.maximum(block, _LOG_FLOOR, out=block)
         np.exp(block, out=block)
+        block *= keep
         total = np.sum(block, axis=0)
         block /= total
         np.log(total, out=lse[cols])
@@ -210,7 +224,9 @@ def _normalize(a: np.ndarray) -> np.ndarray:
 def conditional_expectation_many(
     model: MixtureModel, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(y_hat, betas) for a matrix of feature vectors x with shape (n, d)."""
+    """(y_hat, betas) for a matrix of feature vectors x with shape (n, d).
+    A beta whose log-weight lies more than -_LOG_FLOOR below its row's largest
+    is exactly 0, as in EM."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if model.dim < 2:
         raise ModelError("conditional regression needs dim >= 2 (a target and features)")
@@ -266,18 +282,20 @@ class EmFitReport:
         }
 
 
-def _kmeanspp_means(v: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = v.shape[0]
+def _kmeanspp_means(vt: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds, (k, dim), from the rows vt (dim, n).  Squared
+    distances sum down axis 0, in coordinate order, along the contiguous rows."""
+    n = vt.shape[1]
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((v - v[chosen[0]]) ** 2, axis=1)
+    d2 = np.sum((vt - vt[:, chosen]) ** 2, axis=0)
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0:
             chosen.append(int(rng.integers(n)))
         else:
             chosen.append(int(rng.choice(n, p=d2 / total)))
-        d2 = np.minimum(d2, np.sum((v - v[chosen[-1]]) ** 2, axis=1))
-    return v[chosen].copy()
+        np.minimum(d2, np.sum((vt - vt[:, chosen[-1:]]) ** 2, axis=0), out=d2)
+    return np.ascontiguousarray(vt[:, chosen].T)
 
 
 def _regularize(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,7 +324,7 @@ def _em_once(
     center = vt.mean(axis=1)
     c = vt - center[:, None]
     vv = (c[:, None, :] * c[None, :, :]).reshape(dim * dim, n)
-    means = _kmeanspp_means(v, n_components, rng)
+    means = _kmeanspp_means(vt, n_components, rng)
     _, pooled_chol, ok = _regularize(np.cov(vt, bias=True).reshape(1, dim, dim))
     if not ok[0]:
         raise FitError("samples are degenerate: pooled covariance is singular")

@@ -22,7 +22,14 @@ from mr2ct import (
     train_pipeline,
 )
 import mr2ct.mixture as mixture_module
-from mr2ct.mixture import _em_once, _log_gaussians, _normalize, _row_blocks
+from mr2ct.mixture import (
+    _LOG_FLOOR,
+    _em_once,
+    _kmeanspp_means,
+    _log_gaussians,
+    _normalize,
+    _row_blocks,
+)
 from util import (
     ROW_EDGES,
     edge_rows,
@@ -30,6 +37,7 @@ from util import (
     mc_conditional_mean,
     naive_conditional_expectation,
     naive_em_once,
+    naive_kmeanspp_means,
     naive_mixture_density,
     random_mixture,
     sample_joint,
@@ -173,6 +181,115 @@ def test_row_blocked_kernels_match_whole_arrays(seed, block, edge, random_n, dim
     whole_post = a.copy()
     assert np.array_equal(lse, whole_normalize(whole_post))
     assert np.array_equal(post, whole_post)
+
+
+def unfloored_normalize(a):
+    """_normalize without the floor: exp of every shifted log-weight, in
+    place, so log-weights 708 to 745 below their column's max give
+    subnormal posteriors."""
+    amax = np.max(a, axis=0)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    a -= amax
+    np.exp(a, out=a)
+    total = np.sum(a, axis=0)
+    a /= total
+    return np.log(total) + amax
+
+
+def count_subnormal(a):
+    return int(np.count_nonzero((a > 0) & (a < np.finfo(np.float64).tiny)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_components=st.integers(1, 6),
+    n=st.integers(1, 40),
+    holes=st.floats(0.0, 0.9),
+    empty_column=st.booleans(),
+)
+def test_normalize_flushes_below_floor(seed, n_components, n, holes, empty_column):
+    """Log-weights 0 to 3000 below their column's max, with -inf holes.
+    Against the unfloored body, _normalize returns the same log-sum-exp bits
+    and the same posteriors at or above _LOG_FLOOR, exactly 0 below it, and
+    no subnormal; a column of only -inf still gives NaN posteriors and a
+    log-sum-exp of -inf."""
+    rng = np.random.default_rng(seed)
+    top = rng.normal(scale=1e3, size=n)
+    a = top - rng.uniform(0.0, 3000.0, (n_components, n))
+    a[rng.random(a.shape) < holes] = -np.inf
+    a[rng.integers(n_components, size=n), np.arange(n)] = top
+    if empty_column:
+        a[:, 0] = -np.inf
+    amax = np.max(a, axis=0)
+    live = np.isfinite(amax)
+    above = a - np.where(live, amax, 0.0) >= _LOG_FLOOR
+    want, got = a.copy(), a.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_lse = unfloored_normalize(want)
+        got_lse = _normalize(got)
+    assert np.array_equal(got_lse, want_lse)
+    assert np.array_equal(got[above], want[above])
+    assert np.all(got[~above & live] == 0.0)
+    assert count_subnormal(got) == 0
+    if empty_column:
+        assert np.isnan(got[:, 0]).all() and got_lse[0] == -np.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 7),
+    n=st.integers(1, 60),
+    k=st.integers(1, 6),
+    scale=st.sampled_from([1.0, 300.0, 1e4]),
+    identical=st.booleans(),
+)
+def test_kmeanspp_on_columns_matches_rows(seed, dim, n, k, scale, identical):
+    """k-means++ on column-major rows picks the means of the row-major
+    oracle bit for bit and leaves the generator where it does.  Identical
+    rows reach the branch where every squared distance is 0.  Up to 7
+    coordinates numpy sums a row's squares one after another, as the
+    column-major sum does; from 8 it sums them pairwise, so a distance may
+    differ in its last bit, which moves a draw only if a uniform falls
+    within that bit of a step of the cdf."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(scale=scale, size=(n, dim))
+    if identical:
+        v[:] = v[0]
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _kmeanspp_means(np.ascontiguousarray(v.T), k, got_rng)
+    want = naive_kmeanspp_means(v, k, want_rng)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_em_posteriors_hold_no_subnormal(seed):
+    """Rows of one class drawn from four clusters about 40 apart per
+    coordinate put some log-weights 708 to 745 below their column's max,
+    which the unfloored body turns into subnormal posteriors.  EM's
+    responsibilities then hold none: a subnormal operand sends exp and the
+    M-step's products onto slow paths that cost 2-3x per iteration."""
+    rng = np.random.default_rng(seed)
+    v = random_mixture(4, 5, rng, mean_spread=40.0).sample(2000, rng)
+    log_weights, posteriors = [], []
+
+    def spy(a):
+        log_weights.append(a.copy())
+        lse = normalize(a)
+        posteriors.append(a.copy())
+        return lse
+
+    normalize = mixture_module._normalize
+    with mock.patch.object(mixture_module, "_normalize", spy):
+        _em_once(v, 4, RunConfig(em_max_iter=10), np.random.default_rng(seed))
+    assert posteriors
+    assert sum(count_subnormal(p) for p in posteriors) == 0
+    for a in log_weights:
+        unfloored_normalize(a)
+    assert sum(count_subnormal(a) for a in log_weights) > 0
 
 
 class TestConditionalExpectation:

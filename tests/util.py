@@ -2,6 +2,7 @@
 
 The samplers and density evaluations here deliberately avoid the package's
 own mixture code paths, naive_em_once its component-major EM iteration,
+naive_kmeanspp_means its k-means++ seeding on row-major rows,
 naive_train_tree its histogram split search, naive_hist_train_tree its
 histogram subtraction and count algebra, naive_leaf_index its per-node
 routing and naive_neighbor_matrix its edge-padded extraction, so they can
@@ -9,7 +10,8 @@ serve as independent checks.
 whole_log_gaussians, whole_normalize and whole_regress_by_label are the
 package's Gaussian kernels and conditional regression as they were before
 they ran over row blocks, each on all of its rows at once; the blocked code
-must match them bit for bit.
+must match them bit for bit.  whole_normalize flushes log-weights below
+_LOG_FLOOR to posterior 0, as _normalize does.
 draw_order_rus_resample is boosting's resample as it was before it searched
 its uniforms in sorted order and sorted its result: Generator.choice, then
 undersampling, returned in drawn order.
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from mr2ct import BoostingError, FitError, MixtureModel, RunConfig
-from mr2ct.mixture import _DROP_WEIGHT, _LOG_2PI, _RIDGE_SCALE, _kmeanspp_means
+from mr2ct.mixture import _DROP_WEIGHT, _LOG_2PI, _LOG_FLOOR, _RIDGE_SCALE
 from mr2ct.features import neighbor_offsets
 from mr2ct.labeling import minority_label
 from mr2ct.tree import DecisionTree
@@ -81,6 +83,22 @@ def _naive_regularize(cov):
     return cov
 
 
+def naive_kmeanspp_means(v, k, rng):
+    """mixture._kmeanspp_means on rows v (n, dim), summing each row's squared
+    distance over its coordinates."""
+    n = v.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((v - v[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            chosen.append(int(rng.integers(n)))
+        else:
+            chosen.append(int(rng.choice(n, p=d2 / total)))
+        d2 = np.minimum(d2, np.sum((v - v[chosen[-1]]) ** 2, axis=1))
+    return v[chosen].copy()
+
+
 def naive_em_once(v, n_components, config, rng):
     """mixture._em_once one component at a time, rows first.
 
@@ -90,7 +108,7 @@ def naive_em_once(v, n_components, config, rng):
     degenerate) tuple and raises the same FitErrors.
     """
     n, dim = v.shape
-    means = _kmeanspp_means(v, n_components, rng)
+    means = naive_kmeanspp_means(v, n_components, rng)
     pooled = _naive_regularize(np.cov(v, rowvar=False, bias=True).reshape(dim, dim))
     if pooled is None:
         raise FitError("samples are degenerate: pooled covariance is singular")
@@ -190,7 +208,10 @@ def whole_normalize(a):
     amax = np.max(a, axis=0)
     amax = np.where(np.isfinite(amax), amax, 0.0)
     a -= amax
+    keep = a >= _LOG_FLOOR
+    np.maximum(a, _LOG_FLOOR, out=a)
     np.exp(a, out=a)
+    a *= keep
     total = np.sum(a, axis=0)
     a /= total
     return np.log(total) + amax
