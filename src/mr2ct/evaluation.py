@@ -171,7 +171,8 @@ def smoothed_residuals(
 
     Windows are non-overlapping, width ``window``, anchored at the smallest
     observed true intensity; only windows containing at least one voxel are
-    returned.
+    returned.  A window so narrow that a window index reaches 2^53, where
+    float64 stops counting integers exactly, raises DataError.
     """
     if mode not in ("signed", "absolute"):
         raise ValueError(f"mode must be 'signed' or 'absolute', got {mode!r}")
@@ -182,19 +183,25 @@ def smoothed_residuals(
     if mct.size == 0 or mct.shape != sct.shape:
         raise DataError("need equal-length, non-empty intensity vectors")
     lo = mct.min()
-    bins = np.floor((mct - lo) / window).astype(np.int64)
+    with np.errstate(over="ignore"):
+        keys = np.floor((mct - lo) / window)
+    top = float(keys.max())
+    if not top < 2.0**53:  # NaN and inf fail too
+        raise DataError(
+            f"window width {window!r} HU gives window index {top!r}, at or beyond "
+            "2^53, where float64 stops counting exactly"
+        )
+    # Only the occupied windows are counted, so memory does not grow with
+    # the number of windows in the range.
+    windows, bins = np.unique(keys, return_inverse=True)
     resid = sct - mct
     if mode == "absolute":
         resid = np.abs(resid)
-    n_bins = int(bins.max()) + 1
-    counts = np.bincount(bins, minlength=n_bins)
-    sums = np.bincount(bins, weights=resid, minlength=n_bins)
-    nonempty = counts > 0
-    centers = lo + (np.flatnonzero(nonempty) + 0.5) * window
+    counts = np.bincount(bins)
     return ResidualCurve(
-        centers=centers,
-        values=sums[nonempty] / counts[nonempty],
-        counts=counts[nonempty],
+        centers=lo + (windows + 0.5) * window,
+        values=np.bincount(bins, weights=resid) / counts,
+        counts=counts,
         window=window,
         mode=mode,
     )

@@ -20,7 +20,7 @@ PaddedSource holds the float32 pads, each row's flat index into them and each
 column's (channel, offset) pair, and gathers a column for any subset of rows
 on demand.  Training reads every input from it: the trees all columns, the
 mixtures the raw ones.  Prediction routes the trees over it and regresses on
-the raw float64 matrix that extract_feature_matrix returns.
+its raw columns, which extract_feature_matrix also returns as a PaddedSource.
 
 Only assemble makes a SampleTable: it lays every patient's pads out on the
 cohort's largest strides, so one offset per column serves every row.
@@ -148,13 +148,13 @@ def extract_feature_matrix(
     mask: Volume,
     order: str,
     strides: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray, PaddedSource]:
+) -> tuple[np.ndarray, PaddedSource, PaddedSource]:
     """(voxel_index, raw, source) for masked voxels.
 
-    Used by training and prediction.  raw is the (n, d) float64 matrix of
-    the channels at the masked voxels; source reads every feature column,
+    Used by training and prediction.  source reads every feature column,
     raw then neighbor columns, from pads laid out on the y and z strides
-    (sy, sz), by default the patient's own (nx + 2, (nx + 2)(ny + 2)).
+    (sy, sz), by default the patient's own (nx + 2, (nx + 2)(ny + 2)); raw
+    is source's view of its d raw columns, sharing its pads and bases.
     """
     flat_idx = mask_indices(mask)
     nx, ny, nz = mask.dims
@@ -166,11 +166,9 @@ def extract_feature_matrix(
     d = len(channels)
     channel = np.concatenate([np.arange(d), np.repeat(np.arange(d), len(offsets))])
     delta = np.array([0] * d + [dz * sz + dy * sy + dx for dz, dy, dx in offsets] * d)
-    raw = np.empty((flat_idx.size, d), dtype=np.float64, order="F")
-    for c, vol in enumerate(channels):
-        raw[:, c] = vol.data[flat_idx]
     pads = tuple(np.pad(vol.grid(), widths, mode="edge").reshape(-1) for vol in channels)
-    return flat_idx, raw, PaddedSource(pads=pads, base=base, channel=channel, delta=delta)
+    source = PaddedSource(pads=pads, base=base, channel=channel, delta=delta)
+    return flat_idx, replace(source, channel=channel[:d], delta=delta[:d]), source
 
 
 def assemble(

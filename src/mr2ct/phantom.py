@@ -20,10 +20,11 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import DataError
+from .features import FIRST_ORDER, extract_feature_matrix
 from .mixture import MixtureModel
 from .pipeline import regress_by_label
 from .seeding import derive_seed
-from .volume import PatientDataset, Volume, check_mask, mask_indices
+from .volume import PatientDataset, Volume, check_mask
 
 DEFAULT_MINORITY_FRACTION = 0.1849
 SPACING = (1.0, 1.0, 1.0)  # voxel spacing of every phantom volume
@@ -119,10 +120,9 @@ def oracle_predict_ct(
     mask: Volume,
     fill_value: float = -1000.0,
 ) -> Volume:
-    """CT estimate from the true labels and true per-class conditionals."""
+    """predict_ct's regression, under the true labels and per-class conditionals."""
     check_mask(mask)
-    idx = mask_indices(mask)
-    x = np.column_stack([vol.data[idx].astype(np.float64) for vol in mr_channels])
+    idx, x, _ = extract_feature_matrix(mr_channels, mask, FIRST_ORDER)
     labels = true_labels.data[idx].astype(np.int64)
     return regress_by_label(class_models, labels, x, idx, mask, fill_value)
 

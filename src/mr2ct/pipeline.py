@@ -23,7 +23,7 @@ import numpy as np
 from .boosting import BoostedEnsemble, BoostRound, train_rusboost
 from .config import RunConfig
 from .errors import DataError, FeatureLayoutError, ModelError
-from .features import FeatureLayout, assemble, extract_feature_matrix
+from .features import FeatureLayout, PaddedSource, assemble, extract_feature_matrix
 from .labeling import N_CLASSES
 from .mixture import (
     MixtureModel,
@@ -202,16 +202,16 @@ class PredictionResult:
 def regress_by_label(
     regressors: Sequence[MixtureModel],
     labels: np.ndarray,
-    x_raw: np.ndarray,
+    x_raw: PaddedSource,
     flat_idx: np.ndarray,
     mask: Volume,
     fill: float,
 ) -> Volume:
     """CT volume on mask's grid: fill everywhere but at flat_idx, where row i
-    gets E[ct | x_raw[i]] under the regressor of labels[i].
+    gets E[ct | x] under the regressor of labels[i], x its raw columns x_raw.
 
-    Each class's rows go to conditional_expectation_many one column block at
-    a time, so no (J, n) or (dim, n) temporary spans a patient.  The blocks
+    Each class's rows are gathered and regressed one column block at a time,
+    so no (J, n), (dim, n) or (n, d) temporary spans a patient.  The blocks
     come from mixture._row_blocks: _BLOCK rows, a power of two, with a
     one-row tail joined to the block before it, since BLAS rounds a one-row
     block on its matrix-vector path.  So every estimate equals the
@@ -222,7 +222,8 @@ def regress_by_label(
         rows = np.flatnonzero(labels == k)
         for cols in _row_blocks(rows.size):
             block = rows[cols]
-            y_hat, _ = conditional_expectation_many(regressor, x_raw[block])
+            xt = np.array([x_raw.column(c, x_raw.base[block]) for c in range(x_raw.shape[1])])
+            y_hat, _ = conditional_expectation_many(regressor, xt.T)
             ct[flat_idx[block]] = y_hat
     return volume_like(mask, ct)
 
@@ -280,6 +281,14 @@ def model_from_dict(d: dict) -> PipelineModel:
     value of the wrong type or shape, or an unknown layout or regressor key
     raises ModelError, and so does a dict that the model does not save back
     to, such as one with a stale key or a value the loader coerced."""
+    return _checked_model(d, None, "the model built from the bundle dict does not save back to it")
+
+
+def _checked_model(d: dict, text: str | None, mismatch: str) -> PipelineModel:
+    """The model bundle dict d describes; ModelError(mismatch) unless it
+    saves back to text, or to d's canonical JSON if text is None.  A model
+    that saves back to a file's text saves back to the dict parsed from it,
+    so load_model checks the text alone."""
     try:
         version = int(d.get("format_version", -1))
         if d.get("kind") != BUNDLE_KIND or version != BUNDLE_FORMAT_VERSION:
@@ -302,8 +311,8 @@ def model_from_dict(d: dict) -> PipelineModel:
             selected_j=tuple(int(j) for j in d["selected_j"]),
         )
         # Compared as text: 2.0 == 2 and True == 1 in Python, not in JSON.
-        if _bundle_text(model) != _canonical_json(d):
-            raise ModelError("the model built from the bundle dict does not save back to it")
+        if _bundle_text(model) != (_canonical_json(d) if text is None else text):
+            raise ModelError(mismatch)
     except (AttributeError, DataError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model bundle: {type(exc).__name__}: {exc}") from exc
     return model
@@ -333,7 +342,4 @@ def load_model(path: str | Path) -> PipelineModel:
         raise DataError(f"cannot read model bundle {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also undecodable UTF-8, over-nested JSON
         raise ModelError(f"{path}: not a JSON model bundle: {exc}") from exc
-    model = model_from_dict(d)
-    if _bundle_text(model) != text:
-        raise ModelError(f"{path}: the bundle does not save back to its own bytes")
-    return model
+    return _checked_model(d, text, f"{path}: the bundle does not save back to its own bytes")

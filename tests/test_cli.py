@@ -531,6 +531,17 @@ class TestEvaluate:
         assert "every leave-one-out fold failed" in err
         assert err.count("both tissue classes must be present") == 3
 
+    def test_window_too_fine_to_count_exit_code(self, tmp_path, cohort_dir, capsys):
+        """A residual window so narrow that its index passes 2^53 is a data
+        error, not an unexpected one with a traceback."""
+        rc = main([
+            "evaluate", "--cohort", str(cohort_dir), "--out", str(tmp_path / "eval"),
+            "--window-hu", "1e-300", *FAST,
+        ])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "2^53" in err and "Traceback" not in err
+
 
 class TestCvClassifier:
     def test_metrics_written(self, cv_dir):

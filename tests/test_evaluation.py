@@ -1,7 +1,10 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mr2ct import (
     ClassificationMetrics,
@@ -262,6 +265,61 @@ class TestSmoothedResiduals:
             smoothed_residuals(np.array([]), np.array([]))
         with pytest.raises(ValueError):
             smoothed_residuals(np.array([1.0]), np.array([1.0]), mode="both")
+
+    def test_window_index_past_2_53(self):
+        """Window indices count exactly in float64 only below 2^53; at
+        window 1e-300 over 2500 HU the index would overflow int64."""
+        mct = np.array([-1000.0, 0.0, 1500.0])
+        with pytest.raises(DataError, match="2\\^53"):
+            smoothed_residuals(mct, mct + 1.0, window=1e-300)
+        with pytest.raises(DataError, match="2\\^53"):
+            smoothed_residuals(mct, mct + 1.0, window=5e-324)  # the quotient overflows
+        top = np.array([0.0, 2.0**53 - 1.0])  # the largest index still counted
+        np.testing.assert_array_equal(smoothed_residuals(top, top, window=1.0).counts, [1, 1])
+
+    def test_peak_memory_does_not_grow_with_windows(self):
+        """1000 voxels over 2500 HU at a 0.002 HU window span 1.25 million
+        windows, whose dense counts and sums took about 21 MB."""
+        rng = np.random.default_rng(3)
+        mct = rng.uniform(-1000.0, 1500.0, size=1000)
+        mct[:2] = -1000.0, 1500.0
+        sct = mct + rng.normal(scale=30.0, size=1000)
+        tracemalloc.start()
+        try:
+            curve = smoothed_residuals(mct, sct, window=0.002)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve.counts.sum() == 1000
+        assert peak < 1e6
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        window=st.sampled_from([0.37, 1.0, 20.0, 250.0]),
+        mode=st.sampled_from(["signed", "absolute"]),
+        ties=st.booleans(),
+    )
+    def test_occupied_windows_match_dense_count(self, seed, n, window, mode, ties):
+        """Counting only the occupied windows gives the bits of counting
+        every window of the range and dropping the empty ones."""
+        rng = np.random.default_rng(seed)
+        mct = rng.uniform(-1000.0, 2000.0, size=n)
+        if ties:
+            mct = np.round(mct / 50.0) * 50.0
+        sct = mct + rng.normal(scale=40.0, size=n)
+        curve = smoothed_residuals(mct, sct, window=window, mode=mode)
+        bins = np.floor((mct - mct.min()) / window).astype(np.int64)
+        resid = sct - mct if mode == "signed" else np.abs(sct - mct)
+        counts = np.bincount(bins)
+        sums = np.bincount(bins, weights=resid)
+        full = counts > 0
+        assert curve.centers.tobytes() == (
+            mct.min() + (np.flatnonzero(full) + 0.5) * window
+        ).tobytes()
+        assert curve.values.tobytes() == (sums[full] / counts[full]).tobytes()
+        assert curve.counts.tobytes() == counts[full].tobytes()
 
 
 class TestLooPatientEval:

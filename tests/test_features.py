@@ -195,8 +195,29 @@ def test_extraction_matches_clamp_oracle(seed, dims, n_channels, order, density)
         column = source.column(f, source.base)
         assert column.dtype == np.float32
         assert column.astype(np.float64).tobytes() == expected[:, f].tobytes()
-    assert raw.shape == (flat_idx.size, d) and raw.dtype == np.float64
-    assert np.ascontiguousarray(raw).tobytes() == expected_x.tobytes()
+    assert raw.shape == (flat_idx.size, d) and raw.size == flat_idx.size * d
+    assert materialize(raw).tobytes() == expected_x.tobytes()
+
+
+def test_raw_source_is_a_view_of_the_pads():
+    """Extraction's raw columns are the source's first d columns over the
+    same pads and bases, with no matrix behind them; their size is the n * d
+    that the benchmark's features.matrix_bytes counts for them."""
+    rng = np.random.default_rng(7)
+    dims = (5, 4, 3)
+    channels = tuple(
+        Volume(dims=dims, spacing=(1, 1, 1), data=rng.normal(size=60)) for _ in range(3)
+    )
+    mask = Volume(dims=dims, spacing=(1, 1, 1), data=(rng.random(60) < 0.6).astype(float))
+    flat_idx, raw, source = extract_feature_matrix(channels, mask, "second")
+    n, d = flat_idx.size, len(channels)
+    assert raw.pads is source.pads and raw.base is source.base
+    assert raw.shape == (n, d) and raw.size == n * d
+    np.testing.assert_array_equal(raw.channel, np.arange(d))
+    np.testing.assert_array_equal(raw.delta, np.zeros(d))
+    for c, vol in enumerate(channels):
+        column = raw.column(c, raw.base)
+        assert column.dtype == np.float32 and column.tobytes() == vol.data[flat_idx].tobytes()
 
 
 def random_tree(rng, x, n_splits, between):
@@ -249,7 +270,7 @@ def test_pad_routing_matches_matrix_oracle(seed, dims, n_channels, order, densit
     )
     mask = Volume(dims=dims, spacing=(1, 1, 1), data=(rng.random(n) < density).astype(float))
     flat_idx, raw, source = extract_feature_matrix(channels, mask, order)
-    x = np.column_stack([raw, naive_neighbor_matrix(channels, flat_idx, dims, order)])
+    x = np.column_stack([materialize(raw), naive_neighbor_matrix(channels, flat_idx, dims, order)])
     tree = random_tree(rng, x, n_splits, between=int(rng.integers(n_splits)))
     expected = naive_leaf_index(tree, x)
     np.testing.assert_array_equal(tree.leaf_index(x), expected)
@@ -301,7 +322,7 @@ class TestAssemble:
         flat_idx, raw, source = extract_feature_matrix(a.mr_channels, a.mask, "first")
         assert table.source.shape == source.shape
         np.testing.assert_array_equal(materialize(table.source), materialize(source))
-        np.testing.assert_array_equal(raw_columns(table), raw)
+        np.testing.assert_array_equal(raw_columns(table), materialize(raw))
         np.testing.assert_array_equal(table.voxel_index, flat_idx)
         np.testing.assert_array_equal(table.y, a.ct.data[flat_idx].astype(np.float64))
         assert table.patient_ids == ("a",) and table.starts.tolist() == [0, 12]

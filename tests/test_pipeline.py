@@ -30,11 +30,11 @@ from mr2ct.config import load_run_config
 from mr2ct.features import FeatureLayout, PaddedSource, extract_feature_matrix
 from mr2ct.mixture import conditional_expectation_many
 from mr2ct.pipeline import PipelineModel, model_from_dict, model_to_dict, regress_by_label
-from mr2ct.tree import DecisionTree, train_tree
+from mr2ct.tree import DecisionTree, as_source, train_tree
 from mr2ct.volume import FLOAT32_MAX
 
 from conftest import fast_config
-from util import ROW_EDGES, edge_rows, random_mixture, whole_regress_by_label
+from util import ROW_EDGES, edge_rows, materialize, random_mixture, whole_regress_by_label
 
 
 class TestConfig:
@@ -147,7 +147,7 @@ class TestTrain:
         def class_rows(p, k):
             flat_idx, raw, _ = extract_feature_matrix(p.mr_channels, p.mask, config.order)
             ct = p.ct.data[flat_idx].astype(np.float64)
-            return np.column_stack([ct, raw])[(ct > config.threshold_hu) == k]
+            return np.column_stack([ct, materialize(raw)])[(ct > config.threshold_hu) == k]
 
         ordered = sorted(patients, key=lambda p: p.patient_id)
         fitted = [p for p in ordered if p.patient_id != report.validation_patient]
@@ -234,6 +234,21 @@ class TestPredict:
             tracemalloc.stop()
         assert result.n_predicted == 48**3 and model.layout.n_combined == 108
         assert peak < 40e6
+
+    def test_peak_memory_per_row_has_no_raw_matrix(self, trained):
+        """The regression reads the raw channels from the pads that routing
+        reads.  On a 40^3 full-mask patient with 4 channels the peak is
+        about 89 bytes per row; an (n, 4) float64 raw matrix beside the pads
+        adds 32, which put the peak at about 123."""
+        held = generate_phantom(default_phantom_spec(dims=(40, 40, 40)), 1, seed=9)[0].dataset
+        tracemalloc.start()
+        try:
+            result = predict_ct(trained, held.mr_channels, held.mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.n_predicted == 40**3 and trained.layout.n_channels == 4
+        assert peak / result.n_predicted < 100
 
     def test_channel_count_mismatch(self, trained, small_datasets):
         held = small_datasets[2]
@@ -370,7 +385,8 @@ def test_regress_by_label_blocks_match_whole_class(seed, block, edges, random_n,
     # regress_by_label's float64 values, before the float32 volume rounds them.
     with mock.patch.object(mixture_module, "_BLOCK", block), \
             mock.patch.object(pipeline_module, "volume_like", lambda mask, ct: ct):
-        ct = regress_by_label(regressors, labels, x_raw, flat_idx, _flat_mask(n_voxels), -7.0)
+        ct = regress_by_label(regressors, labels, as_source(x_raw), flat_idx,
+                              _flat_mask(n_voxels), -7.0)
     whole = whole_regress_by_label(regressors, labels, x_raw, flat_idx, n_voxels, -7.0)
     assert np.array_equal(ct, whole)
 
@@ -383,7 +399,7 @@ def test_regress_by_label_peak_memory():
     n, dim, j = 100_000, 5, 6
     regressors = [random_mixture(j, dim, rng) for _ in range(2)]
     labels = (rng.random(n) < 0.3).astype(np.int64)
-    x_raw = rng.normal(scale=4.0, size=(n, dim - 1))
+    x_raw = as_source(rng.normal(scale=4.0, size=(n, dim - 1)))
     mask = _flat_mask(n)
     tracemalloc.start()
     try:
@@ -397,6 +413,28 @@ def test_regress_by_label_peak_memory():
 
 
 class TestBundle:
+    def test_load_builds_and_serializes_once(self, trained, tmp_path, monkeypatch):
+        """Loading a bundle builds its model once and saves it to text once:
+        the check against the file's bytes covers the dict check."""
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        built, saved = [], []
+        from_dict, to_dict = BoostedEnsemble.from_dict, pipeline_module.model_to_dict
+
+        def from_dict_spy(d):
+            built.append(d)
+            return from_dict(d)
+
+        def to_dict_spy(model):
+            saved.append(model)
+            return to_dict(model)
+
+        monkeypatch.setattr(BoostedEnsemble, "from_dict", staticmethod(from_dict_spy))
+        monkeypatch.setattr(pipeline_module, "model_to_dict", to_dict_spy)
+        back = load_model(path)
+        assert len(built) == 1 and len(saved) == 1 and saved[0] is back
+        assert model_to_dict(back) == model_to_dict(trained)
+
     def test_roundtrip_predictions(self, small_datasets, tmp_path):
         model, _ = train_pipeline(small_datasets[:2], fast_config())
         path = tmp_path / "model.json"

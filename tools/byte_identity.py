@@ -51,7 +51,7 @@ def cli(*argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = mr2ct.cli.main(argv)
     if code != 0:
-        raise SystemExit(f"byte_identity: `mr2ct {' '.join(argv)}` exited {code}")
+        raise SystemExit(f"`mr2ct {' '.join(argv)}` exited {code}")
 
 
 def flags_for(command: str, flags: tuple[str, ...]) -> list[str]:
